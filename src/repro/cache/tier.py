@@ -309,17 +309,13 @@ class DiskCache:
         term: str,
         *,
         validated: bool,
-        packed: "dict | None" = None,
     ) -> bool:
-        data = {"script": term, "validated": bool(validated)}
-        if packed is not None:
-            data["packed"] = packed
         return self._put(
             _memo_key(schema_hash, factory, source_key, update_key, script_key),
             MEMO,
             schema_hash,
             factory,
-            data,
+            {"script": term, "validated": bool(validated)},
         )
 
     # ------------------------------------------------------------------

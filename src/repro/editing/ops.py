@@ -144,23 +144,24 @@ _BY_NAME = {op.value: op for op in Op}
 def parse_edit_label(text: str) -> EditLabel:
     """Parse ``Ins(a)`` / ``Ren(a→b)`` or the compact ``Ins.a`` / ``Ren.a.b``."""
     text = text.strip()
-    if text.startswith("Ren(") and text.endswith(")"):
-        body = text[4:-1]
+    name, dot, rest = text.partition(".")
+    op = _BY_NAME.get(name)
+    if dot and op is not None:  # the compact form
+        if op is not Op.REN:
+            return EditLabel(op, rest)
+        parts = rest.split(".", 1)
+        if len(parts) != 2:
+            raise InvalidScriptError(f"compact renaming is Ren.old.new: {text!r}")
+        return EditLabel(Op.REN, parts[0], parts[1])
+    name, paren, rest = text.partition("(")
+    op = _BY_NAME.get(name)
+    if paren and op is not None and rest.endswith(")"):
+        body = rest[:-1]
+        if op is not Op.REN:
+            return EditLabel(op, body.strip())
         for arrow in ("→", "->"):
             if arrow in body:
                 old, new = body.split(arrow, 1)
                 return EditLabel(Op.REN, old.strip(), new.strip())
         raise InvalidScriptError(f"renaming label needs an arrow: {text!r}")
-    if text.startswith("Ren."):
-        parts = text[4:].split(".", 1)
-        if len(parts) != 2:
-            raise InvalidScriptError(f"compact renaming is Ren.old.new: {text!r}")
-        return EditLabel(Op.REN, parts[0], parts[1])
-    for name, op in _BY_NAME.items():
-        if op is Op.REN:
-            continue
-        if text.startswith(name + "(") and text.endswith(")"):
-            return EditLabel(op, text[len(name) + 1:-1].strip())
-        if text.startswith(name + "."):
-            return EditLabel(op, text[len(name) + 1:])
     raise InvalidScriptError(f"cannot parse edit label {text!r}")

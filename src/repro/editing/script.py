@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 
 from ..errors import InvalidScriptError
 from ..xmltree import NodeId, Tree, parse_term
+from ..xmltree.term import WORD
 from .ops import EditLabel, Op, dele, ins, nop, parse_edit_label, ren
 
 __all__ = ["EditScript"]
@@ -34,7 +35,7 @@ class EditScript:
     :meth:`phantom`, :meth:`assemble`, or :meth:`parse`.
     """
 
-    __slots__ = ("_tree", "_input", "_output", "_cost")
+    __slots__ = ("_tree", "_input", "_output", "_cost", "_term")
 
     def __init__(self, tree: Tree) -> None:
         """Wrap a tree whose labels are :class:`EditLabel`; validates."""
@@ -42,6 +43,7 @@ class EditScript:
         self._input: Tree | None = None
         self._output: Tree | None = None
         self._cost: int | None = None
+        self._term: str | None = None
         self._validate()
 
     @classmethod
@@ -59,11 +61,14 @@ class EditScript:
         self._input = None
         self._output = None
         self._cost = None
+        self._term = None
         return self
 
     def _validate(self) -> None:
+        labels = self._tree._labels
+        children = self._tree._children
         for node in self._tree.nodes():
-            label = self._tree.label(node)
+            label = labels[node]
             if not isinstance(label, EditLabel):
                 raise InvalidScriptError(
                     f"script node {node!r} has non-edit label {label!r}"
@@ -71,8 +76,8 @@ class EditScript:
             op = label.op
             if op is Op.NOP:
                 continue
-            for kid in self._tree.children(node):
-                kid_op = self._tree.label(kid).op
+            for kid in children.get(node, ()):
+                kid_op = labels[kid].op
                 if op is Op.INS and kid_op is not Op.INS:
                     raise InvalidScriptError(
                         f"descendant {kid!r} of inserting node {node!r} is {kid_op}"
@@ -138,58 +143,14 @@ class EditScript:
         """Parse compact term notation, e.g. ``Nop.r#n0(Del.a#n1, Ins.d#n11)``.
 
         The operation prefix (``Ins.``/``Del.``/``Nop.``) is split off
-        each label; everything else follows
-        :func:`repro.xmltree.parse_term`.
+        each label — once per distinct label, in document order; everything
+        else follows :func:`repro.xmltree.parse_term`.
         """
         raw = parse_term(text, id_prefix=id_prefix)
-        return cls(raw.map_labels(parse_edit_label))
-
-    def to_packed(self) -> dict:
-        """A JSON-ready flat encoding: ``{"root", "nodes"}`` with one
-        ``[id, op, symbol, target, [child ids]]`` row per node, preorder.
-
-        Term notation stays the canonical interchange format; this form
-        exists because rebuilding a memoized script on a serving path
-        should cost a few dict inserts, not a character-level parse.
-        :meth:`from_packed` inverts it.
-        """
-        tree = self._tree
-        if tree.is_empty:
-            return {"root": None, "nodes": []}
-        nodes = []
-        for node in tree.nodes():
-            label = tree.label(node)
-            nodes.append(
-                [node, label.op.name, label.symbol, label.target,
-                 list(tree.children(node))]
-            )
-        return {"root": tree.root, "nodes": nodes}
-
-    @classmethod
-    def from_packed(cls, payload: dict) -> "EditScript":
-        """Rebuild a script from :meth:`to_packed` output.
-
-        Labels go through :class:`EditLabel` and the result through the
-        validating constructor, so a malformed payload raises rather
-        than yielding an ill-formed script.
-        """
-        root = payload["root"]
-        if root is None:
-            return cls(Tree.empty())
-        labels: "dict[NodeId, EditLabel]" = {}
-        children: "dict[NodeId, tuple[NodeId, ...]]" = {}
-        parents: "dict[NodeId, NodeId]" = {}
-        for node, op_name, symbol, target, kids in payload["nodes"]:
-            labels[node] = EditLabel(Op[op_name], symbol, target)
-            if kids:
-                kid_ids = tuple(kids)
-                children[node] = kid_ids
-                for kid in kid_ids:
-                    parents[kid] = node
-        if root not in labels or len(parents) != len(labels) - 1:
-            raise InvalidScriptError("packed script structure is inconsistent")
-        tree = Tree._from_parts(root, labels, children, parents)
-        return cls(tree)
+        words = raw._labels
+        decoded = {word: parse_edit_label(word) for word in dict.fromkeys(words.values())}
+        labels = dict(zip(words, map(decoded.__getitem__, words.values())))
+        return cls(Tree._from_parts(raw._root, labels, raw._children, raw._parents))
 
     # ------------------------------------------------------------------
     # Structure access
@@ -366,8 +327,54 @@ class EditScript:
         return self._tree.map_labels(str).shape()
 
     def to_term(self, with_ids: bool = True) -> str:
-        """Compact term notation accepted back by :meth:`parse`."""
-        return self._tree.map_labels(lambda lab: lab.encode()).to_term(with_ids)
+        """Compact term notation accepted back by :meth:`parse`.
+
+        Each distinct label is encoded once. The text with identifiers is
+        memoized (scripts are immutable), so the journal and the wire
+        response of one propagation share a single render.
+        """
+        if with_ids and self._term is not None:
+            return self._term
+        labels = self._tree._labels
+        encoded = {key: label.encode() for key, label in _distinct(labels).items()}
+        term = self._tree._render(
+            {node: encoded[id(label)] for node, label in labels.items()}, with_ids
+        )
+        if with_ids:
+            self._term = term
+        return term
+
+    def check_round_trip(self) -> None:
+        """Raise :class:`InvalidScriptError` unless :meth:`parse` reads
+        :meth:`to_term` back as exactly this script, without parsing it.
+
+        That holds exactly when every node identifier is a ``str`` word
+        of term notation (:data:`repro.xmltree.term.WORD`) and every
+        distinct label encodes to a word that decodes back to it. A label
+        :meth:`EditLabel.encode` refuses raises from there, as in
+        :meth:`to_term`.
+        """
+        tree = self._tree
+        if tree.is_empty:
+            raise InvalidScriptError("the empty script has no term notation")
+        encoded = [(label, label.encode()) for label in _distinct(tree._labels).values()]
+        for label, text in encoded:
+            if WORD.fullmatch(text) is None or parse_edit_label(text) != label:
+                raise InvalidScriptError(
+                    f"label {label} does not encode to a term-notation word "
+                    f"that decodes back to it ({text!r})"
+                )
+        ids = tree._labels.keys()
+        try:
+            joined = "".join(ids)
+        except TypeError:
+            joined = None
+        if joined is None or not all(ids) or WORD.fullmatch(joined) is None:
+            for node in tree.nodes():
+                if not isinstance(node, str) or WORD.fullmatch(node) is None:
+                    raise InvalidScriptError(
+                        f"node identifier {node!r} is not a term-notation word"
+                    )
 
     def pretty(self, with_ids: bool = True) -> str:
         """Multi-line rendering with ``Ins(a)``-style labels."""
@@ -380,6 +387,13 @@ class EditScript:
         if len(term) > 60:
             term = term[:57] + "..."
         return f"EditScript({term})"
+
+
+def _distinct(labels: "dict[NodeId, EditLabel]") -> "dict[int, EditLabel]":
+    """The distinct label objects of a script by ``id()``, in first-use
+    order: a handful, since engine-built and parsed scripts share label
+    objects, found without hashing every label."""
+    return {id(label): label for label in labels.values()}
 
 
 # re-exported for convenience when assembling scripts manually

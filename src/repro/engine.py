@@ -766,14 +766,7 @@ class ViewEngine:
             )
             if payload is None:
                 return None
-            packed = payload.get("packed")
-            if packed is not None:
-                try:
-                    script = EditScript.from_packed(packed)
-                except Exception:
-                    script = EditScript.parse(payload["script"])
-            else:
-                script = EditScript.parse(payload["script"])
+            script = EditScript.parse(payload["script"])
             entry.scripts[(chooser_key, optimal)] = script
             if payload.get("validated"):
                 entry.validated = True
@@ -791,18 +784,15 @@ class ViewEngine:
     ) -> None:
         """Best-effort persist of one freshly built script. The term text
         must survive an exact parse round trip (the same contract the
-        durable store enforces on its journal) or the entry is skipped."""
+        durable store enforces on its journal, checked the same way) or
+        the entry is skipped."""
         if self._disk is None or self._disk_token is None:
             return
         try:
             from .cache import memo_script_key
 
             term = script.to_term()
-            if EditScript.parse(term) != script:
-                return
-            packed = script.to_packed()
-            if EditScript.from_packed(packed) != script:
-                packed = None
+            script.check_round_trip()
             self._disk.put_memo(
                 self.schema_hash,
                 self._disk_token,
@@ -811,7 +801,6 @@ class ViewEngine:
                 memo_script_key(chooser_key, optimal),
                 term,
                 validated=validated,
-                packed=packed,
             )
         except Exception:
             pass

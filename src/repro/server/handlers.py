@@ -47,10 +47,14 @@ async def _propagate(server: "ReproServer", request: dict) -> dict:
     """Serve one view update onto the document's pinned session."""
     doc_id = _required(request, "doc")
     update = EditScript.parse(_required(request, "update"))
+
+    def run() -> tuple:
+        # one executor hop: the session lookup is a dict hit after the open
+        session = server.session(doc_id)
+        return session.propagate(update), getattr(session, "last_seq", None)
+
     async with server.doc_lock(doc_id):
-        session = await server.run_blocking(server.session, doc_id)
-        script = await server.run_blocking(session.propagate, update)
-        last_seq = getattr(session, "last_seq", None)
+        script, last_seq = await server.run_blocking(run)
     return {
         "doc": doc_id,
         "seq": last_seq,
@@ -180,7 +184,13 @@ async def _shard_propagate(server: "ReproServer", request: dict) -> dict:
         )
     if splice:
         return {"spliced": True, "cost": result.cost, "script": result.to_term()}
-    return {"spliced": False, "summary": result.stats()}
+    return {
+        "spliced": False,
+        "cost": result.cost,
+        "touched": list(result.touched),
+        "boundary": result.boundary,
+        "fresh_used": result.fresh_used,
+    }
 
 
 async def _stats(server: "ReproServer", request: dict) -> dict:

@@ -44,6 +44,7 @@ from ..dtd import DTD, parse_dtd, serialize_dtd
 from ..editing import EditScript
 from ..errors import (
     DocumentExistsError,
+    InvalidScriptError,
     RecoveryError,
     ScriptError,
     SnapshotCorruptError,
@@ -835,17 +836,12 @@ class DurableSession:
             # attributes allow them) must fail *here*, before the update is
             # acknowledged, not at recovery time.
             try:
-                reparsed = EditScript.parse(text)
-            except (ScriptError, TreeError) as error:
+                script.check_round_trip()
+            except InvalidScriptError as error:
                 raise StoreError(
                     "refusing to journal a propagation whose script does not "
                     f"survive the term-notation round trip ({error})"
                 ) from error
-            if reparsed != script:
-                raise StoreError(
-                    "refusing to journal a propagation whose script re-parses "
-                    "differently — node identifiers are not term-notation-safe"
-                )
             self._writer.append(text)
         self._store._notify_append(self.doc_id, self._writer.last_seq)
 

@@ -11,102 +11,111 @@ otherwise. This module supports both:
 
 Mixing the two styles is allowed; nodes without ``#id`` receive fresh
 identifiers that avoid all explicit ones.
+
+Labels and identifiers are words (:data:`WORD`). Parsing is one
+iterative pass, a regular-expression match per node, that fills the
+tree's node maps directly: linear in the text, with no depth limit.
 """
 
 from __future__ import annotations
+
+import re
 
 from ..errors import TermSyntaxError
 from .nodeid import NodeIds
 from .tree import Tree
 
-__all__ = ["parse_term", "parse_forest"]
+__all__ = ["WORD", "parse_term", "parse_forest"]
 
-def _is_word_char(char: str) -> bool:
-    """Label/identifier characters: Unicode alphanumerics, ``_``, ``-``, ``.``."""
-    return char.isalnum() or char in "_-."
+WORD = re.compile(r"[\w.\-]+")
+"""A label or identifier. ``\\w`` accepts exactly the characters for which
+``str.isalnum()`` holds, plus ``_``, over every code point; ``\\s`` below
+accepts exactly those for which ``str.isspace()`` holds."""
 
-
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    # -- low-level helpers ------------------------------------------------
-
-    def error(self, message: str) -> TermSyntaxError:
-        return TermSyntaxError(f"{message} at position {self.pos} in {self.text!r}")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, char: str) -> None:
-        if self.peek() != char:
-            raise self.error(f"expected {char!r}")
-        self.pos += 1
-
-    def word(self, what: str) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and _is_word_char(self.text[self.pos]):
-            self.pos += 1
-        if self.pos == start:
-            raise self.error(f"expected {what}")
-        return self.text[start:self.pos]
-
-    # -- grammar -----------------------------------------------------------
-
-    def node(self) -> tuple[str, str | None, list]:
-        """Returns (label, explicit id or None, children)."""
-        self.skip_ws()
-        label = self.word("a label")
-        nid: str | None = None
-        if self.peek() == "#":
-            self.pos += 1
-            nid = self.word("a node identifier")
-        children: list = []
-        self.skip_ws()
-        if self.peek() == "(":
-            self.pos += 1
-            self.skip_ws()
-            if self.peek() == ")":
-                self.pos += 1
-            else:
-                while True:
-                    children.append(self.node())
-                    self.skip_ws()
-                    if self.peek() == ",":
-                        self.pos += 1
-                        continue
-                    self.expect(")")
-                    break
-        return (label, nid, children)
-
-    def parse(self) -> tuple[str, str | None, list]:
-        self.skip_ws()
-        result = self.node()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing input")
-        return result
+# One node and the punctuation after it: label, ``#id``, an opening
+# parenthesis (closed at once for ``a()``), then the closing parentheses
+# and the comma that end the node.
+_NODE = re.compile(
+    r"\s*([\w.\-]+)(?:#([\w.\-]*))?\s*(?:(\()\s*(\))?)?((?:\s*\))*)\s*(,)?"
+)
+_SPACE = re.compile(r"\s*")
+_EXPLICIT = re.compile(r"#([\w.\-]+)")
 
 
-def _collect_explicit_ids(node: tuple, out: set[str]) -> None:
-    _, nid, children = node
-    if nid is not None:
-        if nid in out:
-            raise TermSyntaxError(f"duplicate node identifier {nid!r}")
-        out.add(nid)
-    for child in children:
-        _collect_explicit_ids(child, out)
+def _error(text: str, message: str, pos: int) -> TermSyntaxError:
+    return TermSyntaxError(f"{message} at position {pos} in {text!r}")
 
 
-def _to_tree(node: tuple, fresh: NodeIds) -> Tree:
-    label, nid, children = node
-    identifier = nid if nid is not None else fresh.fresh()
-    return Tree.build(label, identifier, [_to_tree(kid, fresh) for kid in children])
+def _parse(text: str, id_prefix: str, forest: bool) -> list[Tree]:
+    fresh = None
+    trees: list[Tree] = []
+    # the open ancestors of the current node: (parent, its children so far)
+    stack: list[tuple] = []
+    parent = None
+    kids: list = []
+    pos = 0
+    end = len(text)
+    if forest and _SPACE.match(text).end() == end:
+        return trees
+    count = 0
+    while True:
+        match = _NODE.match(text, pos)
+        if match is None:
+            raise _error(text, "expected a label", _SPACE.match(text, pos).end())
+        count += 1
+        label, nid, opened, shut, closers, comma = match.groups()
+        if nid is None:
+            if fresh is None:
+                # fresh identifiers avoid every explicit one, later ones too
+                fresh = NodeIds(id_prefix, forbidden=_EXPLICIT.findall(text)).fresh
+            nid = fresh()
+        elif not nid:
+            raise _error(text, "expected a node identifier", match.start(2))
+        if parent is None:
+            labels: dict = {}
+            children: dict = {}
+            parents: dict = {}
+            trees.append(Tree._from_parts(nid, labels, children, parents))
+        else:
+            parents[nid] = parent
+            kids.append(nid)
+        labels[nid] = label
+        if opened and not shut:
+            if comma:
+                raise _error(text, "expected a label", match.start(6))
+            stack.append((parent, kids))
+            parent, kids = nid, []
+            pos = match.end()
+            continue
+        if closers:
+            closes = closers.count(")")
+            if closes > len(stack):
+                at = match.start(5) - 1
+                for _ in range(len(stack) + 1):
+                    at = text.index(")", at + 1)
+                raise _error(text, "trailing input", at)
+            for _ in range(closes):
+                children[parent] = tuple(kids)
+                parent, kids = stack.pop()
+        pos = match.end()
+        if comma:
+            if parent is None and not forest:
+                raise _error(text, "trailing input", match.start(6))
+            continue
+        if parent is not None:
+            raise _error(text, "expected ')'", pos)
+        break
+    if pos != end:
+        raise _error(text, "trailing input", pos)
+    # a repeated explicit identifier leaves a term with fewer labels than
+    # nodes (a forest's trees can also share one)
+    if forest or count != len(labels):
+        seen: set[str] = set()
+        for nid in _EXPLICIT.findall(text):
+            if nid in seen:
+                raise TermSyntaxError(f"duplicate node identifier {nid!r}")
+            seen.add(nid)
+    return trees
 
 
 def parse_term(text: str, id_prefix: str = "n") -> Tree:
@@ -116,30 +125,9 @@ def parse_term(text: str, id_prefix: str = "n") -> Tree:
     ``<id_prefix>0, <id_prefix>1, ...`` in document order, skipping any
     identifiers used explicitly elsewhere in the term.
     """
-    parsed = _Parser(text).parse()
-    explicit: set[str] = set()
-    _collect_explicit_ids(parsed, explicit)
-    fresh = NodeIds(id_prefix, forbidden=explicit)
-    return _to_tree(parsed, fresh)
+    return _parse(text, id_prefix, forest=False)[0]
 
 
 def parse_forest(text: str, id_prefix: str = "n") -> list[Tree]:
     """Parse a comma-separated sequence of terms sharing one id namespace."""
-    parser = _Parser(text)
-    parser.skip_ws()
-    parsed_nodes: list[tuple] = []
-    if parser.pos < len(parser.text):
-        while True:
-            parsed_nodes.append(parser.node())
-            parser.skip_ws()
-            if parser.peek() == ",":
-                parser.pos += 1
-                continue
-            break
-        if parser.pos != len(parser.text):
-            raise parser.error("trailing input")
-    explicit: set[str] = set()
-    for node in parsed_nodes:
-        _collect_explicit_ids(node, explicit)
-    fresh = NodeIds(id_prefix, forbidden=explicit)
-    return [_to_tree(node, fresh) for node in parsed_nodes]
+    return _parse(text, id_prefix, forest=True)

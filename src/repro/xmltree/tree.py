@@ -41,6 +41,9 @@ __all__ = ["NodeId", "Tree"]
 
 NodeId = Hashable
 
+# marks the end of a node's children on the term renderer's stack
+_CLOSE = object()
+
 
 class Tree:
     """An ordered, labelled, rooted tree (possibly empty).
@@ -723,18 +726,33 @@ class Tree:
 
     def to_term(self, with_ids: bool = True) -> str:
         """Term notation, e.g. ``r#n0(a#n1, b#n2)`` (or ``r(a, b)``)."""
+        return self._render(self._labels, with_ids)
+
+    def _render(self, texts: Mapping[NodeId, str], with_ids: bool) -> str:
+        """Term notation with ``texts[node]`` written for each label.
+
+        One iterative preorder pass, so the depth of the tree is not
+        limited by the interpreter's recursion limit.
+        """
         if self._root is None:
             return "()"
-
-        def render(node: NodeId) -> str:
-            label = self._labels[node]
-            head = f"{label}#{node}" if with_ids else label
-            kids = self._children.get(node, ())
-            if not kids:
-                return head
-            return head + "(" + ", ".join(render(kid) for kid in kids) + ")"
-
-        return render(self._root)
+        out: list[str] = []
+        stack: list = [self._root]
+        first = True  # no ", " before the root or a first child
+        while stack:
+            node = stack.pop()
+            if node is _CLOSE:
+                out.append(")")
+                continue
+            head = f"{texts[node]}#{node}" if with_ids else texts[node]
+            out.append(head if first else ", " + head)
+            kids = self._children.get(node)
+            first = bool(kids)
+            if kids:
+                out.append("(")
+                stack.append(_CLOSE)
+                stack.extend(reversed(kids))
+        return "".join(out)
 
     def pretty(self, with_ids: bool = True, indent: str = "  ") -> str:
         """A multi-line ASCII rendering, one node per line."""

@@ -141,38 +141,34 @@ class TestBatchEndpoint:
         assert result == {"count": 0, "scripts": [], "costs": []}
 
 
+def _sharded_book(root):
+    """A durable sharded ``huge_document(300)`` at *root*, one view
+    update against it, and the unsharded reference script."""
+    import random
+
+    from repro.engine import ViewEngine
+    from repro.generators.updates import random_view_update
+    from repro.generators.workloads import huge_document
+    from repro.sharding import ShardedDocument
+
+    big = huge_document(300)
+    doc = ShardedDocument.create(
+        root, big.source, big.dtd, big.annotation, depth=1, fsync="off"
+    )
+    doc.close()
+    # one sequential update against the huge document's view
+    update = random_view_update(
+        random.Random(9), big.dtd, big.annotation, big.source, n_ops=1
+    )
+    expected = ViewEngine(big.dtd, big.annotation).session(big.source).propagate(update)
+    return update.to_term(), expected
+
+
 class TestShardEndpoint:
     def test_shard_propagate_fronts_the_sharded_document(
         self, tmp_path, workload
     ):
-        from repro.editing import EditScript
-        from repro.engine import ViewEngine
-        from repro.generators.workloads import huge_document
-        from repro.sharding import ShardedDocument
-
-        big = huge_document(300)
-        doc = ShardedDocument.create(
-            tmp_path / "shards", big.source, big.dtd, big.annotation,
-            depth=1, fsync="off",
-        )
-        doc.close()
-
-        # one sequential update against the huge document's view
-        import random
-
-        from repro.generators.updates import random_view_update
-
-        update = random_view_update(
-            random.Random(9), big.dtd, big.annotation, big.source, n_ops=1
-        )
-        term = update.to_term()
-        expected = (
-            ViewEngine(big.dtd, big.annotation)
-            .session(big.source)
-            .propagate(update)
-            .to_term()
-        )
-
+        term, expected = _sharded_book(tmp_path / "shards")
         server = ReproServer(shard_root=tmp_path / "shards", fsync="off")
 
         def client_work(host, port):
@@ -181,4 +177,30 @@ class TestShardEndpoint:
 
         result = run_with_server(server, client_work)
         assert result["spliced"] is True
-        assert result["script"] == expected
+        assert result["script"] == expected.to_term()
+
+    def test_shard_propagate_without_splice_returns_the_summary(
+        self, tmp_path, workload
+    ):
+        from repro.sharding import ShardedDocument
+
+        term, expected = _sharded_book(tmp_path / "shards")
+        server = ReproServer(shard_root=tmp_path / "shards", fsync="off")
+
+        def client_work(host, port):
+            with ServeClient(host, port) as client:
+                return client.request("shard_propagate", update=term, splice=False)
+
+        result = run_with_server(server, client_work)
+        assert result["spliced"] is False
+        assert "script" not in result
+        assert result["cost"] == expected.cost
+        assert result["touched"] and all(isinstance(r, str) for r in result["touched"])
+        assert result["boundary"] is False
+        assert result["fresh_used"] >= 0
+        # the shards advanced although no script was spliced
+        doc = ShardedDocument.open(tmp_path / "shards", fsync="off")
+        try:
+            assert doc.source == expected.output_tree
+        finally:
+            doc.close()

@@ -54,6 +54,20 @@ class TestParseTerm:
         tree = parse_term("patient-record(first.name, last_name)")
         assert tree.child_labels(tree.root) == ("first.name", "last_name")
 
+    def test_word_and_space_classes_match_str_predicates(self):
+        """Over every code point, a word character is one with
+        ``str.isalnum()`` or one of ``_-.``, and whitespace is what
+        ``str.isspace()`` accepts."""
+        import re
+        import sys
+
+        from repro.xmltree.term import WORD
+
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        words = {c for c in every if c.isalnum() or c in "_-."}
+        assert set("".join(WORD.findall(every))) == words
+        assert set(re.findall(r"\s", every)) == {c for c in every if c.isspace()}
+
 
 class TestParseForest:
     def test_forest_shares_namespace(self):
@@ -110,3 +124,33 @@ class TestTreeTermInterop:
     def test_round_trip_preserves_identity(self):
         tree = Tree.build("r", "root", [Tree.leaf("a", "kid")])
         assert parse_term(tree.to_term()) == tree
+
+
+class TestDeepTerms:
+    """The codec is iterative: a term's depth is not bounded by the
+    interpreter's recursion limit (a 5000-deep chain used to raise
+    RecursionError in parsing and in rendering)."""
+
+    DEPTH = 5000
+
+    @staticmethod
+    def chain(label: str, depth: int) -> str:
+        return "(".join(f"{label}#n{k}" for k in range(depth)) + ")" * (depth - 1)
+
+    def test_deep_chain_round_trips_through_parse_term(self):
+        term = self.chain("a", self.DEPTH)
+        tree = parse_term(term)
+        assert tree.size == self.DEPTH
+        assert tree.height() == self.DEPTH - 1
+        assert tree.to_term() == term
+        assert parse_term(tree.to_term()) == tree
+
+    def test_deep_chain_round_trips_through_edit_script_parse(self):
+        from repro.editing import EditScript
+
+        term = self.chain("Nop.a", self.DEPTH)
+        script = EditScript.parse(term)
+        assert script.size == self.DEPTH
+        assert script.to_term() == term
+        script.check_round_trip()
+        assert EditScript.parse(script.to_term()) == script
