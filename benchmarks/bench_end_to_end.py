@@ -29,8 +29,10 @@ quantity); the explicitly *cold* benchmarks build a transient
 
 import json
 import os
+import platform
 import random
 import statistics
+import subprocess
 import time
 
 import pytest
@@ -1061,6 +1063,8 @@ def run_trajectory(smoke: bool) -> dict:
         "meta": {
             "generated_by": "benchmarks/bench_end_to_end.py --json",
             "mode": "smoke" if smoke else "full",
+            "git_sha": _git_sha(),
+            "python": platform.python_version(),
             "cpus": os.cpu_count(),
             "repeats": repeats,
             "rounds": rounds,
@@ -1068,6 +1072,19 @@ def run_trajectory(smoke: bool) -> dict:
         },
         "workloads": workloads,
     }
+
+
+def _git_sha() -> str:
+    """The checkout's commit, or why it is unknown."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown (not a git checkout)"
 
 
 def main(argv=None) -> int:

@@ -24,11 +24,11 @@ Validation and verification helpers live here too:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, MutableMapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, MutableMapping, Sequence
 
 from ..dtd import DTD, MinimalTreeFactory, TreeFactory, view_dtd
 from ..editing import EditScript, EditLabel, Op
-from ..errors import DuplicateNodeError, InvalidViewUpdateError
+from ..errors import DuplicateNodeError, InvalidViewUpdateError, NoPropagationError
 from ..graphutil import min_distances
 from ..inversion import InversionGraphs, inversion_graphs
 from ..views import Annotation
@@ -73,6 +73,7 @@ def validate_view_update(
     *,
     derived_view_dtd: DTD | None = None,
     source_view: Tree | None = None,
+    view_known_valid: bool = False,
 ) -> None:
     """Raise :class:`InvalidViewUpdateError` unless *update* is a view update.
 
@@ -84,6 +85,14 @@ def validate_view_update(
     *derived_view_dtd* and *source_view* let callers that already hold
     ``view_dtd(dtd, annotation)`` or ``annotation.view(source)`` (a
     compiled engine, a batch loop) skip recomputing them.
+
+    *view_known_valid* asserts that ``A(t)`` itself satisfies the view
+    DTD (a session knows it of the view it validated last). ``Out(S)``
+    is then checked only at the nodes whose label or children word
+    differs from ``In(S)``: inserted and renamed nodes and the kept
+    parents of inserted, deleted and renamed nodes. Every other node of
+    ``Out(S)`` has the label and children of a node of ``In(S) = A(t)``,
+    so the check raises exactly when the full one would.
     """
     view = source_view if source_view is not None else annotation.view(source)
     if update.input_tree != view:
@@ -99,43 +108,83 @@ def validate_view_update(
         )
     vdtd = derived_view_dtd if derived_view_dtd is not None else view_dtd(dtd, annotation)
     output = update.output_tree
-    if output.is_empty or not vdtd.validates(output):
+    edits = _edits(update)
+    checked = _changed_nodes(update, edits) if view_known_valid else None
+    if output.is_empty or not vdtd.validates(output, nodes=checked):
         raise InvalidViewUpdateError(
             "Out(S) is not in the view language A(L(D))"
         )
-    _validate_renames(dtd, annotation, update)
+    _validate_renames(dtd, annotation, update, edits)
 
 
-def _validate_renames(dtd: DTD, annotation: Annotation, update: EditScript) -> None:
+def _edits(update: EditScript) -> "list[NodeId]":
+    """The update's non-``Nop`` nodes: one pass over its label map, in
+    the map's (not document) order."""
+    return [
+        node for node, label in update.tree._labels.items() if label.op is not Op.NOP
+    ]
+
+
+def _changed_nodes(update: EditScript, edits: "list[NodeId]") -> "set[NodeId]":
+    """The nodes of ``Out(S)`` whose label or children word differs from
+    ``In(S)``: non-deleted *edits* and the kept parents of all *edits*."""
+    labels = update.tree._labels
+    parents = update.tree._parents
+    changed: set[NodeId] = set()
+    for node in edits:
+        if labels[node].op is not Op.DEL:
+            changed.add(node)
+        parent = parents.get(node)
+        if parent is not None and labels[parent].is_kept:
+            changed.add(parent)
+    return changed
+
+
+def _validate_renames(
+    dtd: DTD, annotation: Annotation, update: EditScript, edits: "list[NodeId]"
+) -> None:
     """The renaming extension's precondition (Section 7 extension).
 
     A rename ``y → y′`` must not change the visibility of any child
     label (``A(y, c) = A(y′, c)`` for all ``c``): otherwise keeping a
     hidden child would silently expose it in the view (or a visible one
     would vanish), and no side-effect-free propagation could exist.
-    """
-    from ..editing import Op
 
-    for node in update.nodes():
-        if update.op(node) is not Op.REN:
-            continue
-        old = update.symbol(node)
-        new = update.output_symbol(node)
-        if new not in dtd.alphabet:
-            raise InvalidViewUpdateError(
-                f"rename target {new!r} of node {node!r} is not in the alphabet"
-            )
-        mismatch = [
-            child
-            for child in dtd.sorted_alphabet
-            if annotation.visible(old, child) != annotation.visible(new, child)
-        ]
-        if mismatch:
-            raise InvalidViewUpdateError(
-                f"renaming {old!r} to {new!r} changes the visibility of child "
-                f"label(s) {mismatch}: such renames would expose or hide "
-                "content and cannot be side-effect free"
-            )
+    Only the renamed nodes among *edits* are visited. When several fail,
+    the first in document order is reported.
+    """
+    labels = update.tree._labels
+    failures = {}
+    for node in edits:
+        if labels[node].op is Op.REN:
+            error = _rename_error(dtd, annotation, node, labels[node])
+            if error is not None:
+                failures[node] = error
+    if failures:
+        first = next(node for node in update.nodes() if node in failures)
+        raise failures[first]
+
+
+def _rename_error(
+    dtd: DTD, annotation: Annotation, node: NodeId, label: EditLabel
+) -> "InvalidViewUpdateError | None":
+    old, new = label.symbol, label.output_symbol
+    if new not in dtd.alphabet:
+        return InvalidViewUpdateError(
+            f"rename target {new!r} of node {node!r} is not in the alphabet"
+        )
+    mismatch = [
+        child
+        for child in dtd.sorted_alphabet
+        if annotation.visible(old, child) != annotation.visible(new, child)
+    ]
+    if mismatch:
+        return InvalidViewUpdateError(
+            f"renaming {old!r} to {new!r} changes the visibility of child "
+            f"label(s) {mismatch}: such renames would expose or hide "
+            "content and cannot be side-effect free"
+        )
+    return None
 
 
 class PropagationGraphs:
@@ -154,12 +203,15 @@ class PropagationGraphs:
     0-cost path — and with it the whole optimal subgraph — consumes all
     children in order with Nops. Its cheapest cost is 0 and the script
     it contributes is ``Nop(t|node)`` no matter which path a chooser
-    picks. The collection builder consequently skips graph construction
-    for pristine nodes (per update, only the graphs along root-to-edit
-    paths are built — the *affected* region), and :meth:`build_script`
-    splices their source subtrees directly. Accessing a pristine node's
-    graph through :meth:`__getitem__`/:meth:`optimal` still works: it
-    materializes on demand, identical to an eager build.
+    picks. The collection builder consequently builds only the graphs of
+    the *affected* kept nodes — those above an edit, found from the
+    edits' parent chains without walking the rest of the update — and
+    :meth:`build_script` splices pristine source subtrees directly.
+    ``costs`` answers 0 for every pristine node. Accessing a pristine
+    node's graph through :meth:`__getitem__`/:meth:`optimal` still
+    works: it materializes on demand, identical to an eager build.
+    Iteration, :attr:`pristine` and :attr:`total_size` cover every kept
+    node and walk the whole update on first use; ``len()`` does not.
     """
 
     def __init__(
@@ -169,14 +221,12 @@ class PropagationGraphs:
         source: Tree,
         update: EditScript,
         factory: TreeFactory,
-        graphs: Mapping[NodeId, PropagationGraph],
-        costs: Mapping[NodeId, int],
         insertions: Mapping[NodeId, InversionGraphs],
         *,
-        order: "Sequence[NodeId] | None" = None,
-        pristine: "frozenset[NodeId]" = frozenset(),
-        subtree_sizes: "Mapping[NodeId, int] | None" = None,
-        insert_costs: "Mapping[NodeId, int] | None" = None,
+        affected: "frozenset[NodeId]",
+        kept_count: int,
+        subtree_sizes: "Mapping[NodeId, int]",
+        insert_costs: "Mapping[NodeId, int]",
         hidden_table: "Mapping[str, Sequence[str]] | None" = None,
         insert_moves: "Callable[[str], Mapping] | None" = None,
     ) -> None:
@@ -185,29 +235,39 @@ class PropagationGraphs:
         self.source = source
         self.update = update
         self.factory = factory
-        self._graphs = dict(graphs)
-        self.costs = dict(costs)
         self.insertions = dict(insertions)
-        self._order = list(order) if order is not None else list(self._graphs)
-        self._pristine = pristine
+        self.costs = _KeptCosts(self)
+        self._graphs: dict[NodeId, PropagationGraph] = {}
+        self._affected = affected
+        self._kept_count = kept_count
+        self._order: "list[NodeId] | None" = None
+        self._pristine: "frozenset[NodeId] | None" = None
         self._subtree_sizes = subtree_sizes
-        self._insert_costs = dict(insert_costs) if insert_costs else {}
+        self._insert_costs = insert_costs
         self._hidden_table = hidden_table
         self._insert_moves = insert_moves
         self._optimal: dict[NodeId, OptimalPropagationGraph] = {}
 
+    def _is_pristine(self, node: NodeId) -> bool:
+        """A phantom node outside the affected region (class doc)."""
+        label = self.update.tree._labels.get(node)
+        return (
+            label is not None and label.op is Op.NOP and node not in self._affected
+        )
+
     @property
     def pristine(self) -> "frozenset[NodeId]":
         """Kept nodes whose update subtree is entirely phantom."""
+        if self._pristine is None:
+            self._pristine = frozenset(
+                node for node in self if node not in self._affected
+            )
         return self._pristine
 
-    def _materialize(self, node: NodeId) -> PropagationGraph:
-        """Build a pristine node's graph on demand (see the class doc)."""
-        if node not in self._pristine:
-            raise KeyError(node)
-        sizes = self._subtree_sizes
-        if sizes is None:
-            sizes = self.source.subtree_sizes()
+    def _build(self, node: NodeId) -> PropagationGraph:
+        """Build ``G_node`` from the costs of its kept children."""
+        label = self.update.edit_label(node)
+        effective = label.output_symbol if label.op is Op.REN else None
         graph = build_propagation_graph(
             self.dtd,
             self.annotation,
@@ -215,13 +275,15 @@ class PropagationGraphs:
             self.update,
             node,
             factory=self.factory,
-            subtree_sizes=sizes,  # type: ignore[arg-type]
+            subtree_sizes=self._subtree_sizes,
             child_costs=self.costs,
             insert_costs=self._insert_costs,
-            effective_label=None,  # pristine nodes are phantom, never renamed
+            effective_label=effective,
             hidden_table=self._hidden_table,
             insert_moves=(
-                self._insert_moves(self.source.label(node))
+                self._insert_moves(
+                    effective if effective is not None else self.source.label(node)
+                )
                 if self._insert_moves is not None
                 else None
             ),
@@ -229,17 +291,43 @@ class PropagationGraphs:
         self._graphs[node] = graph
         return graph
 
+    def _build_affected(self, postorder: "Sequence[NodeId]") -> None:
+        """Build the affected graphs bottom-up, recording cheapest costs."""
+        costs = self.costs._built
+        for node in postorder:
+            graph = self._build(node)
+            dist = min_distances([graph.source], graph.edges_from)
+            best = min(
+                (dist[target] for target in graph.targets if target in dist),
+                default=None,
+            )
+            if best is None:
+                raise NoPropagationError(
+                    f"no propagation path in G_{node!r} (label {graph.label!r}); "
+                    "Theorem 5 guarantees one for valid view updates — was "
+                    "validation skipped on an invalid update?"
+                )
+            costs[node] = best
+
     def __getitem__(self, node: NodeId) -> PropagationGraph:
         graph = self._graphs.get(node)
         if graph is None:
-            graph = self._materialize(node)
+            # only a pristine node's graph is left unbuilt (class doc)
+            if not self._is_pristine(node):
+                raise KeyError(node)
+            graph = self._build(node)
         return graph
 
     def __iter__(self) -> Iterator[NodeId]:
+        if self._order is None:
+            labels = self.update.tree._labels
+            self._order = [
+                node for node in self.update.tree.postorder() if labels[node].is_kept
+            ]
         return iter(self._order)
 
     def __len__(self) -> int:
-        return len(self._order)
+        return self._kept_count
 
     def optimal(self, node: NodeId) -> OptimalPropagationGraph:
         """``G*_node`` — cached cheapest-path-induced subgraph."""
@@ -256,7 +344,7 @@ class PropagationGraphs:
         """Total vertex+edge count over all graphs (for scaling studies;
         materializes every lazily skipped graph so the number matches an
         eager build)."""
-        return sum(self[n].n_vertices + self[n].n_edges for n in self._order)
+        return sum(self[n].n_vertices + self[n].n_edges for n in self)
 
     # ------------------------------------------------------------------
     # Script construction (steps 3-4 of the algorithm)
@@ -320,11 +408,11 @@ class PropagationGraphs:
                     stack.extend(kids)
             return node
 
-        pristine = self._pristine
+        is_pristine = self._is_pristine
 
         def build(node: NodeId) -> NodeId:
             nonlocal emitted
-            if optimal_only and node in pristine:
+            if optimal_only and is_pristine(node):
                 # the optimal subgraph of a pristine node admits exactly
                 # one script — keep everything — so no chooser can emit
                 # anything but the phantom source subtree (class doc)
@@ -373,10 +461,35 @@ class PropagationGraphs:
         # deliberately cheap: total_size would materialize every
         # pristine-skipped graph, defeating the fast path for a repr
         return (
-            f"PropagationGraphs(|N_Δ|={len(self._order)}, "
-            f"built={len(self._graphs)}, pristine={len(self._pristine)}, "
+            f"PropagationGraphs(|N_Δ|={len(self)}, "
+            f"built={len(self._graphs)}, pristine={len(self) - len(self._affected)}, "
             f"min_cost={self.min_cost()})"
         )
+
+
+class _KeptCosts(Mapping):
+    """A collection's ``costs``: the cheapest cost of every kept node —
+    stored for each built graph, 0 for every pristine one."""
+
+    __slots__ = ("_built", "_collection")
+
+    def __init__(self, collection: PropagationGraphs) -> None:
+        self._built: dict[NodeId, int] = {}
+        self._collection = collection
+
+    def __getitem__(self, node: NodeId) -> int:
+        cost = self._built.get(node)
+        if cost is None:
+            if not self._collection._is_pristine(node):
+                raise KeyError(node)
+            return 0
+        return cost
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self._collection)
+
+    def __len__(self) -> int:
+        return len(self._collection)
 
 
 def propagation_graphs(
@@ -395,10 +508,13 @@ def propagation_graphs(
 ) -> PropagationGraphs:
     """Build ``G(D, A, t, S)`` with the paper's edge weights.
 
-    One bottom-up pass over the phantom nodes ``N_Δ`` of the update;
+    One bottom-up pass over the affected phantom nodes of ``N_Δ`` (see
+    :class:`PropagationGraphs` for why the pristine rest is skipped);
     inversion-graph collections are built for every visibly inserted
     subtree on the way (their minimal sizes weigh the (iv)-edges).
-    Polynomial in ``|D|``, ``|t|``, ``|S|``.
+    Polynomial in ``|D|``, ``|t|``, ``|S|``; apart from one pass over the
+    update's label map, the work is proportional to the edited region
+    and the children lists of the nodes above it.
 
     *derived_view_dtd*, *hidden_table*, and *insert_moves* accept a
     compiled engine's artifacts (see :class:`repro.engine.ViewEngine`)
@@ -417,20 +533,57 @@ def propagation_graphs(
         validate_view_update(
             dtd, annotation, source, update, derived_view_dtd=derived_view_dtd
         )
-
     if subtree_sizes is None:
         subtree_sizes = source.subtree_sizes()
-    insertions: dict[NodeId, InversionGraphs] = {}
-    insert_costs: dict[NodeId, int] = {}
-    graphs: dict[NodeId, PropagationGraph] = {}
-    costs: dict[NodeId, int] = {}
+
+    # The affected region: every kept node with an edit below (or at)
+    # it. The top of each edited region climbs its parent chain — all
+    # kept, since only kept nodes have children of another operation —
+    # until it meets a node already marked.
+    tree = update.tree
+    labels = tree._labels
+    parents = tree._parents
+    affected: set[NodeId] = set()
+    not_kept = 0
+    for node in _edits(update):
+        label = labels[node]
+        if label.op is Op.REN:
+            current = node
+        else:
+            not_kept += 1
+            current = parents.get(node)
+            if current is None or not labels[current].is_kept:
+                continue  # the root, or inside an inserted or deleted subtree
+        while current is not None and current not in affected:
+            affected.add(current)
+            current = parents.get(current)
+
+    # the affected nodes in preorder (for the inversion collections, in
+    # the order a full preorder meets them) and in postorder (children's
+    # costs before their parents' graphs)
+    preorder: list[NodeId] = []
+    postorder: list[NodeId] = []
+    children = tree._children
+    stack: list[tuple[NodeId, bool]] = []
+    if tree._root in affected:
+        stack.append((tree._root, False))
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            postorder.append(node)
+            continue
+        preorder.append(node)
+        stack.append((node, True))
+        for kid in reversed(children.get(node, ())):
+            if kid in affected:
+                stack.append((kid, False))
 
     # visibly inserted children of kept nodes: inversion collections
-    for node in update.nodes():
-        if not update.is_kept(node):
-            continue
-        for child in update.children(node):
-            if update.op(child) is Op.INS:
+    insertions: dict[NodeId, InversionGraphs] = {}
+    insert_costs: dict[NodeId, int] = {}
+    for node in preorder:
+        for child in children.get(node, ()):
+            if labels[child].op is Op.INS:
                 fragment = update.subscript(child).output_tree
                 collection = None
                 fragment_key: "str | None" = None
@@ -451,77 +604,22 @@ def propagation_graphs(
                 insertions[child] = collection
                 insert_costs[child] = collection.min_inversion_size()
 
-    # pristine nodes: kept nodes whose whole update subtree is phantom.
-    # Their graphs are skipped (cheapest cost 0, unique optimal script:
-    # keep everything — see the PropagationGraphs class doc); only the
-    # graphs along root-to-edit paths — the affected region — are built.
-    pristine: set[NodeId] = set()
-    update_tree = update.tree
-    for node in update_tree.postorder():
-        if update.op(node) is Op.NOP and all(
-            kid in pristine for kid in update_tree.children(node)
-        ):
-            pristine.add(node)
-
-    # kept nodes (phantom or renamed) bottom-up: children before parents
-    kept_postorder = [
-        node for node in update_tree.postorder() if update.is_kept(node)
-    ]
-    for node in kept_postorder:
-        if node in pristine:
-            costs[node] = 0
-            continue
-        effective = (
-            update.output_symbol(node)
-            if update.op(node) is Op.REN
-            else None
-        )
-        label = effective if effective is not None else source.label(node)
-        graph = build_propagation_graph(
-            dtd,
-            annotation,
-            source,
-            update,
-            node,
-            factory=factory,
-            subtree_sizes=subtree_sizes,
-            child_costs=costs,
-            insert_costs=insert_costs,
-            effective_label=effective,
-            hidden_table=hidden_table,
-            insert_moves=insert_moves(label) if insert_moves is not None else None,
-        )
-        dist = min_distances([graph.source], graph.edges_from)
-        best = min(
-            (dist[target] for target in graph.targets if target in dist),
-            default=None,
-        )
-        if best is None:
-            from ..errors import NoPropagationError
-
-            raise NoPropagationError(
-                f"no propagation path in G_{node!r} (label {graph.label!r}); "
-                "Theorem 5 guarantees one for valid view updates — was "
-                "validation skipped on an invalid update?"
-            )
-        graphs[node] = graph
-        costs[node] = best
-    return PropagationGraphs(
+    graphs = PropagationGraphs(
         dtd,
         annotation,
         source,
         update,
         factory,
-        graphs,
-        costs,
         insertions,
-        order=kept_postorder,
-        pristine=frozenset(pristine),
+        affected=frozenset(affected),
+        kept_count=len(labels) - not_kept,
         subtree_sizes=subtree_sizes,
         insert_costs=insert_costs,
         hidden_table=hidden_table,
         insert_moves=insert_moves,
     )
+    graphs._build_affected(postorder)
+    return graphs
 
 
 def propagate(

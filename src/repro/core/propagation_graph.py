@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from ..automata import State
 from ..dtd import DTD, TreeFactory
@@ -119,9 +119,14 @@ class EdgeKind(enum.Enum):
         )
 
 
-@dataclass(frozen=True)
-class PVertex:
-    """A vertex ``(m_i, q, m′_j)`` of a propagation graph (positions 0-based)."""
+class PVertex(NamedTuple):
+    """A vertex ``(m_i, q, m′_j)`` of a propagation graph (positions 0-based).
+
+    A named tuple rather than a frozen dataclass: graph search hashes
+    vertices on every dict and set lookup, and the tuple hash runs in C.
+    Both hash the same ``(i, state, j)`` triple, so set orders (and with
+    them every chooser's tie-breaks) are those of the dataclass.
+    """
 
     i: int
     state: State
@@ -273,9 +278,9 @@ def build_propagation_graph(
     node: NodeId,
     *,
     factory: TreeFactory,
-    subtree_sizes: dict[NodeId, int],
-    child_costs: dict[NodeId, int],
-    insert_costs: dict[NodeId, int],
+    subtree_sizes: Mapping[NodeId, int],
+    child_costs: Mapping[NodeId, int],
+    insert_costs: Mapping[NodeId, int],
     effective_label: str | None = None,
     hidden_table: "Mapping[str, Sequence[str]] | None" = None,
     insert_moves: "InsertMoves | None" = None,
@@ -322,22 +327,76 @@ def build_propagation_graph(
         hidden_symbols = [
             y for y in dtd.sorted_alphabet if annotation.hides(label, y)
         ]
+    states = model.sorted_states()
+    if insert_moves is None:
+        insert_moves = compile_insert_moves(model, hidden_symbols, factory)
+    successors = model.sorted_successors
 
-    def valid(i: int, j: int) -> bool:
-        return seg_t[i] == seg_s[j]
+    # A vertex (i, q, j) exists iff seg_t[i] == seg_s[j]. seg_s never
+    # decreases, so the script positions of one segment form a contiguous
+    # run: visiting only that run for each i yields exactly the vertices
+    # (and edges, in the same order) of a scan over the whole grid.
+    runs: list[range] = []
+    lo = 0
+    for j in range(1, ell + 1):
+        if seg_s[j] != seg_s[j - 1]:
+            runs.append(range(lo, j))
+            lo = j
+    runs.append(range(lo, ell + 1))
+
+    # Per script position j < ℓ: the (iv) move consuming an inserted
+    # child, if it stays inside the segment and the child is visible.
+    visible_inserts: list[tuple[NodeId, str, int] | None] = []
+    for j, s_child in enumerate(s_children):
+        move = None
+        if update.op(s_child) is Op.INS and seg_s[j + 1] == seg_s[j]:
+            y = update.symbol(s_child)
+            if annotation.visible(label, y):
+                move = (s_child, y, insert_costs[s_child])
+        visible_inserts.append(move)
+    visible_inserts.append(None)  # j = ℓ consumes nothing
 
     adjacency: dict[PVertex, list[PEdge]] = {}
 
     def add(edge: PEdge) -> None:
         adjacency.setdefault(edge.source, []).append(edge)
 
-    states = model.sorted_states()
-    if insert_moves is None:
-        insert_moves = compile_insert_moves(model, hidden_symbols, factory)
+    s_index = {child: j for j, child in enumerate(s_children)}
     for i in range(k + 1):
-        for j in range(ell + 1):
-            if not valid(i, j):
-                continue
+        # the t-child m_{i+1} this position may consume, classified once
+        hidden_move = visible_move = None
+        sync_j = -1
+        if i < k:
+            t_child = t_children[i]
+            y = source_tree.label(t_child)
+            if annotation.hides(label, y):
+                if seg_t[i + 1] == seg_t[i]:
+                    hidden_move = (t_child, y, subtree_sizes[t_child])
+            else:
+                # visible t-child: must synchronise with the script child
+                # at the same node, within this segment
+                s_pos = s_index.get(t_child, -1)
+                if s_pos >= 0 and seg_t[i + 1] == seg_s[s_pos + 1]:
+                    s_op = update.op(t_child)
+                    if s_op is Op.DEL:
+                        visible_move = (
+                            EdgeKind.VISIBLE_DELETE, y, subtree_sizes[t_child]
+                        )
+                    elif s_op is Op.NOP:
+                        visible_move = (EdgeKind.VISIBLE_NOP, y, child_costs[t_child])
+                    elif s_op is Op.REN:
+                        # the kept child's new label drives the automaton;
+                        # cost 1 for the rename plus its own graph's
+                        # cheapest path
+                        visible_move = (
+                            EdgeKind.VISIBLE_RENAME,
+                            update.output_symbol(t_child),
+                            1 + child_costs[t_child],
+                        )
+                    if visible_move is not None:
+                        sync_j = s_pos
+        for j in runs[seg_t[i]]:
+            inserted = visible_inserts[j]
             for state in states:
                 vertex = PVertex(i, state, j)
 
@@ -349,70 +408,43 @@ def build_propagation_graph(
                     ))
 
                 # edges consuming the next t-child m_{i+1}
-                if i < k:
-                    t_child = t_children[i]
-                    y = source_tree.label(t_child)
-                    if annotation.hides(label, y):
-                        if valid(i + 1, j):
-                            # (ii) invisible delete: drop the hidden subtree
-                            add(PEdge(
-                                vertex, PVertex(i + 1, state, j),
-                                EdgeKind.INVISIBLE_DELETE, y,
-                                subtree_sizes[t_child], t_child=t_child,
-                            ))
-                            # (iii) invisible nop: keep the hidden subtree
-                            for q2 in model.sorted_successors(state, y):
-                                add(PEdge(
-                                    vertex, PVertex(i + 1, q2, j),
-                                    EdgeKind.INVISIBLE_NOP, y,
-                                    0, t_child=t_child,
-                                ))
+                if hidden_move is not None:
+                    t_child, y, size = hidden_move
+                    # (ii) invisible delete: drop the hidden subtree
+                    add(PEdge(
+                        vertex, PVertex(i + 1, state, j),
+                        EdgeKind.INVISIBLE_DELETE, y, size, t_child=t_child,
+                    ))
+                    # (iii) invisible nop: keep the hidden subtree
+                    for q2 in successors(state, y):
+                        add(PEdge(
+                            vertex, PVertex(i + 1, q2, j),
+                            EdgeKind.INVISIBLE_NOP, y, 0, t_child=t_child,
+                        ))
+                elif j == sync_j:
+                    kind, y, weight = visible_move
+                    if kind is EdgeKind.VISIBLE_DELETE:
+                        # (v) visible delete
+                        add(PEdge(
+                            vertex, PVertex(i + 1, state, j + 1),
+                            kind, y, weight, t_child=t_child, s_child=t_child,
+                        ))
                     else:
-                        # visible t-child: must synchronise with the script
-                        if j < ell and s_children[j] == t_child:
-                            s_op = update.op(t_child)
-                            if s_op is Op.DEL and valid(i + 1, j + 1):
-                                # (v) visible delete
-                                add(PEdge(
-                                    vertex, PVertex(i + 1, state, j + 1),
-                                    EdgeKind.VISIBLE_DELETE, y,
-                                    subtree_sizes[t_child],
-                                    t_child=t_child, s_child=t_child,
-                                ))
-                            if s_op is Op.NOP and valid(i + 1, j + 1):
-                                # (vi) visible nop: recurse into G_{m_i}
-                                for q2 in model.sorted_successors(state, y):
-                                    add(PEdge(
-                                        vertex, PVertex(i + 1, q2, j + 1),
-                                        EdgeKind.VISIBLE_NOP, y,
-                                        child_costs[t_child],
-                                        t_child=t_child, s_child=t_child,
-                                    ))
-                            if s_op is Op.REN and valid(i + 1, j + 1):
-                                # (vii) visible rename: the kept child's new
-                                # label drives the automaton; cost 1 for the
-                                # rename plus its own graph's cheapest path
-                                new_label = update.output_symbol(t_child)
-                                for q2 in model.sorted_successors(state, new_label):
-                                    add(PEdge(
-                                        vertex, PVertex(i + 1, q2, j + 1),
-                                        EdgeKind.VISIBLE_RENAME, new_label,
-                                        1 + child_costs[t_child],
-                                        t_child=t_child, s_child=t_child,
-                                    ))
+                        # (vi) visible nop / (vii) visible rename: recurse
+                        for q2 in successors(state, y):
+                            add(PEdge(
+                                vertex, PVertex(i + 1, q2, j + 1),
+                                kind, y, weight, t_child=t_child, s_child=t_child,
+                            ))
 
                 # (iv) visible insert: consume an inserted script child
-                if j < ell:
-                    s_child = s_children[j]
-                    if update.op(s_child) is Op.INS and valid(i, j + 1):
-                        y = update.symbol(s_child)
-                        if annotation.visible(label, y):
-                            for q2 in model.sorted_successors(state, y):
-                                add(PEdge(
-                                    vertex, PVertex(i, q2, j + 1),
-                                    EdgeKind.VISIBLE_INSERT, y,
-                                    insert_costs[s_child], s_child=s_child,
-                                ))
+                if inserted is not None:
+                    s_child, y, weight = inserted
+                    for q2 in successors(state, y):
+                        add(PEdge(
+                            vertex, PVertex(i, q2, j + 1),
+                            EdgeKind.VISIBLE_INSERT, y, weight, s_child=s_child,
+                        ))
 
     source = PVertex(0, model.initial, 0)
     targets = frozenset(PVertex(k, state, ell) for state in model.finals)

@@ -164,9 +164,12 @@ class DTD:
         """Whether *word* is a legal children word for a *symbol* node."""
         return self.automaton(symbol).accepts(tuple(word))
 
-    def violations(self, tree: Tree) -> Iterator[ValidationViolation]:
-        """Yield every node whose children word is rejected."""
-        for node in tree.nodes():
+    def violations(
+        self, tree: Tree, nodes: "Iterable[NodeId] | None" = None
+    ) -> Iterator[ValidationViolation]:
+        """Yield every node whose children word is rejected — among all of
+        *tree*'s nodes (document order), or only among *nodes*."""
+        for node in tree.nodes() if nodes is None else nodes:
             label = tree.label(node)
             if label not in self._alphabet:
                 yield ValidationViolation(node, label, tree.child_labels(node))
@@ -175,11 +178,16 @@ class DTD:
             if not self._models[label].accepts(word):
                 yield ValidationViolation(node, label, word)
 
-    def validates(self, tree: Tree) -> bool:
-        """``tree ∈ L(D)`` — nonempty and every node's children word accepted."""
+    def validates(self, tree: Tree, nodes: "Iterable[NodeId] | None" = None) -> bool:
+        """``tree ∈ L(D)`` — nonempty and every node's children word accepted.
+
+        Given *nodes*, only those nodes' children words are checked: the
+        answer is ``tree ∈ L(D)`` whenever every other node has the label
+        and children word of a node of some tree known to be in ``L(D)``.
+        """
         if tree.is_empty:
             return False
-        return next(self.violations(tree), None) is None
+        return next(self.violations(tree, nodes), None) is None
 
     def assert_valid(self, tree: Tree) -> None:
         """Raise :class:`DTDError` describing the first violation, if any."""

@@ -529,10 +529,14 @@ class ViewEngine:
         update: EditScript,
         *,
         source_view: Tree | None = None,
+        view_known_valid: bool = False,
     ) -> None:
         """Raise unless *update* is a valid view update of ``A(source)``.
 
-        *source_view* lets batch callers reuse an already-extracted view.
+        *source_view* lets batch callers reuse an already-extracted view;
+        *view_known_valid* asserts that view satisfies the view DTD, so
+        only the edited region of ``Out(update)`` is checked against it
+        (see :func:`~repro.core.propagate.validate_view_update`).
         """
         self._counters["validations"] += 1
         validate_view_update(
@@ -542,6 +546,7 @@ class ViewEngine:
             update,
             derived_view_dtd=self.view_dtd,
             source_view=source_view,
+            view_known_valid=view_known_valid,
         )
 
     def inversion_graphs(self, view: Tree) -> InversionGraphs:

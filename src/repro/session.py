@@ -46,7 +46,7 @@ from .editing import EditScript, Op
 from .errors import ReproError, StaleSessionError
 from .obs import span as _span
 from .xmltree import NodeId, NodeIds, Tree
-from .xmltree.nodeid import max_numeric_suffix, numeric_suffix
+from .xmltree.nodeid import numeric_suffix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import ViewEngine
@@ -130,6 +130,24 @@ class SessionStats:
     standby refresh traffic, as opposed to propagations served."""
 
 
+def _insert_sizes(
+    sizes: "dict[NodeId, int]",
+    children: "dict[NodeId, tuple[NodeId, ...]]",
+    root: NodeId,
+) -> int:
+    """Enter the subtree sizes of the inserted subtree at *root*; return its size."""
+    stack: list[tuple[NodeId, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        kids = children.get(node, ())
+        if expanded:
+            sizes[node] = 1 + sum(sizes[kid] for kid in kids)
+        else:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in kids)
+    return sizes[root]
+
+
 class DocumentSession:
     """One pinned source document served by a compiled engine.
 
@@ -160,6 +178,7 @@ class DocumentSession:
         "_carried",
         "_replayed",
         "_journal",
+        "_view_valid",
     )
 
     def __init__(
@@ -185,6 +204,10 @@ class DocumentSession:
             self._engine.dtd.assert_valid(source)
         self._source = source
         self._view = self._engine.annotation.view(source)
+        # the view of a valid source satisfies the view DTD, so updates
+        # can be validated edit-locally until the view's validity is no
+        # longer known (see propagate)
+        self._view_valid = validate_source
         self._sizes: dict[NodeId, int] = dict(source.subtree_sizes())
         self._suffixes = _FreshSuffixIndex(_FRESH_PREFIX, source.nodes())
 
@@ -289,6 +312,14 @@ class DocumentSession:
         default) — the sharding router passes the document-global floor
         here so a shard-local propagation numbers its fresh nodes in the
         globally reserved range.
+
+        Validation checks ``Out(update)`` against the view DTD only where
+        it differs from the current view whenever that view is known to
+        be valid: after pinning a validated source, and after every
+        advancing propagation that validated. Otherwise (a source pinned
+        with ``validate_source=False``, or after an unvalidated advance,
+        :meth:`apply_source_script` or :meth:`advance_script`) the next
+        update is validated in full.
         """
         if source is not None and source != self._source:
             raise StaleSessionError(
@@ -300,7 +331,10 @@ class DocumentSession:
             if validate:
                 with _span("validate"):
                     self._engine.validate(
-                        self._source, update, source_view=self._view
+                        self._source,
+                        update,
+                        source_view=self._view,
+                        view_known_valid=self._view_valid,
                     )
             with _span("graphs"):
                 collection = self._engine.propagation_graphs(
@@ -329,6 +363,7 @@ class DocumentSession:
         self._engine._persist_artifact()
         if advance:
             self._advance(update, script)
+            self._view_valid = validate
         return script
 
     def serve(self, updates: Iterable[EditScript]) -> list[EditScript]:
@@ -340,12 +375,13 @@ class DocumentSession:
     ) -> Callable[[], NodeId]:
         """Fresh identifiers, byte-compatible with the cold path.
 
-        A cold :meth:`PropagationGraphs.build_script` scans every source
-        and update identifier to continue the ``f``-numbering
-        (:meth:`NodeIds.avoiding`); the session already knows the source
-        side from its suffix index, so only the update is scanned. The
-        first candidate exceeds every live suffix, hence no candidate can
-        collide and the emitted sequence is identical.
+        A cold :meth:`PropagationGraphs.build_script` continues the
+        ``f``-numbering past both the source's and the update's largest
+        suffix; the session knows the source side from its suffix index
+        and reads the update side from the tree's memo
+        (:meth:`Tree.max_suffix`). The first candidate exceeds every live
+        suffix, hence no candidate can collide and the emitted sequence is
+        identical.
 
         *floor* (when given) raises the starting point: a sharded
         document numbers fresh nodes from a document-global floor that
@@ -353,8 +389,7 @@ class DocumentSession:
         stays consecutive from the floor and collision-free.
         """
         start = 1 + max(
-            self._suffixes.max(),
-            max_numeric_suffix(update.nodes(), _FRESH_PREFIX),
+            self._suffixes.max(), update.tree.max_suffix(_FRESH_PREFIX)
         )
         if floor is not None and floor > start:
             start = floor
@@ -367,7 +402,7 @@ class DocumentSession:
     def _advance(self, update: EditScript, script: EditScript) -> None:
         """Move every cache to the propagated document.
 
-        One pass over the propagation script (see :meth:`_walk_caches`).
+        Only the script's edits are visited (see :meth:`_walk_caches`).
         The new view is ``Out(update)`` — the side-effect-free criterion
         ``A(Out(S′)) = Out(S)`` makes extraction unnecessary.
         """
@@ -378,40 +413,51 @@ class DocumentSession:
     def _walk_caches(self, script: EditScript) -> None:
         """Advance the size table and suffix index along a source script.
 
-        Deleted subtrees drop their size entries and identifier suffixes,
-        inserted ones add theirs, and kept ancestors are re-summed;
-        untouched subtrees keep their entries (counted in
-        :attr:`SessionStats.size_entries_carried`). One iterative pass —
+        Only the edits are visited, found in one pass over the script's
+        label map. Deleted nodes drop their size entries and identifier
+        suffixes, inserted ones add theirs, and the kept ancestors of
+        each inserted or deleted subtree add its size change. Every other
+        entry is carried unchanged, and so is every kept node whose size
+        nets to no change (both counted in
+        :attr:`SessionStats.size_entries_carried`). Iterative throughout —
         a hot document deeper than the interpreter's recursion limit
         must not take the session down with it.
         """
         tree = script.tree
-        totals: dict[NodeId, int] = {}
-        stack: list[tuple[NodeId, bool]] = [(script.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if not expanded:
-                if script.op(node) is Op.DEL:
-                    for gone in tree.descendants_or_self(node):
-                        self._sizes.pop(gone, None)
-                        self._suffixes.discard(gone)
-                        self._deleted += 1
-                    totals[node] = 0
-                    continue
-                stack.append((node, True))
-                for kid in tree.children(node):
-                    stack.append((kid, False))
+        labels = tree._labels
+        children = tree._children
+        parents = tree._parents
+        sizes = self._sizes
+        suffixes = self._suffixes
+        deltas: dict[NodeId, int] = {}
+        inserted = deleted = 0
+        for node, label in labels.items():
+            op = label.op
+            if op is Op.DEL:
+                deleted += 1
+                suffixes.discard(node)
+                delta = -sizes.pop(node)
+            elif op is Op.INS:
+                inserted += 1
+                suffixes.add(node)
+            else:
                 continue
-            total = 1
-            for kid in tree.children(node):
-                total += totals.pop(kid)
-            if script.op(node) is Op.INS:
-                self._suffixes.add(node)
-                self._inserted += 1
-            elif self._sizes.get(node) == total:
-                self._carried += 1
-            self._sizes[node] = total
-            totals[node] = total
+            parent = parents.get(node)
+            if parent is None or labels[parent].op is op:
+                continue  # not the top of its inserted or deleted subtree
+            if op is Op.INS:
+                delta = _insert_sizes(sizes, children, node)
+            while parent is not None:
+                deltas[parent] = deltas.get(parent, 0) + delta
+                parent = parents.get(parent)
+        changed = 0
+        for node, delta in deltas.items():
+            if delta:
+                sizes[node] += delta
+                changed += 1
+        self._inserted += inserted
+        self._deleted += deleted
+        self._carried += len(labels) - inserted - deleted - changed
 
     def apply_source_script(self, script: EditScript) -> None:
         """Advance the session along an already-translated *source* script.
@@ -436,6 +482,7 @@ class DocumentSession:
         self._walk_caches(script)
         self._source = script.output_tree
         self._view = self._engine.annotation.view(self._source)
+        self._view_valid = False
         self._replayed += 1
 
     def advance_script(self, update: EditScript, script: EditScript) -> None:
@@ -463,6 +510,7 @@ class DocumentSession:
         if self._journal is not None:
             self._journal(update, script)
         self._advance(update, script)
+        self._view_valid = False
 
     def __repr__(self) -> str:
         return (

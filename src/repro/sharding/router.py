@@ -59,7 +59,7 @@ from ..editing.ops import EditLabel
 from ..errors import ShardingError
 from ..obs import span as _span
 from ..xmltree import NodeId, NodeIds, Tree
-from ..xmltree.nodeid import max_numeric_suffix, numeric_suffix
+from ..xmltree.nodeid import numeric_suffix
 from .partition import ShardPlan, partition, reassemble
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -394,10 +394,7 @@ class ShardRouter:
         collection = self._engine.propagation_graphs(
             source, update, validate=False, subtree_sizes=source.subtree_sizes()
         )
-        start = 1 + max(
-            source.max_suffix(_FRESH),
-            max_numeric_suffix(update.nodes(), _FRESH),
-        )
+        start = 1 + max(source.max_suffix(_FRESH), update.tree.max_suffix(_FRESH))
         script = collection.build_script(
             self._chooser, NodeIds(_FRESH, start).fresh, optimal_only=self._optimal
         )
