@@ -24,7 +24,7 @@ Validation and verification helpers live here too:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping, MutableMapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, MutableMapping, Sequence
 
 from ..dtd import DTD, MinimalTreeFactory, TreeFactory, view_dtd
 from ..editing import EditScript, EditLabel, Op
@@ -103,9 +103,7 @@ def validate_view_update(
     hidden = source.node_set - view.node_set
     reused = update.node_set & hidden
     if reused:
-        raise InvalidViewUpdateError(
-            f"update reuses identifiers hidden by the view: {sorted(map(repr, reused))[:5]}"
-        )
+        raise hidden_reuse_error(reused, validate=True)
     vdtd = derived_view_dtd if derived_view_dtd is not None else view_dtd(dtd, annotation)
     output = update.output_tree
     edits = _edits(update)
@@ -115,6 +113,22 @@ def validate_view_update(
             "Out(S) is not in the view language A(L(D))"
         )
     _validate_renames(dtd, annotation, update, edits)
+
+
+def hidden_reuse_error(
+    reused: "Iterable[NodeId]", *, validate: bool
+) -> "InvalidViewUpdateError | DuplicateNodeError":
+    """The error a propagation raises for an update that reuses the
+    identifiers *reused* of nodes the view hides: validation names them,
+    and without validation the script's fragments collide."""
+    if validate:
+        return InvalidViewUpdateError(
+            f"update reuses identifiers hidden by the view: {sorted(map(repr, reused))[:5]}"
+        )
+    return DuplicateNodeError(
+        "propagation fragments share node identifiers — the update "
+        "reuses identifiers it must not (was validation skipped?)"
+    )
 
 
 def _edits(update: EditScript) -> "list[NodeId]":
@@ -449,10 +463,7 @@ class PropagationGraphs:
 
         root = build(self.update.root)
         if len(labels) != emitted:
-            raise DuplicateNodeError(
-                "propagation fragments share node identifiers — the update "
-                "reuses identifiers it must not (was validation skipped?)"
-            )
+            raise hidden_reuse_error((), validate=False)
         return EditScript._trusted(
             Tree._from_parts(root, labels, children, parents)
         )

@@ -17,7 +17,7 @@ side-effect-freeness.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
 from ..errors import InvalidScriptError
 from ..xmltree import NodeId, Tree, parse_term
@@ -337,12 +337,26 @@ class EditScript:
             return self._term
         labels = self._tree._labels
         encoded = {key: label.encode() for key, label in _distinct(labels).items()}
-        term = self._tree._render(
+        term = "".join(self._tree._render(
             {node: encoded[id(label)] for node, label in labels.items()}, with_ids
-        )
+        ))
         if with_ids:
             self._term = term
         return term
+
+    @staticmethod
+    def phantom_pieces(tree: Tree, cut: "Container[NodeId]" = ()) -> "list[str]":
+        """``EditScript.phantom(tree).to_term()`` without building the
+        script, split at the subtrees rooted at *cut* nodes, which are
+        left out (see :meth:`repro.xmltree.Tree._render`).
+
+        The sharding router caches these texts for the shards and the
+        spine of a sharded document.
+        """
+        encoded = {symbol: nop(symbol).encode() for symbol in set(tree._labels.values())}
+        return tree._render(
+            {node: encoded[symbol] for node, symbol in tree._labels.items()}, True, cut
+        )
 
     def check_round_trip(self) -> None:
         """Raise :class:`InvalidScriptError` unless :meth:`parse` reads

@@ -173,17 +173,30 @@ async def _batch(server: "ReproServer", request: dict) -> dict:
 
 
 async def _shard_propagate(server: "ReproServer", request: dict) -> dict:
-    """Front the sharded document: route one update across shards."""
-    update = EditScript.parse(_required(request, "update"))
+    """Front the sharded document: route one update across shards.
+
+    The update goes to the router as term text, so only the shards it
+    changes are parsed. The optional ``dirty`` hint must be a list of
+    node identifiers; the router trusts it and ignores edits outside
+    the regions it names.
+    """
+    update = _required(request, "update")
     splice = bool(request.get("splice", True))
     dirty = request.get("dirty")
+    if "dirty" in request and not (
+        isinstance(dirty, list) and all(isinstance(node, str) for node in dirty)
+    ):
+        raise ServerError(
+            "request op 'shard_propagate' needs 'dirty', when given, to be a "
+            "list of node identifier strings"
+        )
     sharded = server.shard()
     async with server.doc_lock("__shard__"):
         result = await server.run_blocking(
             lambda: sharded.propagate(update, dirty=dirty, splice=splice)
         )
     if splice:
-        return {"spliced": True, "cost": result.cost, "script": result.to_term()}
+        return {"spliced": True, "cost": result.cost, "script": result.script}
     return {
         "spliced": False,
         "cost": result.cost,

@@ -331,6 +331,13 @@ def _shard_lines(shard_payload: "dict | None") -> "list[str]":
     ]
     for path, count in sorted(shard_payload.get("edits", {}).items()):
         lines.append(f"repro_shard_edits_total{_labels(path=path)} {count}")
+    lines += [
+        "# HELP repro_shard_requests_total Term-text requests by parse path "
+        "(local: only the changed shard parsed; full: the whole update).",
+        "# TYPE repro_shard_requests_total counter",
+    ]
+    for parse, count in sorted(shard_payload.get("parse", {}).items()):
+        lines.append(f"repro_shard_requests_total{_labels(parse=parse)} {count}")
     per_shard = shard_payload.get("per_shard", {})
     lines += [
         "# HELP repro_shard_count Shards the router currently serves.",

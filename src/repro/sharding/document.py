@@ -319,7 +319,7 @@ class ShardedDocument:
 
     def propagate(
         self,
-        update: EditScript,
+        update: "EditScript | str",
         *,
         dirty: "Iterable[NodeId] | None" = None,
         splice: bool = True,
@@ -330,15 +330,25 @@ class ShardedDocument:
         With ``splice=True`` (default) returns the whole-document source
         script, byte-identical to unsharded propagation. With
         ``splice=False`` the shards still advance, but only a
-        :class:`~repro.sharding.ShardedPropagation` summary is returned —
-        the mode whose per-edit latency is independent of document size.
+        :class:`~repro.sharding.ShardedPropagation` summary is returned.
         *dirty* is the optional hint naming the roots of the update's
-        edited regions (skips the whole-update scan).
+        edited regions (skips the whole-update scan; edits outside them
+        are ignored).
+
+        *update* may also be the update's term text, as a server
+        receives it: the router then parses only the shards the text
+        changes, and the :class:`~repro.sharding.ShardedPropagation` is
+        returned either way, its ``script`` the spliced script's term
+        text (``None`` without *splice*). Term text and ``splice=False``
+        are the two modes whose per-edit latency does not grow with the
+        document.
         """
         result = self._router.propagate(
             update, dirty=dirty, splice=splice, validate=validate
         )
-        return result.script if splice else result
+        if isinstance(update, str) or not splice:
+            return result
+        return result.script
 
     def serve(
         self,

@@ -35,28 +35,53 @@ node's view depth equals its source depth):
    what replay needs), deleted shards are dropped, new depth-``d``
    subtrees are adopted as fresh shards.
 
+**Term text in, term text out.** A served request arrives as term
+text. The router keeps the *shard text* of every shard — the term
+notation of its current view and of its current source with every node
+``Nop``, exactly as :meth:`EditScript.to_term` renders them — and the
+spine's two renderings split at the shard roots. Term notation is
+compositional, so a request that leaves a shard unchanged carries that
+shard's view text verbatim. The router matches the request against the
+cache from the front and from the back and parses only the one shard
+in between; the spliced response joins the source spine pieces, the
+touched shards' committed script text and the cached source text of
+every other shard, which equals the rendered :meth:`_splice`. The
+shard-local parse is used only when it provably equals a full parse:
+every parsed node carries an explicit ``#id`` (auto ids depend on the
+whole text), no parsed id belongs to another shard or to the spine
+(the full parse would raise a duplicate-id error, or the update reuses
+a hidden id), the parsed shard's root is its ``Nop`` shard root, and
+the shard parse raised nothing. Anything else — boundary edits, edits
+in two shards, text rendered other than canonically — is parsed whole
+and takes the same classifier and paths as an :class:`EditScript`.
+
 Per-edit cost on the fast path is proportional to the touched shards,
-not the document — pass ``splice=False`` to also skip materialising
-the whole-document script (the shards have advanced either way), which
-is what keeps serving latency independent of document size.
+not the document, for a spliced term-text request as for
+``splice=False`` (which skips the whole-document script; the shards
+have advanced either way).
 
 The router trusts updates to be well-formed view updates against the
 current view (the product of an :class:`~repro.editing.UpdateBuilder`);
 validation runs per touched shard on the fast path and in full on the
-slow path. A caller-supplied ``dirty`` hint (the roots of the edited
-regions, which every update builder knows) skips the only remaining
-whole-update scan.
+slow path. One check spans shards: an inserted identifier that any
+shard or the spine already holds — hidden from the view, since visible
+ones are in the update itself — is refused with the error unsharded
+serving raises. A caller-supplied ``dirty`` hint (the roots of the
+edited regions, which every update builder knows) skips the only
+remaining whole-update scan; edits outside the hinted regions are
+ignored, on both parse paths alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable
 
 from ..core.choosers import CheapestPathChooser, PathChooser, PreferenceChooser
+from ..core.propagate import hidden_reuse_error
 from ..editing import EditScript, Op
 from ..editing.ops import EditLabel
-from ..errors import ShardingError
+from ..errors import ReproError, ShardingError
 from ..obs import span as _span
 from ..xmltree import NodeId, NodeIds, Tree
 from ..xmltree.nodeid import numeric_suffix
@@ -68,14 +93,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["ShardRouter", "ShardedPropagation"]
 
 _FRESH = "f"
+_SPINE = object()  # the owner of spine nodes in the owner index
 
 
 @dataclass(frozen=True)
 class ShardedPropagation:
     """One served update, as the router saw it."""
 
-    script: "EditScript | None"
-    """The full spliced source script (``None`` when ``splice=False``)."""
+    script: "EditScript | str | None"
+    """The full spliced source script (``None`` when ``splice=False``);
+    its term text when the update came in as term text."""
 
     cost: int
     """Cost of the (possibly unmaterialised) whole-document script."""
@@ -116,6 +143,10 @@ class ShardRouter:
         self._optimal = optimal
         self._on_reshard = on_reshard
         self._depth = plan.depth
+        # shard text caches, filled lazily; the router is the only writer
+        # of shard state, so it drops a shard's entries whenever it moves
+        self._view_text: "dict[NodeId, str]" = {}
+        self._source_text: "dict[NodeId, str]" = {}
         self._install(plan)
         self._assembled: "Tree | None" = None
         self._fast = 0
@@ -123,6 +154,7 @@ class ShardRouter:
         self._identity = 0
         self._dispatched = 0
         self._remapped = 0
+        self._parsed = {"local": 0, "full": 0}
 
     def _install(self, plan: ShardPlan) -> None:
         self._spine = plan.spine
@@ -131,6 +163,13 @@ class ShardRouter:
         self._spine_suffix = plan.spine.max_suffix(_FRESH)
         self._shard_suffix: "dict[NodeId, int]" = {}
         self._high: "int | None" = None
+        # source node id -> its shard root, or _SPINE; built on first use
+        self._owner: "dict[NodeId, object] | None" = None
+        cut = self._order.keys()
+        self._spine_source = EditScript.phantom_pieces(plan.spine, cut)
+        self._spine_view = EditScript.phantom_pieces(
+            self._engine.annotation.view(plan.spine), cut
+        )
 
     # ------------------------------------------------------------------
     # Fresh-floor bookkeeping
@@ -161,6 +200,33 @@ class ShardRouter:
                     high = value
             self._high = high
         return 1 + max(high, ins_max)
+
+    # ------------------------------------------------------------------
+    # Shard text and owner bookkeeping
+    # ------------------------------------------------------------------
+
+    def _shard_text(self, shard_id: NodeId, *, view: bool) -> str:
+        cache = self._view_text if view else self._source_text
+        text = cache.get(shard_id)
+        if text is None:
+            text = cache[shard_id] = self._pool.text(shard_id, view=view)
+        return text
+
+    def _forget_texts(self, shard_ids: "Iterable[NodeId]") -> None:
+        for sid in shard_ids:
+            self._view_text.pop(sid, None)
+            self._source_text.pop(sid, None)
+
+    def _owners(self) -> "dict[NodeId, object]":
+        """The owner index: every source node id to its shard root, or
+        to the spine. Built once per layout, then advanced by each
+        commit's inserted and deleted identifiers."""
+        if self._owner is None:
+            owner: "dict[NodeId, object]" = dict.fromkeys(self._spine._labels, _SPINE)
+            for sid in self._shard_roots:
+                owner.update(dict.fromkeys(self._pool.fetch(sid)._labels, sid))
+            self._owner = owner
+        return self._owner
 
     # ------------------------------------------------------------------
     # State
@@ -202,6 +268,7 @@ class ShardRouter:
                 "boundary": self._boundary_count,
                 "identity": self._identity,
             },
+            "parse": dict(self._parsed),
             "shards_dispatched": self._dispatched,
             "fresh_remapped": self._remapped,
             "per_shard": {
@@ -215,7 +282,7 @@ class ShardRouter:
 
     def propagate(
         self,
-        update: EditScript,
+        update: "EditScript | str",
         *,
         dirty: "Iterable[NodeId] | None" = None,
         splice: bool = True,
@@ -223,15 +290,133 @@ class ShardRouter:
     ) -> ShardedPropagation:
         """Serve one view update against the sharded document.
 
-        *dirty*, when given, must cover the roots of every edited
-        (non-``Nop``) region of the update — the router then skips its
-        own whole-update scan. *splice* materialises the full source
-        script (``O(|t|)``); pass ``False`` for latency-critical
-        serving where the advanced shards are the product.
+        *update* is an :class:`EditScript` or its term text; with text,
+        the spliced script comes back as text too. *dirty*, when given,
+        must cover the roots of every edited (non-``Nop``) region of the
+        update — the router then skips its own whole-update scan, and
+        ignores edits outside those regions. *splice* materialises the
+        full source script (``O(|t|)`` for an :class:`EditScript`; a
+        join of cached text for term text); pass ``False`` when the
+        advanced shards are the product.
         """
-        tree = update.tree
-        if tree.is_empty:
-            raise ShardingError("cannot serve an empty update against a sharded document")
+        as_text = isinstance(update, str)
+        parts = None
+        attrs = {}
+        if as_text:
+            parts = self._parse_local(update)
+            attrs["parse"] = parse = "full" if parts is None else "local"
+            self._parsed[parse] += 1
+            if parts is None:
+                update = EditScript.parse(update)
+        if parts is None:
+            if update.is_empty:
+                raise ShardingError(
+                    "cannot serve an empty update against a sharded document"
+                )
+            classified = self._classify(update.tree, 0, dirty)
+        elif parts:
+            (part,) = parts.values()
+            classified = self._classify(part.tree, self._depth, dirty)
+        else:  # the current view, unchanged
+            classified = False, set(), -1, []
+        boundary, touched, ins_max, inserted = classified
+
+        if boundary:
+            with _span("shard.route", path="boundary", **attrs):
+                result = self._propagate_boundary(
+                    update, splice=splice, validate=validate
+                )
+            if as_text and splice:
+                result = replace(result, script=result.script.to_term())
+            return result
+        if not touched:
+            with _span("shard.route", path="identity", **attrs):
+                return self._propagate_identity(splice=splice, as_text=as_text)
+        owner = self._owners()
+        reused = [node for node in inserted if node in owner]
+        if reused:
+            raise hidden_reuse_error(reused, validate=validate)
+        touched = sorted(touched, key=self._order.__getitem__)
+        subscripts = {
+            sid: parts[sid] if parts is not None else update.subscript(sid)
+            for sid in touched
+        }
+        with _span("shard.route", path="fast", shards=len(touched), **attrs):
+            return self._propagate_fast(
+                subscripts, ins_max, splice=splice, validate=validate, as_text=as_text
+            )
+
+    # -- request side --------------------------------------------------
+
+    def _parse_local(self, text: str) -> "dict[NodeId, EditScript] | None":
+        """The request's differing shards, parsed alone — or ``None``
+        when only a full parse is known to read *text* the same way.
+
+        Shards whose text equals their view shard text are matched from
+        the front and from the back, spine pieces literally; at most one
+        shard may differ, and it must pass the checks in the module
+        docstring. An empty result means the text is the current view,
+        unchanged.
+        """
+        pieces = self._spine_view
+        roots = self._shard_roots
+        if not text.startswith(pieces[0]):
+            return None
+        pos = len(pieces[0])
+        lo, hi = 0, len(roots)
+        while lo < hi:
+            shard = self._shard_text(roots[lo], view=True)
+            after = pos + len(shard)
+            if not (
+                text.startswith(shard, pos) and text.startswith(pieces[lo + 1], after)
+            ):
+                break
+            pos = after + len(pieces[lo + 1])
+            lo += 1
+        if lo == hi:
+            return {} if pos == len(text) else None
+        end = len(text)
+        while hi - 1 > lo:
+            shard = self._shard_text(roots[hi - 1], view=True)
+            start = end - len(pieces[hi]) - len(shard)
+            if not (
+                start >= pos
+                and text.startswith(pieces[hi], start + len(shard))
+                and text.startswith(shard, start)
+            ):
+                return None  # a second shard differs
+            end = start
+            hi -= 1
+        end -= len(pieces[hi])
+        if end < pos or not text.startswith(pieces[hi], end):
+            return None
+        sid = roots[lo]
+        middle = text[pos:end]
+        try:
+            part = EditScript.parse(middle)
+        except ReproError:
+            return None  # the full parse raises its own error for the whole text
+        labels = part.tree._labels
+        if middle.count("#") != len(labels):
+            return None  # an auto id: it depends on every explicit id in the text
+        if part.root != sid or labels[sid].op is not Op.NOP:
+            return None  # an edit at or above the boundary
+        owner = self._owners()
+        for node in labels:
+            if owner.get(node, sid) != sid:
+                return None  # a duplicate id, or a reused hidden one
+        return {sid: part}
+
+    def _classify(
+        self, tree: Tree, root_depth: int, dirty: "Iterable[NodeId] | None"
+    ) -> "tuple[bool, set[NodeId], int, list[NodeId]]":
+        """Map the edits of update *tree*, whose root sits at *root_depth*
+        in the whole update, to shards.
+
+        Returns ``(boundary, touched shards, largest inserted f-suffix,
+        inserted ids)``. A boundary answer stops at the first edit at or
+        above the boundary.
+        """
         labels = tree._labels
         parents = tree._parents
         hinted = dirty is not None
@@ -242,9 +427,9 @@ class ShardRouter:
         else:
             dirty_nodes = [n for n, lab in labels.items() if lab.op is not Op.NOP]
 
-        boundary = False
         touched: "set[NodeId]" = set()
         ins_max = -1
+        inserted: "list[NodeId]" = []
         for node in dirty_nodes:
             # climb to the root inside the update tree to find the
             # node's depth and its depth-d ancestor (its shard)
@@ -256,61 +441,41 @@ class ShardRouter:
                     break
                 path.append(parent)
                 current = parent
-            depth = len(path) - 1
+            depth = root_depth + len(path) - 1
             if depth <= self._depth:
                 # spine edit, or a shard root renamed/deleted/inserted
-                boundary = True
-                break
+                return True, touched, ins_max, inserted
             shard_root = path[depth - self._depth]
             if shard_root not in self._order or labels[shard_root].op is not Op.NOP:
                 # an edit inside a freshly inserted depth-d subtree (a
                 # shard being born), or an unknown boundary node
-                boundary = True
-                break
+                return True, touched, ins_max, inserted
             touched.add(shard_root)
-            label = labels[node]
-            if label.op is Op.INS:
-                suffix = numeric_suffix(node, _FRESH)
-                if suffix is not None and suffix > ins_max:
-                    ins_max = suffix
-                if hinted:
-                    # a hint names region roots only; the whole inserted
-                    # fragment participates in the fresh numbering
-                    for inner in tree.descendants(node):
-                        suffix = numeric_suffix(inner, _FRESH)
-                        if suffix is not None and suffix > ins_max:
-                            ins_max = suffix
-
-        if boundary:
-            with _span("shard.route", path="boundary"):
-                return self._propagate_boundary(
-                    update, splice=splice, validate=validate
-                )
-        if not touched:
-            with _span("shard.route", path="identity"):
-                return self._propagate_identity(update, splice=splice)
-        with _span("shard.route", path="fast", shards=len(touched)):
-            return self._propagate_fast(
-                update,
-                sorted(touched, key=self._order.__getitem__),
-                ins_max,
-                splice=splice,
-                validate=validate,
-            )
+            if labels[node].op is Op.INS:
+                # a hint names region roots only; the whole inserted
+                # fragment participates in the fresh numbering
+                fragment = [node, *tree.descendants(node)] if hinted else [node]
+                for inner in fragment:
+                    inserted.append(inner)
+                    suffix = numeric_suffix(inner, _FRESH)
+                    if suffix is not None and suffix > ins_max:
+                        ins_max = suffix
+        return False, touched, ins_max, inserted
 
     # -- fast path -----------------------------------------------------
 
     def _propagate_fast(
         self,
-        update: EditScript,
-        touched: "list[NodeId]",
+        subscripts: "dict[NodeId, EditScript]",
         ins_max: int,
         *,
         splice: bool,
         validate: bool,
+        as_text: bool,
     ) -> ShardedPropagation:
+        touched = list(subscripts)
         floor = self._floor(ins_max)
-        requests = [(sid, update.subscript(sid), floor) for sid in touched]
+        requests = [(sid, subscripts[sid], floor) for sid in touched]
         with _span("shard.fanout", shards=len(requests)):
             previews = self._pool.preview(
                 requests,
@@ -323,31 +488,55 @@ class ShardRouter:
         for sid in touched:
             offsets[sid] = running
             running += previews[sid][1]
+        # a commit that fails part-way has still advanced the shards
+        # before the failing one: drop what they invalidate up front
+        self._forget_texts(touched)
+        owner = self._owners()
+        self._owner = self._assembled = None
         with _span("shard.commit", shards=len(offsets)):
             committed = self._pool.commit(offsets, want_script=splice)
+        self._owner = owner
         total_cost = 0
         shard_scripts: "dict[NodeId, EditScript]" = {}
         for sid in touched:
             total_cost += previews[sid][0]
-            new_suffix, script_part = committed[sid]
+            new_suffix, script_part, inserted, deleted = committed[sid]
             self.note_suffix(sid, new_suffix)
+            for node in deleted:
+                del owner[node]
+            owner.update(dict.fromkeys(inserted, sid))
             if splice:
                 shard_scripts[sid] = script_part
             if offsets[sid]:
                 self._remapped += previews[sid][1]
-        self._assembled = None
         self._fast += 1
         self._dispatched += len(touched)
-        script = self._splice(shard_scripts) if splice else None
+        script = None
+        if splice:
+            script = self._join(shard_scripts) if as_text else self._splice(shard_scripts)
         return ShardedPropagation(script, total_cost, tuple(touched), False, running)
 
-    def _propagate_identity(
-        self, update: EditScript, *, splice: bool
-    ) -> ShardedPropagation:
+    def _propagate_identity(self, *, splice: bool, as_text: bool) -> ShardedPropagation:
         # an all-Nop update: nothing to dispatch, nothing advances
         self._identity += 1
-        script = self._splice({}) if splice else None
+        script = None
+        if splice:
+            script = self._join({}) if as_text else self._splice({})
         return ShardedPropagation(script, 0, (), False, 0)
+
+    def _join(self, shard_scripts: "dict[NodeId, EditScript]") -> str:
+        """The term text of :meth:`_splice`: the source spine pieces
+        joined with the touched shards' committed script text and every
+        other shard's cached source text."""
+        pieces = self._spine_source
+        out = [pieces[0]]
+        for i, sid in enumerate(self._shard_roots):
+            part = shard_scripts.get(sid)
+            out.append(
+                part.to_term() if part is not None else self._shard_text(sid, view=False)
+            )
+            out.append(pieces[i + 1])
+        return "".join(out)
 
     def _splice(self, shard_scripts: "dict[NodeId, EditScript]") -> EditScript:
         """The whole-document script: ``Nop`` everywhere except the
@@ -433,6 +622,7 @@ class ShardRouter:
                 added.append(sid)
 
         self._install(plan)
+        self._forget_texts([*applied, *removed, *added])
         self._shard_suffix = suffixes
         self._assembled = new_source
         self._boundary_count += 1
@@ -451,3 +641,4 @@ class ShardRouter:
             True,
             fresh_used,
         )
+

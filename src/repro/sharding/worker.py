@@ -19,6 +19,9 @@ answers the router's dispatches:
     advance along an externally computed pair — the boundary (slow)
     path, where the router propagated the whole document locally and
     redistributes the per-shard subscripts.
+``text``
+    the shard's current view or source in term notation with every
+    node ``Nop`` — the router's cached shard text.
 
 Two implementations share the interface:
 
@@ -42,7 +45,7 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..core.choosers import PathChooser
-from ..editing import EditScript
+from ..editing import EditScript, Op
 from ..errors import ShardingError, ShardWorkerError
 from ..obs import current_span, span as _span
 from ..xmltree import NodeId, Tree, parse_term
@@ -71,6 +74,18 @@ def consumed_fresh(script: EditScript, floor: int) -> int:
         if suffix is not None and suffix >= floor:
             count += 1
     return count
+
+
+def _edited_ids(script: EditScript) -> "tuple[list[NodeId], list[NodeId]]":
+    """The script's inserted and its deleted node identifiers."""
+    inserted: "list[NodeId]" = []
+    deleted: "list[NodeId]" = []
+    for node, label in script.tree._labels.items():
+        if label.op is Op.INS:
+            inserted.append(node)
+        elif label.op is Op.DEL:
+            deleted.append(node)
+    return inserted, deleted
 
 
 def renumber_fresh(script: EditScript, floor: int, offset: int, count: int) -> EditScript:
@@ -196,10 +211,11 @@ class LocalShardPool:
 
     def commit(
         self, offsets: "dict[NodeId, int]", *, want_script: bool
-    ) -> "dict[NodeId, tuple[int, EditScript | None]]":
+    ) -> "dict[NodeId, tuple]":
         """Renumber and advance every parked preview; returns per shard
-        the new max ``f``-suffix (and the final script when asked)."""
-        out: "dict[NodeId, tuple[int, EditScript | None]]" = {}
+        the new max ``f``-suffix, the final script when asked (else
+        ``None``), and the script's inserted and deleted identifiers."""
+        out: "dict[NodeId, tuple]" = {}
         for shard_id, offset in offsets.items():
             try:
                 update, script, consumed, floor = self._pending.pop(shard_id)
@@ -213,6 +229,7 @@ class LocalShardPool:
             out[shard_id] = (
                 session.fresh_suffix_max,
                 script if want_script else None,
+                *_edited_ids(script),
             )
         return out
 
@@ -228,6 +245,10 @@ class LocalShardPool:
 
     def fetch(self, shard_id: NodeId) -> Tree:
         return self._session(shard_id).source
+
+    def text(self, shard_id: NodeId, *, view: bool) -> str:
+        session = self._session(shard_id)
+        return EditScript.phantom_pieces(session.view if view else session.source)[0]
 
     def suffix_max(self, shard_id: NodeId) -> int:
         return self._session(shard_id).fresh_suffix_max
@@ -298,6 +319,7 @@ def _shard_worker_main(conn, spec: tuple) -> None:
                     "ok",
                     sessions[shard_id].fresh_suffix_max,
                     script.to_term() if want_script else None,
+                    *_edited_ids(script),
                 ))
             elif command == "apply":
                 _, shard_id, update_term, script_term = message
@@ -307,6 +329,11 @@ def _shard_worker_main(conn, spec: tuple) -> None:
                 conn.send(("ok", sessions[shard_id].fresh_suffix_max))
             elif command == "fetch":
                 conn.send(("ok", sessions[message[1]].source.to_term()))
+            elif command == "text":
+                _, shard_id, view = message
+                session = sessions[shard_id]
+                tree = session.view if view else session.source
+                conn.send(("ok", EditScript.phantom_pieces(tree)[0]))
             elif command == "suffix":
                 conn.send(("ok", sessions[message[1]].fresh_suffix_max))
             elif command == "stats":
@@ -437,17 +464,17 @@ class ProcessShardPool:
 
     def commit(
         self, offsets: "dict[NodeId, int]", *, want_script: bool
-    ) -> "dict[NodeId, tuple[int, EditScript | None]]":
+    ) -> "dict[NodeId, tuple]":
         sent = []
         for shard_id, offset in offsets.items():
             conn = self._conn(shard_id)
             conn.send(("commit", shard_id, offset, want_script))
             sent.append((shard_id, conn))
-        out: "dict[NodeId, tuple[int, EditScript | None]]" = {}
+        out: "dict[NodeId, tuple]" = {}
         for shard_id, conn in sent:
             reply = self._reply(conn)
             script = EditScript.parse(reply[2]) if reply[2] is not None else None
-            out[shard_id] = (reply[1], script)
+            out[shard_id] = (reply[1], script, reply[3], reply[4])
         return out
 
     def apply(
@@ -464,6 +491,9 @@ class ProcessShardPool:
     def fetch(self, shard_id: NodeId) -> Tree:
         reply = self._call(self._conn(shard_id), ("fetch", shard_id))
         return parse_term(reply[1])
+
+    def text(self, shard_id: NodeId, *, view: bool) -> str:
+        return self._call(self._conn(shard_id), ("text", shard_id, view))[1]
 
     def suffix_max(self, shard_id: NodeId) -> int:
         return self._call(self._conn(shard_id), ("suffix", shard_id))[1]

@@ -32,7 +32,7 @@ only where the dictionaries come from differs.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Hashable, Iterator, Mapping, Sequence
 
 from ..errors import DuplicateNodeError, NodeNotFoundError, TreeError
 from .nodeid import numeric_suffix as _numeric_suffix
@@ -726,16 +726,30 @@ class Tree:
 
     def to_term(self, with_ids: bool = True) -> str:
         """Term notation, e.g. ``r#n0(a#n1, b#n2)`` (or ``r(a, b)``)."""
-        return self._render(self._labels, with_ids)
+        return "".join(self._render(self._labels, with_ids))
 
-    def _render(self, texts: Mapping[NodeId, str], with_ids: bool) -> str:
+    def _render(
+        self,
+        texts: Mapping[NodeId, str],
+        with_ids: bool,
+        cut: "Container[NodeId]" = (),
+    ) -> "list[str]":
         """Term notation with ``texts[node]`` written for each label.
+
+        The text comes back in pieces split at the subtrees rooted at
+        *cut* nodes, which are left out: one more piece than cut nodes in
+        the tree, so ``"".join`` of the pieces with each cut subtree's own
+        term notation in its gap is the whole tree's term (term notation
+        is compositional; the ``", "`` before a cut subtree stays in the
+        piece ahead of it). With nothing cut, the single piece is the
+        whole term.
 
         One iterative preorder pass, so the depth of the tree is not
         limited by the interpreter's recursion limit.
         """
         if self._root is None:
-            return "()"
+            return ["()"]
+        pieces: list[str] = []
         out: list[str] = []
         stack: list = [self._root]
         first = True  # no ", " before the root or a first child
@@ -743,6 +757,13 @@ class Tree:
             node = stack.pop()
             if node is _CLOSE:
                 out.append(")")
+                continue
+            if node in cut:
+                if not first:
+                    out.append(", ")
+                pieces.append("".join(out))
+                out = []
+                first = False
                 continue
             head = f"{texts[node]}#{node}" if with_ids else texts[node]
             out.append(head if first else ", " + head)
@@ -752,7 +773,8 @@ class Tree:
                 out.append("(")
                 stack.append(_CLOSE)
                 stack.extend(reversed(kids))
-        return "".join(out)
+        pieces.append("".join(out))
+        return pieces
 
     def pretty(self, with_ids: bool = True, indent: str = "  ") -> str:
         """A multi-line ASCII rendering, one node per line."""

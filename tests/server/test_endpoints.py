@@ -204,3 +204,162 @@ class TestShardEndpoint:
             assert doc.source == expected.output_tree
         finally:
             doc.close()
+
+
+class TestShardRequestChecks:
+    def test_dirty_must_be_a_list_of_strings(self, tmp_path, workload):
+        term, expected = _sharded_book(tmp_path / "shards")
+        server = ReproServer(shard_root=tmp_path / "shards", fsync="off")
+
+        def client_work(host, port):
+            codes = []
+            with ServeClient(host, port) as client:
+                for dirty in ("x0", [["x0"]], [1], None, {"x0": 1}):
+                    try:
+                        client.request("shard_propagate", update=term, dirty=dirty)
+                    except RemoteServingError as error:
+                        codes.append((error.code, error.remote_type))
+                result = client.request("shard_propagate", update=term)
+                stats = client.stats()["shard"]
+            return codes, result, stats
+
+        codes, result, stats = run_with_server(server, client_work)
+        assert codes == [("server_failed", "ServerError")] * 5
+        # no rejected request reached the router; the edit then served
+        assert result["script"] == expected.to_term()
+        assert stats["edits"]["fast"] == 1
+        assert stats["parse"] == {"local": 1, "full": 0}
+
+    @pytest.mark.parametrize("case", ["chapter", "spine"])
+    def test_hidden_identifier_reuse_is_refused_over_the_wire(self, tmp_path, case):
+        from repro.editing import UpdateBuilder
+        from repro.generators.workloads import huge_document, running_example
+        from repro.sharding import ShardedDocument
+        from repro.xmltree import Tree
+
+        if case == "chapter":
+            # chapter 0's hidden meta, inserted into the last chapter
+            workload, reused = huge_document(200), "c0m"
+            view = workload.annotation.view(workload.source)
+            last = view.children(view.root)[-1]
+            parent = [s for s in view.children(last) if view.label(s) == "section"][0]
+            inserted = Tree.leaf("para", reused)
+        else:
+            # h0, hidden in the spine, inserted under d0
+            workload, reused = running_example(4), "h0"
+            view = workload.annotation.view(workload.source)
+            parent, inserted = "d0", Tree.leaf("c", reused)
+        ShardedDocument.create(
+            tmp_path / "shards", workload.source, workload.dtd, workload.annotation,
+            depth=1, fsync="off",
+        ).close()
+        edit = UpdateBuilder(view)
+        edit.insert(parent, inserted, index=0)
+        term = edit.script().to_term()
+        server = ReproServer(shard_root=tmp_path / "shards", fsync="off")
+
+        def client_work(host, port):
+            with ServeClient(host, port) as client:
+                with pytest.raises(RemoteServingError) as refused:
+                    client.request("shard_propagate", update=term, dirty=[reused])
+                return refused.value
+
+        error = run_with_server(server, client_work)
+        assert error.remote_type == "InvalidViewUpdateError"
+        assert f"update reuses identifiers hidden by the view: [\"'{reused}'\"]" in str(error)
+        doc = ShardedDocument.open(tmp_path / "shards", fsync="off")
+        try:
+            assert doc.source == workload.source
+        finally:
+            doc.close()
+
+    def test_metrics_count_requests_by_parse_path(self, tmp_path, workload):
+        from repro.editing import EditScript
+        from repro.generators.workloads import huge_document
+
+        term, expected = _sharded_book(tmp_path / "shards")
+        server = ReproServer(shard_root=tmp_path / "shards", fsync="off")
+        view = huge_document(300).annotation.view(expected.output_tree)
+
+        def client_work(host, port):
+            with ServeClient(host, port) as client:
+                client.request("shard_propagate", update=term)
+                # the current view, an identity, spaced other than canonically
+                spaced = EditScript.phantom(view).to_term().replace(", ", " , ")
+                client.request("shard_propagate", update=spaced)
+                return client.request("metrics")["text"]
+
+        text = run_with_server(server, client_work)
+        assert 'repro_shard_requests_total{parse="local"} 1' in text
+        assert 'repro_shard_requests_total{parse="full"} 1' in text
+
+
+class TestShardServedSizeGuard:
+    """A served one-shard edit parses and renders one chapter, whatever
+    the book's size (in the style of the session traversal guard)."""
+
+    @pytest.mark.parametrize("n_nodes", [2000, 8000])
+    def test_parse_and_render_stay_inside_one_chapter(
+        self, tmp_path, monkeypatch, n_nodes
+    ):
+        from repro.editing import EditScript, UpdateBuilder
+        from repro.engine import ViewEngine
+        from repro.generators.workloads import huge_document
+        from repro.sharding import ShardedDocument
+        from repro.xmltree import Tree
+
+        book = huge_document(n_nodes)
+        ShardedDocument.create(
+            tmp_path / "shards", book.source, book.dtd, book.annotation, depth=1,
+            fsync="off",
+        ).close()
+        chapters = [book.source.subtree(c) for c in book.source.children(book.source.root)]
+        max_nodes = max(chapter.size for chapter in chapters) + 1  # one insert
+        max_text = max(len(EditScript.phantom(c).to_term()) for c in chapters) + 64
+        session = ViewEngine(book.dtd, book.annotation).session(book.source)
+        requests = []
+        for step in range(5):
+            view = session.view
+            chapter = view.children(view.root)[7 * step + 1]
+            sections = [s for s in view.children(chapter) if view.label(s) == "section"]
+            victim = view.children(sections[0])[0]
+            edit = UpdateBuilder(view, forbidden_ids=session.source.nodes())
+            edit.delete(victim)
+            edit.insert(sections[-1], Tree.leaf("para", f"x{step}"), index=1)
+            update = edit.script()
+            requests.append(
+                (update.to_term(), [victim, f"x{step}"], session.propagate(update).to_term())
+            )
+
+        parsed, rendered = [], []
+        parse = EditScript.__dict__["parse"].__func__
+        render = Tree._render
+
+        def spy_parse(cls, text, *args, **kwargs):
+            parsed.append(len(text))
+            return parse(cls, text, *args, **kwargs)
+
+        def spy_render(tree, *args, **kwargs):
+            rendered.append(tree.size)
+            return render(tree, *args, **kwargs)
+
+        server = ReproServer(shard_root=tmp_path / "shards", fsync="off")
+
+        def client_work(host, port):
+            answers = []
+            with ServeClient(host, port) as client:
+                for index, (text, dirty, _) in enumerate(requests):
+                    if index == 1:  # the first request fills the caches
+                        monkeypatch.setattr(EditScript, "parse", classmethod(spy_parse))
+                        monkeypatch.setattr(Tree, "_render", spy_render)
+                    answers.append(
+                        client.request("shard_propagate", update=text, dirty=dirty)
+                    )
+                monkeypatch.undo()
+                return answers, client.stats()["shard"]["parse"]
+
+        answers, parse_paths = run_with_server(server, client_work)
+        assert [a["script"] for a in answers] == [expected for _, _, expected in requests]
+        assert parse_paths == {"local": 5, "full": 0}
+        assert len(parsed) == 4 and max(parsed) <= max_text
+        assert rendered and max(rendered) <= max_nodes
