@@ -109,6 +109,7 @@ class ReproServer:
         self._drained = None  # asyncio.Event set once drain completed
         self._conn_tasks: "set[asyncio.Task]" = set()
         self.replica_fallbacks: "dict[str, int]" = {}
+        self.view_reads: "dict[str, int]" = {"cached": 0, "rendered": 0}
         self.drain_log: "list[str]" = []
 
     # ------------------------------------------------------------------
@@ -225,6 +226,11 @@ class ReproServer:
         unmeasurable) that the primary served instead."""
         self.replica_fallbacks[doc_id] = self.replica_fallbacks.get(doc_id, 0) + 1
 
+    def note_view_read(self, *, cached: bool) -> None:
+        """Count one served view read: *cached* when its XML was already
+        rendered for that view version, else rendered by this read."""
+        self.view_reads["cached" if cached else "rendered"] += 1
+
     def doc_lock(self, doc_id: str) -> "asyncio.Lock":
         lock = self._locks.get(doc_id)
         if lock is None:
@@ -278,6 +284,7 @@ class ReproServer:
                 "draining": self._draining,
                 "endpoints": self.endpoint_metrics.snapshot(),
                 "replica_fallbacks": dict(self.replica_fallbacks),
+                "view_reads": dict(self.view_reads),
             },
             "registry": self.registry.stats_payload(),
             "documents": self._document_stats(),
@@ -297,6 +304,7 @@ class ReproServer:
     def metrics_text(self) -> str:
         return render_metrics(
             endpoints=self.endpoint_metrics,
+            view_reads=self.view_reads,
             registry=self.registry.stats_payload(),
             documents=self._document_stats(),
             replicas=self._replica_stats(),

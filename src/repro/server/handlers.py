@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from ..editing import EditScript
 from ..errors import ReplicationLagError, ServerError, error_payload
 from ..obs import trace as _trace
-from ..xmltree import tree_to_xml
+from ..xmltree import has_cached_xml, tree_to_xml
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .app import ReproServer
@@ -89,6 +89,13 @@ def _read_freshest(replicas: list, max_lag) -> "tuple":
     raise last_error
 
 
+def _view_text(server: "ReproServer", view) -> str:
+    """The view as served XML, counted by render path: a view version
+    read before is answered from the text its first read stored."""
+    server.note_view_read(cached=has_cached_xml(view))
+    return tree_to_xml(view)
+
+
 async def _view(server: "ReproServer", request: dict) -> dict:
     """A bounded-staleness read: freshest replica first, primary
     fallback.
@@ -115,20 +122,20 @@ async def _view(server: "ReproServer", request: dict) -> dict:
                 "served_by": "replica",
                 "standby": index,
                 "lag": replica.lag(),
-                "view": tree_to_xml(view),
+                "view": _view_text(server, view),
             }
         except ReplicationLagError as error:
             if not server.has_primary:
                 raise
             server.note_replica_fallback(doc_id, error)
     async with server.doc_lock(doc_id):
-        session = await server.run_blocking(server.session, doc_id)
-        view = session.view
+        # a replayed session extracts its view on first read: off the loop
+        view = await server.run_blocking(lambda: server.session(doc_id).view)
     return {
         "doc": doc_id,
         "served_by": "primary",
         "lag": 0,
-        "view": tree_to_xml(view),
+        "view": _view_text(server, view),
     }
 
 

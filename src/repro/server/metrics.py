@@ -190,6 +190,22 @@ class EndpointMetrics:
             return lines
 
 
+def _view_read_lines(view_reads: "dict[str, int] | None") -> "list[str]":
+    """Served view reads by render path (ReproServer.view_reads)."""
+    if view_reads is None:
+        return []
+    lines = [
+        "# HELP repro_view_reads_total View reads served, by render path "
+        "(cached: the view version's XML was rendered by an earlier read).",
+        "# TYPE repro_view_reads_total counter",
+    ]
+    for render in sorted(view_reads):
+        lines.append(
+            f"repro_view_reads_total{_labels(render=render)} {view_reads[render]}"
+        )
+    return lines
+
+
 def _registry_lines(registry_payload: dict) -> "list[str]":
     """Engine-registry and per-engine EngineStats counters."""
     stats = registry_payload.get("registry", {})
@@ -440,6 +456,7 @@ def _shipper_lines(shippers) -> "list[str]":
 def render_metrics(
     *,
     endpoints: "EndpointMetrics | None" = None,
+    view_reads: "dict[str, int] | None" = None,
     registry: "dict | None" = None,
     documents: "dict[str, dict] | None" = None,
     replicas: "dict[str, dict] | None" = None,
@@ -461,6 +478,7 @@ def render_metrics(
     ]
     if endpoints is not None:
         lines += endpoints.render()
+    lines += _view_read_lines(view_reads)
     if registry is not None:
         lines += _registry_lines(registry)
     lines += _disk_cache_lines(disk_cache)

@@ -15,7 +15,10 @@ three caches forward across propagations:
 
 * the **source view** — after a propagation of ``S`` the new view *is*
   ``Out(S)`` (that is exactly the side-effect-free criterion), so the
-  session never extracts a view again after the first;
+  session never extracts a view again after the first; a pinned or
+  replayed source has its view extracted only when it is first read or
+  propagated against, so replaying a log extracts one view, not one
+  per record;
 * the **subtree-size table** — advanced in one pass over the chosen
   propagation script (entries of deleted subtrees dropped, inserted ones
   added, ancestors re-summed) instead of a full postorder re-derivation;
@@ -203,7 +206,7 @@ class DocumentSession:
         if validate_source:
             self._engine.dtd.assert_valid(source)
         self._source = source
-        self._view = self._engine.annotation.view(source)
+        self._view: "Tree | None" = None  # extracted on first use
         # the view of a valid source satisfies the view DTD, so updates
         # can be validated edit-locally until the view's validity is no
         # longer known (see propagate)
@@ -228,7 +231,11 @@ class DocumentSession:
     def view(self) -> Tree:
         """``A(source)`` for the current source — cached, never stale:
         every advance replaces it with the update's output (which
-        side-effect-freeness guarantees equals a fresh extraction)."""
+        side-effect-freeness guarantees equals a fresh extraction), and
+        a pinned or replayed source's view is extracted on first read.
+        The same tree object is returned until the session moves."""
+        if self._view is None:
+            self._view = self._engine.annotation.view(self._source)
         return self._view
 
     @property
@@ -333,7 +340,7 @@ class DocumentSession:
                     self._engine.validate(
                         self._source,
                         update,
-                        source_view=self._view,
+                        source_view=self.view,
                         view_known_valid=self._view_valid,
                     )
             with _span("graphs"):
@@ -471,8 +478,9 @@ class DocumentSession:
         raised before any cache moves.
 
         Unlike :meth:`propagate`, no view update is available, so the
-        view cache is re-extracted from the new source (the journal hook
-        is *not* invoked — replay must never re-journal).
+        view is re-extracted from the new source when it is next needed
+        (the journal hook is *not* invoked — replay must never
+        re-journal).
         """
         if script.input_tree != self._source:
             raise StaleSessionError(
@@ -481,7 +489,7 @@ class DocumentSession:
             )
         self._walk_caches(script)
         self._source = script.output_tree
-        self._view = self._engine.annotation.view(self._source)
+        self._view = None
         self._view_valid = False
         self._replayed += 1
 

@@ -494,7 +494,14 @@ class ShardRouter:
         owner = self._owners()
         self._owner = self._assembled = None
         with _span("shard.commit", shards=len(offsets)):
-            committed = self._pool.commit(offsets, want_script=splice)
+            try:
+                committed = self._pool.commit(offsets, want_script=splice)
+            except BaseException:
+                # the shards committed before the failure minted fresh
+                # identifiers: raise the floor past them
+                for sid in touched:
+                    self.note_suffix(sid, self._pool.suffix_max(sid))
+                raise
         self._owner = owner
         total_cost = 0
         shard_scripts: "dict[NodeId, EditScript]" = {}

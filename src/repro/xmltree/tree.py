@@ -64,9 +64,12 @@ class Tree:
         without an entry are leaves.
     """
 
+    # ``_xml`` holds the served XML rendering once
+    # :func:`~repro.xmltree.xmlio.tree_to_xml` has written it; it is
+    # never set by a constructor, and an unset slot reads as "not yet"
     __slots__ = (
         "_root", "_labels", "_children", "_parents", "_sizes", "_suffixes",
-        "_ckey",
+        "_ckey", "_xml",
     )
 
     def __init__(

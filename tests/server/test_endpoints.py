@@ -82,6 +82,56 @@ class TestViewRouting:
         assert error.remote_exit_code == 8
 
 
+class TestViewReadCounter:
+    """``view_reads`` counts each served view read by render path, in
+    ``/stats`` and ``/metrics`` alike: a view version's first read
+    renders, every later read of it is answered from the stored text."""
+
+    def test_primary_reads_render_once_per_version(self, store_root, workload):
+        server = ReproServer(store_root=store_root, fsync="off")
+        (term,) = sequential_updates(workload, 1, seed=21)
+
+        def client_work(host, port):
+            with ServeClient(host, port) as client:
+                first = client.view("doc1")["view"]
+                again = client.view("doc1")["view"]
+                counts = [client.stats()["server"]["view_reads"]]
+                client.propagate("doc1", term)
+                moved = client.view("doc1")["view"]
+                counts.append(client.stats()["server"]["view_reads"])
+                metrics = client.request("metrics")["text"]
+            return first, again, moved, counts, metrics
+
+        first, again, moved, counts, metrics = run_with_server(server, client_work)
+        assert again == first and moved != first
+        assert counts == [
+            {"cached": 1, "rendered": 1},
+            {"cached": 1, "rendered": 2},
+        ]
+        assert 'repro_view_reads_total{render="cached"} 1' in metrics
+        assert 'repro_view_reads_total{render="rendered"} 2' in metrics
+
+    def test_replica_reads_are_counted_too(self, tmp_path, store_root, workload):
+        store = DocumentStore(store_root, fsync="off")
+        standby = StandbyStore.init(tmp_path / "standby", primary_root=store_root)
+        replicate(store, standby)
+        store.close()
+        standby.close()
+        server = ReproServer(
+            store_root=store_root, standby_root=tmp_path / "standby", fsync="off"
+        )
+
+        def client_work(host, port):
+            with ServeClient(host, port) as client:
+                reads = [client.view("doc0", max_lag=0) for _ in range(3)]
+            return reads
+
+        reads = run_with_server(server, client_work)
+        assert {read["served_by"] for read in reads} == {"replica"}
+        assert len({read["view"] for read in reads}) == 1
+        assert server.view_reads == {"cached": 2, "rendered": 1}
+
+
 class TestBatchEndpoint:
     def test_stateless_batch_matches_library(self, workload):
         from repro.editing import EditScript

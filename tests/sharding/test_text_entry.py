@@ -9,7 +9,7 @@ this file holds the targeted cases.
 import pytest
 
 from repro import obs
-from repro.editing import EditScript, UpdateBuilder
+from repro.editing import EditScript, Op, UpdateBuilder
 from repro.errors import DuplicateNodeError, InvalidViewUpdateError
 from repro.generators.workloads import huge_document, running_example
 from repro.sharding import ShardedDocument
@@ -247,3 +247,54 @@ class TestPartialCommit:
             current = engine.annotation.view(source)
             result = doc.propagate(EditScript.phantom(current).to_term())
             assert result.script == EditScript.phantom(source).to_term()
+
+    @pytest.mark.parametrize("as_text", [True, False])
+    def test_a_commit_failing_part_way_keeps_the_fresh_floor(
+        self, engine_for, monkeypatch, as_text
+    ):
+        """The shard committed before the failure minted ``f0``; the next
+        propagation, in another shard, must number from past it, through
+        either entry."""
+        from repro.sharding import LocalShardPool
+
+        workload = running_example(4)
+        engine = engine_for(workload)
+        view = workload.annotation.view(workload.source)
+        edit = UpdateBuilder(view, forbidden_ids=workload.source.nodes())
+        edit.insert("d1", parse_term("c#u0"), index=1)
+        edit.insert("d3", parse_term("c#u1"), index=0)
+        update = edit.script()
+        commit = LocalShardPool.commit
+
+        def fail_after_the_first(pool, offsets, *, want_script):
+            first = dict(list(offsets.items())[:1])
+            commit(pool, first, want_script=want_script)
+            raise OSError("disk full")
+
+        def send(doc, script):
+            if as_text:
+                return EditScript.parse(doc.propagate(script.to_term()).script)
+            return doc.propagate(script)
+
+        with _doc(engine, workload) as doc:
+            send(doc, EditScript.phantom(view))
+            monkeypatch.setattr(LocalShardPool, "commit", fail_after_the_first)
+            with pytest.raises(OSError):
+                send(doc, update)
+            monkeypatch.undo()
+            minted = set(doc.source.nodes()) - set(workload.source.nodes())
+            assert minted == {"u0", "f0"}
+            current = engine.annotation.view(doc.source)
+            edit = UpdateBuilder(current, forbidden_ids=doc.source.nodes())
+            edit.insert("d2", parse_term("c#u2"), index=0)
+            script = send(doc, edit.script())
+            inserted = {
+                node
+                for node in script.tree.nodes()
+                if script.tree.label(node).op is Op.INS
+            }
+            assert inserted == {"u2", "f1"}
+            assert script.output_tree == doc.source
+            assert sorted(
+                node for node in doc.source.nodes() if node.startswith("f")
+            ) == ["f0", "f1"]

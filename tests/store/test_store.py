@@ -2,6 +2,7 @@
 snapshots, stats."""
 
 import json
+import random
 
 import pytest
 
@@ -12,9 +13,11 @@ from repro.errors import (
     StoreError,
     UnknownDocumentError,
 )
+from repro.generators.updates import random_view_update
 from repro.registry import EngineRegistry, schema_fingerprint
 from repro.store import DocumentStore, read_snapshot, scan_wal, write_snapshot
 from repro.store.snapshot import list_snapshots, snapshot_path
+from repro.views import Annotation
 from repro.xmltree import parse_term
 
 
@@ -226,6 +229,38 @@ class TestDurableSession:
         stats = registry.stats
         assert stats.misses == 1  # one schema, one compile
         assert stats.hits == 1
+
+
+class TestReplayExtractsOneView:
+    def test_open_session_extracts_at_most_one_view(self, stored_doc, monkeypatch):
+        """Replaying N records moves the session N times; the view is
+        extracted once, when it is first needed, not once per record."""
+        store, doc_id, workload = stored_doc
+        engine = ViewEngine(workload.dtd, workload.annotation)
+        rng = random.Random(5)
+        with store.open_session(doc_id, engine=engine) as session:
+            for _ in range(20):
+                session.propagate(
+                    random_view_update(
+                        rng, workload.dtd, workload.annotation, session.source,
+                        n_ops=2,
+                    )
+                )
+            expected = session.view
+        extract = Annotation.view
+        calls = []
+
+        def spy(annotation, tree):
+            calls.append(tree)
+            return extract(annotation, tree)
+
+        monkeypatch.setattr(Annotation, "view", spy)
+        with store.open_session(doc_id, engine=engine) as session:
+            assert session.recovered.replayed == 20
+            assert len(calls) <= 1
+            assert session.view == expected
+            assert session.view is session.view
+        assert len(calls) == 1
 
 
 class TestCompaction:
