@@ -11,12 +11,12 @@ import-clean smoke pass.
 
 Run **as a script** to emit the machine-readable perf trajectory::
 
-    python benchmarks/bench_end_to_end.py --json BENCH_PR9.json [--smoke]
+    python benchmarks/bench_end_to_end.py --json BENCH_PR10.json [--smoke]
 
 writing per-workload medians for the five serving modes (cold, warm,
 session, memoized, process-pool) plus the WAL, replication, served,
 sharded and ``cold_start`` columns (the persistent disk-cache tier's
-restart win) — the checked-in ``BENCH_PR9.json`` is that output, and
+restart win) — the checked-in ``BENCH_PR10.json`` is that output, and
 CI's ``bench-smoke`` job fails on regressions against it
 (``benchmarks/check_regression.py``).
 

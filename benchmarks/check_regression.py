@@ -4,7 +4,7 @@ CI's ``bench-smoke`` job runs::
 
     python benchmarks/bench_end_to_end.py --json /tmp/bench.json --smoke
     python benchmarks/check_regression.py \\
-        --baseline BENCH_PR9.json --candidate /tmp/bench.json
+        --baseline BENCH_PR10.json --candidate /tmp/bench.json
 
 Absolute times are machine-bound and useless across runners, so only
 **ratio** metrics are compared — the memoized-vs-warm speedup of

@@ -53,8 +53,7 @@ point-in-time recovery, per-document write leases),
 :mod:`repro.replication` (WAL-shipping replication: standby stores,
 bounded-lag replica reads, promotion with lease fencing),
 :mod:`repro.sharding` (horizontal scale-out: one huge document split
-at a spine depth across per-shard workers, plus consistent-hash
-placement of many documents), :mod:`repro.repair`
+at a spine depth across per-shard workers), :mod:`repro.repair`
 (the Section 6.2 baseline), :mod:`repro.generators` (random workloads),
 :mod:`repro.paperdata` (every figure of the paper).
 """
@@ -94,12 +93,10 @@ from .session import DocumentSession, SessionStats
 from .sharding import (
     ShardedDocument,
     ShardedPropagation,
-    ShardMap,
     ShardPlan,
     ShardRouter,
     partition,
     reassemble,
-    rebalance,
 )
 from .store import DocumentStore, DurableSession, RecoveredDocument, TimeTravelView
 from .inversion import (
@@ -167,10 +164,8 @@ __all__ = [
     "ShardRouter",
     "ShardedPropagation",
     "ShardPlan",
-    "ShardMap",
     "partition",
     "reassemble",
-    "rebalance",
     # propagation (Sections 4-5)
     "propagate",
     "propagation_graphs",

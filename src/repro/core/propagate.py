@@ -28,6 +28,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, MutableMappin
 
 from ..dtd import DTD, MinimalTreeFactory, TreeFactory, view_dtd
 from ..editing import EditScript, EditLabel, Op
+from ..editing.ops import uniform_label
 from ..errors import DuplicateNodeError, InvalidViewUpdateError, NoPropagationError
 from ..graphutil import min_distances
 from ..inversion import InversionGraphs, inversion_graphs
@@ -50,20 +51,6 @@ __all__ = [
     "is_side_effect_free",
     "verify_propagation",
 ]
-
-_LABEL_CACHE: "dict[tuple[Op, str], EditLabel]" = {}
-
-
-def _uniform_label(op: Op, symbol: str) -> EditLabel:
-    """Interned ``EditLabel(op, symbol)`` — script emission labels whole
-    subtrees uniformly, so one immutable label instance per (op, symbol)
-    saves a dataclass construction per node on the hot path. Bounded by
-    the alphabets of the schemas served."""
-    label = _LABEL_CACHE.get((op, symbol))
-    if label is None:
-        label = _LABEL_CACHE[(op, symbol)] = EditLabel(op, symbol)
-    return label
-
 
 def validate_view_update(
     dtd: DTD,
@@ -93,15 +80,27 @@ def validate_view_update(
     parents of inserted, deleted and renamed nodes. Every other node of
     ``Out(S)`` has the label and children of a node of ``In(S) = A(t)``,
     so the check raises exactly when the full one would.
+
+    A sparse update over *view* itself (``update.base is view``, as
+    :meth:`EditScript.parse` returns it given the view) has
+    ``In(S) = A(t)`` by construction, and its only identifiers outside
+    the view are its inserted nodes: the first two checks then read the
+    region only.
     """
     view = source_view if source_view is not None else annotation.view(source)
-    if update.input_tree != view:
-        raise InvalidViewUpdateError(
-            "In(S) differs from the view A(t) — the update was not built "
-            "against this source's view"
-        )
-    hidden = source.node_set - view.node_set
-    reused = update.node_set & hidden
+    if update.base is view:
+        source_ids = source._labels
+        reused = [
+            node for node, label in update._labels.items()
+            if label.op is Op.INS and node in source_ids
+        ]
+    else:
+        if update.input_tree != view:
+            raise InvalidViewUpdateError(
+                "In(S) differs from the view A(t) — the update was not built "
+                "against this source's view"
+            )
+        reused = update.node_set & (source.node_set - view.node_set)
     if reused:
         raise hidden_reuse_error(reused, validate=True)
     vdtd = derived_view_dtd if derived_view_dtd is not None else view_dtd(dtd, annotation)
@@ -132,18 +131,18 @@ def hidden_reuse_error(
 
 
 def _edits(update: EditScript) -> "list[NodeId]":
-    """The update's non-``Nop`` nodes: one pass over its label map, in
-    the map's (not document) order."""
+    """The update's non-``Nop`` nodes: one pass over its region's label
+    map, in the map's (not document) order."""
     return [
-        node for node, label in update.tree._labels.items() if label.op is not Op.NOP
+        node for node, label in update._labels.items() if label.op is not Op.NOP
     ]
 
 
 def _changed_nodes(update: EditScript, edits: "list[NodeId]") -> "set[NodeId]":
     """The nodes of ``Out(S)`` whose label or children word differs from
     ``In(S)``: non-deleted *edits* and the kept parents of all *edits*."""
-    labels = update.tree._labels
-    parents = update.tree._parents
+    labels = update._labels
+    parents = update._parents
     changed: set[NodeId] = set()
     for node in edits:
         if labels[node].op is not Op.DEL:
@@ -167,7 +166,7 @@ def _validate_renames(
     Only the renamed nodes among *edits* are visited. When several fail,
     the first in document order is reported.
     """
-    labels = update.tree._labels
+    labels = update._labels
     failures = {}
     for node in edits:
         if labels[node].op is Op.REN:
@@ -175,8 +174,17 @@ def _validate_renames(
             if error is not None:
                 failures[node] = error
     if failures:
-        first = next(node for node in update.nodes() if node in failures)
-        raise failures[first]
+        # the failures are region nodes, whose ancestors are too: a
+        # preorder walk of the region meets them in document order
+        children = update._children
+        stack = [update.root]
+        while stack:
+            node = stack.pop()
+            if node in failures:
+                raise failures[node]
+            stack.extend(
+                kid for kid in reversed(children.get(node, ())) if kid in labels
+            )
 
 
 def _rename_error(
@@ -264,10 +272,13 @@ class PropagationGraphs:
 
     def _is_pristine(self, node: NodeId) -> bool:
         """A phantom node outside the affected region (class doc)."""
-        label = self.update.tree._labels.get(node)
-        return (
-            label is not None and label.op is Op.NOP and node not in self._affected
-        )
+        if node in self._affected:
+            return False
+        update = self.update
+        label = update._labels.get(node)
+        if label is None:  # implicit in a sparse update: Nop
+            return update._base is not None and node in update._base._labels
+        return label.op is Op.NOP
 
     @property
     def pristine(self) -> "frozenset[NodeId]":
@@ -374,45 +385,52 @@ class PropagationGraphs:
         """Assemble a propagation from one chosen path per (used) graph.
 
         The batched applier: one traversal over the chosen paths
-        accumulates the script's node maps directly — kept source
-        subtrees and inserted fragments are spliced in without
-        materializing (and re-merging) an intermediate script per level.
-        The emitted script, including every fresh identifier, is
-        byte-identical to the old level-by-level assembly.
+        accumulates the script's edited region directly. The result is a
+        sparse script over the source (see :mod:`repro.editing.script`):
+        a pristine node, and a hidden child kept by an (iii)-edge, is an
+        implicit ``Nop`` subtree referred to by its identifier, never
+        copied; deleted subtrees and inserted fragments are spliced in
+        without an intermediate script per level. Iterative (an explicit
+        stack of open nodes, each resuming its path where a child's
+        subtree interrupted it), so graphs are chosen and fresh
+        identifiers drawn in the same preorder as a recursive assembly,
+        and the script expands to the same tree, every fresh identifier
+        included.
         """
         if fresh is None:
             # byte-compatible with NodeIds.avoiding(source + update, "f"):
             # candidates exceed every live f-suffix, so none can collide —
             # and both maxima are memoized on the (immutable) trees.
-            start = 1 + max(
-                self.source.max_suffix("f"), self.update.tree.max_suffix("f")
-            )
+            start = 1 + max(self.source.max_suffix("f"), self.update.max_suffix("f"))
             fresh = NodeIds("f", start).fresh
 
         source_labels = self.source._labels
         source_children = self.source._children
+        update = self.update
         labels: "dict[NodeId, EditLabel]" = {}
         children: "dict[NodeId, tuple[NodeId, ...]]" = {}
         parents: "dict[NodeId, NodeId]" = {}
+        inserted: "list[NodeId]" = []
         emitted = 0
 
-        def emit_fragment(tree: Tree, op: Op) -> NodeId:
-            """Splice a whole freshly built tree in under a uniform op."""
+        def emit_fragment(tree: Tree) -> NodeId:
+            """Splice a whole freshly built tree in as inserted."""
             nonlocal emitted
             for nid, symbol in tree._labels.items():
-                labels[nid] = _uniform_label(op, symbol)
+                labels[nid] = uniform_label(Op.INS, symbol)
             children.update(tree._children)
             parents.update(tree._parents)
+            inserted.extend(tree._labels)
             emitted += len(tree._labels)
             return tree.root
 
-        def emit_source_subtree(node: NodeId, op: Op) -> NodeId:
-            """Splice ``t|node`` in under a uniform op, no intermediate tree."""
+        def emit_deleted(node: NodeId) -> NodeId:
+            """Splice ``t|node`` in as deleted, no intermediate tree."""
             nonlocal emitted
             stack = [node]
             while stack:
                 current = stack.pop()
-                labels[current] = _uniform_label(op, source_labels[current])
+                labels[current] = uniform_label(Op.DEL, source_labels[current])
                 emitted += 1
                 kids = source_children.get(current)
                 if kids:
@@ -422,51 +440,62 @@ class PropagationGraphs:
                     stack.extend(kids)
             return node
 
+        # the optimal subgraph of a pristine node admits exactly one
+        # script — keep everything — so no chooser can emit anything but
+        # the phantom source subtree (class doc)
         is_pristine = self._is_pristine
 
-        def build(node: NodeId) -> NodeId:
-            nonlocal emitted
-            if optimal_only and is_pristine(node):
-                # the optimal subgraph of a pristine node admits exactly
-                # one script — keep everything — so no chooser can emit
-                # anything but the phantom source subtree (class doc)
-                return emit_source_subtree(node, Op.NOP)
+        def open_node(node: NodeId) -> list:
             graph = self.optimal(node) if optimal_only else self[node]
-            path = chooser.choose(graph)
-            kids: list[NodeId] = []
-            for edge in path:
-                if edge.kind is EdgeKind.INVISIBLE_INSERT:
-                    tree = self.factory.build(edge.symbol, fresh)
-                    kids.append(emit_fragment(tree, Op.INS))
-                elif edge.kind in (EdgeKind.INVISIBLE_DELETE, EdgeKind.VISIBLE_DELETE):
-                    kids.append(emit_source_subtree(edge.t_child, Op.DEL))
-                elif edge.kind is EdgeKind.INVISIBLE_NOP:
-                    kids.append(emit_source_subtree(edge.t_child, Op.NOP))
-                elif edge.kind is EdgeKind.VISIBLE_INSERT:
-                    inversion = self.insertions[edge.s_child]
-                    inverse = inversion.build_tree(
-                        lambda g: chooser.choose(g),
-                        fresh,
-                        optimal_only=optimal_only,
-                    )
-                    kids.append(emit_fragment(inverse, Op.INS))
-                else:  # VISIBLE_NOP / VISIBLE_RENAME: recurse
-                    kids.append(build(edge.t_child))
-            # the node's own operation comes from the update (Nop or Ren)
-            labels[node] = self.update.edit_label(node)
-            emitted += 1
-            if kids:
-                children[node] = tuple(kids)
-                for kid in kids:
-                    parents[kid] = node
-            return node
+            return [node, iter(chooser.choose(graph)), []]
 
-        root = build(self.update.root)
-        if len(labels) != emitted:
+        root = update.root
+        if optimal_only and is_pristine(root):
+            labels[root] = uniform_label(Op.NOP, source_labels[root])
+            emitted += 1
+            if root in source_children:
+                children[root] = source_children[root]
+        else:
+            frames = [open_node(root)]
+            while frames:
+                node, path, kids = frames[-1]
+                for edge in path:
+                    kind = edge.kind
+                    if kind is EdgeKind.INVISIBLE_INSERT:
+                        kids.append(emit_fragment(self.factory.build(edge.symbol, fresh)))
+                    elif kind in (EdgeKind.INVISIBLE_DELETE, EdgeKind.VISIBLE_DELETE):
+                        kids.append(emit_deleted(edge.t_child))
+                    elif kind is EdgeKind.INVISIBLE_NOP:
+                        kids.append(edge.t_child)  # implicit: the source subtree
+                    elif kind is EdgeKind.VISIBLE_INSERT:
+                        inversion = self.insertions[edge.s_child]
+                        kids.append(emit_fragment(inversion.build_tree(
+                            lambda g: chooser.choose(g),
+                            fresh,
+                            optimal_only=optimal_only,
+                        )))
+                    elif optimal_only and is_pristine(edge.t_child):  # untouched
+                        kids.append(edge.t_child)
+                    else:  # VISIBLE_NOP / VISIBLE_RENAME: descend
+                        frames.append(open_node(edge.t_child))
+                        break
+                else:
+                    frames.pop()
+                    # the node's own operation comes from the update (Nop or Ren)
+                    labels[node] = update.edit_label(node)
+                    emitted += 1
+                    if kids:
+                        children[node] = kids = tuple(kids)
+                        for kid in kids:
+                            if kid in labels:
+                                parents[kid] = node
+                    if frames:
+                        frames[-1][2].append(node)
+        # every source node is in the script, so an inserted identifier
+        # the source has repeats one, as does any emitted twice
+        if len(labels) != emitted or any(nid in source_labels for nid in inserted):
             raise hidden_reuse_error((), validate=False)
-        return EditScript._trusted(
-            Tree._from_parts(root, labels, children, parents)
-        )
+        return EditScript._sparse(self.source, root, labels, children, parents)
 
     def __repr__(self) -> str:
         # deliberately cheap: total_size would materialize every
@@ -551,9 +580,8 @@ def propagation_graphs(
     # it. The top of each edited region climbs its parent chain — all
     # kept, since only kept nodes have children of another operation —
     # until it meets a node already marked.
-    tree = update.tree
-    labels = tree._labels
-    parents = tree._parents
+    labels = update._labels
+    parents = update._parents
     affected: set[NodeId] = set()
     not_kept = 0
     for node in _edits(update):
@@ -574,10 +602,10 @@ def propagation_graphs(
     # costs before their parents' graphs)
     preorder: list[NodeId] = []
     postorder: list[NodeId] = []
-    children = tree._children
+    children = update._children
     stack: list[tuple[NodeId, bool]] = []
-    if tree._root in affected:
-        stack.append((tree._root, False))
+    if update._root in affected:
+        stack.append((update._root, False))
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -594,7 +622,8 @@ def propagation_graphs(
     insert_costs: dict[NodeId, int] = {}
     for node in preorder:
         for child in children.get(node, ()):
-            if labels[child].op is Op.INS:
+            label = labels.get(child)  # None: an implicit Nop child
+            if label is not None and label.op is Op.INS:
                 fragment = update.subscript(child).output_tree
                 collection = None
                 fragment_key: "str | None" = None
@@ -623,7 +652,7 @@ def propagation_graphs(
         factory,
         insertions,
         affected=frozenset(affected),
-        kept_count=len(labels) - not_kept,
+        kept_count=update.size - not_kept,
         subtree_sizes=subtree_sizes,
         insert_costs=insert_costs,
         hidden_table=hidden_table,

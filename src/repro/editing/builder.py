@@ -118,11 +118,20 @@ class UpdateBuilder:
 
     def current_output(self) -> Tree:
         """The view as it stands after the operations so far."""
-        def build(node: NodeId) -> Tree:
-            kids = [build(kid) for kid in self.output_children(node)]
-            return Tree.build(self.output_symbol(node), node, kids)
-
-        return build(self._root)
+        labels: "dict[NodeId, str]" = {}
+        children: "dict[NodeId, tuple[NodeId, ...]]" = {}
+        parents: "dict[NodeId, NodeId]" = {}
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            labels[node] = self.output_symbol(node)
+            kids = self.output_children(node)
+            if kids:
+                children[node] = kids
+                for kid in kids:
+                    parents[kid] = node
+                stack.extend(reversed(kids))
+        return Tree._from_parts(self._root, labels, children, parents)
 
     # ------------------------------------------------------------------
     # Operations
@@ -142,13 +151,16 @@ class UpdateBuilder:
         return self
 
     def _mark_deleted(self, node: NodeId) -> None:
-        self._ops[node] = Op.DEL
-        self._targets.pop(node, None)  # a deleted rename is just a deletion
-        for kid in list(self._children[node]):
-            if self._ops[kid] is Op.INS:
-                self._discard(kid)
-            else:
-                self._mark_deleted(kid)
+        stack = [node]
+        while stack:
+            current = stack.pop()
+            self._ops[current] = Op.DEL
+            self._targets.pop(current, None)  # a deleted rename is just a deletion
+            for kid in list(self._children[current]):
+                if self._ops[kid] is Op.INS:
+                    self._discard(kid)
+                else:
+                    stack.append(kid)
 
     def _discard(self, node: NodeId) -> None:
         """Remove an inserted subtree from the script entirely."""
@@ -274,15 +286,27 @@ class UpdateBuilder:
     # ------------------------------------------------------------------
 
     def script(self) -> EditScript:
-        """The combined editing script (input = the original view)."""
-        def build(node: NodeId) -> Tree:
-            label = EditLabel(
+        """The combined editing script (input = the original view).
+
+        One iterative pass over the recorded nodes, filling the script's
+        node maps directly: no recursion limit on the view's depth.
+        """
+        labels: "dict[NodeId, EditLabel]" = {}
+        children: "dict[NodeId, tuple[NodeId, ...]]" = {}
+        parents: "dict[NodeId, NodeId]" = {}
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            labels[node] = EditLabel(
                 self._ops[node], self._symbols[node], self._targets.get(node)
             )
-            kids = [build(kid) for kid in self._children[node]]
-            return Tree.build(label, node, kids)
-
-        return EditScript(build(self._root))
+            kids = self._children[node]
+            if kids:
+                children[node] = tuple(kids)
+                for kid in kids:
+                    parents[kid] = node
+                stack.extend(reversed(kids))
+        return EditScript(Tree._from_parts(self._root, labels, children, parents))
 
     def __repr__(self) -> str:
         dels = sum(1 for op in self._ops.values() if op is Op.DEL)

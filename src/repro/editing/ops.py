@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 from ..errors import InvalidScriptError
 
-__all__ = ["Op", "EditLabel", "ins", "dele", "nop", "ren", "parse_edit_label"]
+__all__ = [
+    "Op", "EditLabel", "ins", "dele", "nop", "ren", "parse_edit_label", "uniform_label",
+]
 
 
 class Op(enum.Enum):
@@ -136,6 +138,22 @@ def nop(symbol: str) -> EditLabel:
 def ren(symbol: str, target: str) -> EditLabel:
     """``Ren(symbol→target)`` — the renaming extension."""
     return EditLabel(Op.REN, symbol, target)
+
+
+_UNIFORM: "dict[tuple[Op, str], EditLabel]" = {}
+
+
+def uniform_label(op: Op, symbol: str) -> EditLabel:
+    """Interned ``EditLabel(op, symbol)`` for ``Ins``/``Del``/``Nop``.
+
+    Script emission labels whole subtrees uniformly and sparse scripts
+    label every untouched node ``Nop``, so one immutable label instance
+    per (op, symbol) saves a dataclass construction per node on the hot
+    path. Bounded by the alphabets of the schemas served."""
+    label = _UNIFORM.get((op, symbol))
+    if label is None:
+        label = _UNIFORM[(op, symbol)] = EditLabel(op, symbol)
+    return label
 
 
 _BY_NAME = {op.value: op for op in Op}

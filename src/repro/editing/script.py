@@ -13,18 +13,44 @@ inserted/deleted). A script simultaneously encodes:
 The script's node identifiers are those of the trees it edits, which is
 what lets the view update problem demand *identifier-exact*
 side-effect-freeness.
+
+**Sparse scripts.** A ``Nop`` subtree carries nothing but its
+identifiers, so a script may hold only its *edited region* over a
+*base* tree, the tree it applies to (``In(S) = base``): the root, every
+non-``Nop`` node and every ancestor of one, each region node with its
+full children list. Every other node is an implicit ``Nop`` over the
+base subtree with its identifier. A script without a base is all region,
+so there is one representation; :attr:`EditScript.tree` expands a sparse
+script on demand, equal to the whole tree. ``In(S)`` is the base itself,
+``Out(S)`` a copy-on-write patch of it, and :meth:`EditScript.to_term`
+splices the region's text into the base's cached all-``Nop`` text
+(:func:`phantom_text`), so a sparse script costs its region plus the
+children lists it touches, not the document.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import filterfalse
 from typing import Container, Iterator, Sequence
 
-from ..errors import InvalidScriptError
+from ..errors import InvalidScriptError, NodeNotFoundError
 from ..xmltree import NodeId, Tree, parse_term
+from ..xmltree.nodeid import numeric_suffix
 from ..xmltree.term import WORD
-from .ops import EditLabel, Op, dele, ins, nop, parse_edit_label, ren
+from ..xmltree.tree import carry_suffixes
+from .ops import EditLabel, Op, dele, ins, nop, parse_edit_label, ren, uniform_label
 
-__all__ = ["EditScript"]
+__all__ = ["EditScript", "phantom_text"]
+
+# one node head of canonical term text (what to_term writes): the label
+# word, ``#id`` and whether children follow
+_HEAD = re.compile(r"([\w.\-]+)#([\w.\-]+)(\()?")
+
+# markers on the splice renderer's stack
+_CLOSE = object()
+
+_KEPT = (Op.NOP, Op.REN)
 
 
 class EditScript:
@@ -35,16 +61,30 @@ class EditScript:
     :meth:`phantom`, :meth:`assemble`, or :meth:`parse`.
     """
 
-    __slots__ = ("_tree", "_input", "_output", "_cost", "_term")
+    # ``_labels``/``_children``/``_parents`` are the region's node maps
+    # (the whole tree's when ``_base`` is None); ``_tree`` is the whole
+    # tree, expanded on first use for a sparse script
+    __slots__ = (
+        "_base", "_root", "_labels", "_children", "_parents", "_tree",
+        "_input", "_output", "_cost", "_term",
+    )
 
     def __init__(self, tree: Tree) -> None:
         """Wrap a tree whose labels are :class:`EditLabel`; validates."""
-        self._tree = tree
+        self._adopt(tree)
+        self._validate()
+
+    def _adopt(self, tree: Tree) -> None:
+        self._base: Tree | None = None
+        self._tree: Tree | None = tree
+        self._root = tree._root
+        self._labels: "dict[NodeId, EditLabel]" = tree._labels
+        self._children: "dict[NodeId, tuple[NodeId, ...]]" = tree._children
+        self._parents: "dict[NodeId, NodeId]" = tree._parents
         self._input: Tree | None = None
         self._output: Tree | None = None
         self._cost: int | None = None
         self._term: str | None = None
-        self._validate()
 
     @classmethod
     def _trusted(cls, tree: Tree) -> "EditScript":
@@ -57,16 +97,41 @@ class EditScript:
         :meth:`parse` keep validating.
         """
         self = cls.__new__(cls)
-        self._tree = tree
-        self._input = None
+        self._adopt(tree)
+        return self
+
+    @classmethod
+    def _sparse(
+        cls,
+        base: Tree,
+        root: NodeId,
+        labels: "dict[NodeId, EditLabel]",
+        children: "dict[NodeId, tuple[NodeId, ...]]",
+        parents: "dict[NodeId, NodeId]",
+    ) -> "EditScript":
+        """Adopt a well-formed edited region over *base* (module doc).
+
+        The caller guarantees ``In(S) = base``: every base node is either
+        in the region at its base position (as ``Nop``, ``Ren`` or
+        ``Del``) or under an implicit ``Nop`` child of a region node, and
+        every ``Ins`` node is new to the base.
+        """
+        self = cls.__new__(cls)
+        self._base = base
+        self._tree = None
+        self._root = root
+        self._labels = labels
+        self._children = children
+        self._parents = parents
+        self._input = base
         self._output = None
         self._cost = None
         self._term = None
         return self
 
     def _validate(self) -> None:
-        labels = self._tree._labels
-        children = self._tree._children
+        labels = self._labels
+        children = self._children
         for node in self._tree.nodes():
             label = labels[node]
             if not isinstance(label, EditLabel):
@@ -128,24 +193,40 @@ class EditScript:
         op = label.op
         if op is not Op.NOP and op is not Op.REN:
             for child in children:
-                kid_op = child._tree.label(child._tree.root).op
+                kid_op = child.edit_label(child.root).op
                 if kid_op is not op:
                     raise InvalidScriptError(
-                        f"descendant {child._tree.root!r} of "
+                        f"descendant {child.root!r} of "
                         f"{'inserting' if op is Op.INS else 'deleting'} "
                         f"node {node!r} is {kid_op}"
                     )
-        tree = Tree.build(label, node, [child._tree for child in children])
+        tree = Tree.build(label, node, [child.tree for child in children])
         return cls._trusted(tree)
 
     @classmethod
-    def parse(cls, text: str, id_prefix: str = "n") -> "EditScript":
+    def parse(
+        cls, text: str, id_prefix: str = "n", *, base: "Tree | None" = None
+    ) -> "EditScript":
         """Parse compact term notation, e.g. ``Nop.r#n0(Del.a#n1, Ins.d#n11)``.
 
         The operation prefix (``Ins.``/``Del.``/``Nop.``) is split off
         each label — once per distinct label, in document order; everything
         else follows :func:`repro.xmltree.parse_term`.
+
+        Given the *base* tree the text edits (a view, for a view update),
+        the result is a sparse script over it whenever the text can be
+        proven to be one: every untouched subtree written exactly as the
+        base's all-``Nop`` text (:func:`phantom_text`), which is matched,
+        not parsed; every other node in canonical form with an explicit
+        identifier; and ``In(S) = base``. Anything else — other spacing,
+        identifier-less nodes, repeated identifiers, a stale base, syntax
+        errors — is parsed whole, exactly as without *base*, so the
+        script (or the error) is the same either way.
         """
+        if base is not None:
+            script = _parse_region(text, base)
+            if script is not None:
+                return script
         raw = parse_term(text, id_prefix=id_prefix)
         words = raw._labels
         decoded = {word: parse_edit_label(word) for word in dict.fromkeys(words.values())}
@@ -158,39 +239,117 @@ class EditScript:
 
     @property
     def tree(self) -> Tree:
-        """The underlying tree over ``E(Σ)``."""
+        """The underlying tree over ``E(Σ)`` (a sparse script's is
+        expanded on first use and kept)."""
+        if self._tree is None:
+            self._tree = self._expand(self._root)
         return self._tree
 
     @property
+    def base(self) -> "Tree | None":
+        """The tree a sparse script's implicit ``Nop`` subtrees come from
+        (its ``In(S)``), or ``None`` when every node is held explicitly."""
+        return self._base
+
+    def _expand(self, top: NodeId) -> Tree:
+        """The whole subtree at region node *top*, implicit ``Nop``
+        subtrees copied from the base."""
+        base = self._base
+        region = self._labels
+        region_children = self._children
+        base_labels = base._labels
+        base_children = base._children
+        labels: "dict[NodeId, EditLabel]" = {}
+        children: "dict[NodeId, tuple[NodeId, ...]]" = {}
+        parents: "dict[NodeId, NodeId]" = {}
+        stack = [top]
+        while stack:
+            node = stack.pop()
+            label = region.get(node)
+            if label is None:
+                labels[node] = uniform_label(Op.NOP, base_labels[node])
+                kids = base_children.get(node)
+            else:
+                labels[node] = label
+                kids = region_children.get(node)
+            if kids:
+                children[node] = kids
+                for kid in kids:
+                    parents[kid] = node
+                stack.extend(kids)
+        return Tree._from_parts(top, labels, children, parents)
+
+    def _label(self, node: NodeId) -> "EditLabel | None":
+        """``λ_S(node)``, or ``None`` when *node* is not in the script."""
+        label = self._labels.get(node)
+        if label is None and self._base is not None:
+            symbols = self._base._labels
+            if node in symbols:
+                return uniform_label(Op.NOP, symbols[node])
+        return label
+
+    @property
     def is_empty(self) -> bool:
-        return self._tree.is_empty
+        return self._root is None
 
     @property
     def root(self) -> NodeId:
-        return self._tree.root
+        if self._root is None:
+            return self.tree.root  # raises: the empty tree has no root
+        return self._root
 
     @property
     def size(self) -> int:
         """``|S|`` — total number of script nodes."""
-        return self._tree.size
+        if self._base is None:
+            return len(self._labels)
+        return len(self._base._labels) + sum(
+            1 for label in self._labels.values() if label.op is Op.INS
+        )
 
     @property
     def node_set(self) -> frozenset[NodeId]:
         """``N_S``."""
-        return self._tree.node_set
+        if self._base is None:
+            return frozenset(self._labels)
+        return frozenset(self._base._labels).union(self._labels)
 
     def nodes(self) -> Iterator[NodeId]:
-        return self._tree.nodes()
+        return self.tree.nodes()
 
     def children(self, node: NodeId) -> tuple[NodeId, ...]:
-        return self._tree.children(node)
+        if node in self._labels:
+            return self._children.get(node, ())
+        if self._base is not None and node in self._base._labels:
+            return self._base._children.get(node, ())
+        raise NodeNotFoundError(node)
 
     def edit_label(self, node: NodeId) -> EditLabel:
         """``λ_S(node) ∈ E(Σ)``."""
-        return self._tree.label(node)
+        label = self._label(node)
+        if label is None:
+            raise NodeNotFoundError(node)
+        return label
+
+    def max_suffix(self, prefix: str) -> int:
+        """Largest ``k`` with ``f"{prefix}{k}"`` a node identifier of the
+        script, ``-1`` if none (:meth:`Tree.max_suffix` of :attr:`tree`)."""
+        if self._base is None:
+            return self._tree.max_suffix(prefix)
+        best = self._base.max_suffix(prefix)
+        for node in self._labels:
+            suffix = numeric_suffix(node, prefix)
+            if suffix is not None and suffix > best:
+                best = suffix
+        return best
 
     def op(self, node: NodeId) -> Op:
-        return self.edit_label(node).op
+        label = self._labels.get(node)
+        if label is not None:
+            return label.op
+        if self._base is not None and node in self._base._labels:
+            return Op.NOP
+        raise NodeNotFoundError(node)
 
     def symbol(self, node: NodeId) -> str:
         """The Σ-symbol the operation applies to (the ``In``-side label)."""
@@ -207,17 +366,21 @@ class EditScript:
     def subscript(self, node: NodeId) -> "EditScript":
         """``S|node`` — the script fragment rooted at *node*."""
         # a subtree of a well-formed script is well-formed
-        return EditScript._trusted(self._tree.subtree(node))
+        if self._base is None:
+            return EditScript._trusted(self._tree.subtree(node))
+        if node in self._labels:
+            return EditScript._trusted(self._expand(node))
+        return EditScript.phantom(self._base.subtree(node))
 
     def nop_nodes(self) -> Iterator[NodeId]:
         """``N_Δ`` — nodes with phantom operations (document order)."""
-        for node in self._tree.nodes():
+        for node in self.tree.nodes():
             if self.op(node) is Op.NOP:
                 yield node
 
     def kept_nodes(self) -> Iterator[NodeId]:
         """``N_Δ`` of the renaming extension: phantom *and* renamed nodes."""
-        for node in self._tree.nodes():
+        for node in self.tree.nodes():
             if self.is_kept(node):
                 yield node
 
@@ -235,14 +398,16 @@ class EditScript:
         This is the batched applier: one iterative pass accumulating the
         node maps of the projected tree directly, instead of assembling
         a fresh tree (and merging every descendant's maps again) at each
-        level of a recursion.
+        level of a recursion. A sparse script's input is its base, and
+        its output the base patched at the region (:meth:`_patch`).
         """
-        tree = self._tree
-        if tree.is_empty:
+        if self._base is not None:
+            return self._base if drop is Op.INS else self._patch()
+        if self._root is None:
             return Tree.empty()
-        root = tree.root
-        script_labels: "dict[NodeId, EditLabel]" = tree._labels
-        script_children = tree._children
+        root = self._root
+        script_labels = self._labels
+        script_children = self._children
         if script_labels[root].op is drop:
             # well-formedness: the whole script is then uniformly `drop`
             return Tree.empty()
@@ -268,6 +433,56 @@ class EditScript:
                     stack.extend(kept)
         return Tree._from_parts(root, labels, children, parents)
 
+    def _patch(self) -> Tree:
+        """``Out(S)`` of a sparse script: the base's node maps copied at C
+        speed and patched at the region only. The base's suffix memo and
+        all-``Nop`` text are carried along, so the next version starts
+        warm."""
+        base = self._base
+        region = self._labels
+        region_children = self._children
+        labels = base._labels.copy()
+        children = base._children.copy()
+        parents = base._parents.copy()
+        removed: "list[NodeId]" = []
+        inserted: "list[NodeId]" = []
+        for node, label in region.items():
+            op = label.op
+            if op is Op.DEL:
+                removed.append(node)
+                del labels[node]
+                children.pop(node, None)
+                parents.pop(node, None)
+                continue
+            kids = region_children.get(node)
+            if op is Op.INS:
+                inserted.append(node)
+                labels[node] = label.symbol
+                parents[node] = self._parents[node]
+                if kids:
+                    children[node] = kids
+                continue
+            if op is Op.REN:
+                labels[node] = label.target
+            if kids:
+                deleted = {
+                    kid for kid in filter(region.__contains__, kids)
+                    if region[kid].op is Op.DEL
+                }
+                out = tuple(filterfalse(deleted.__contains__, kids)) if deleted else kids
+                if out:
+                    children[node] = out
+                else:
+                    children.pop(node, None)
+        output = Tree._from_parts(
+            self._root, labels, children, parents,
+            suffixes=carry_suffixes(base._suffixes, removed, inserted),
+        )
+        cache = getattr(base, "_nop", None)
+        if cache is not None:
+            output._nop = self._carry_phantom(cache)
+        return output
+
     @property
     def input_tree(self) -> Tree:
         """``In(S)`` — the tree the script applies to."""
@@ -288,7 +503,7 @@ class EditScript:
         if self._cost is None:
             self._cost = sum(
                 1
-                for label in self._tree._labels.values()
+                for label in self._labels.values()
                 if label.op is not Op.NOP
             )
         return self._cost
@@ -296,7 +511,7 @@ class EditScript:
     def content_key(self) -> str:
         """A canonical content digest of the script (see
         :meth:`repro.xmltree.Tree.content_key`); equal scripts share it."""
-        return self._tree.content_key()
+        return self.tree.content_key()
 
     def apply_to(self, tree: Tree) -> Tree:
         """``S(tree)``: require ``In(S) = tree`` and return ``Out(S)``."""
@@ -317,14 +532,14 @@ class EditScript:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EditScript):
             return NotImplemented
-        return self._tree == other._tree
+        return self.tree == other.tree
 
     def __hash__(self) -> int:
-        return hash(self._tree)
+        return hash(self.tree)
 
     def shape(self) -> tuple:
         """Identifier-free canonical form (for isomorphism comparisons)."""
-        return self._tree.map_labels(str).shape()
+        return self.tree.map_labels(str).shape()
 
     def to_term(self, with_ids: bool = True) -> str:
         """Compact term notation accepted back by :meth:`parse`.
@@ -335,14 +550,140 @@ class EditScript:
         """
         if with_ids and self._term is not None:
             return self._term
-        labels = self._tree._labels
-        encoded = {key: label.encode() for key, label in _distinct(labels).items()}
-        term = "".join(self._tree._render(
-            {node: encoded[id(label)] for node, label in labels.items()}, with_ids
-        ))
+        cache = _phantom_cache(self._base) if with_ids and self._base is not None else None
+        if cache is not None:
+            term = "".join(self._splice(cache, out=False)[0])
+        else:
+            tree = self.tree
+            labels = tree._labels
+            encoded = {key: label.encode() for key, label in _distinct(labels).items()}
+            term = "".join(tree._render(
+                {node: encoded[id(label)] for node, label in labels.items()}, with_ids
+            ))
         if with_ids:
             self._term = term
         return term
+
+    def _splice(
+        self, cache: "_PhantomText", *, out: bool
+    ) -> "tuple[list[str], dict[NodeId, int] | None]":
+        """The sparse script's term text in pieces: the region rendered,
+        each implicit subtree a slice of the base's all-``Nop`` *cache*.
+
+        With *out*, the pieces are ``Out(S)``'s all-``Nop`` text instead
+        (deleted nodes left out, every kept and inserted node written
+        ``Nop`` with its output label), returned with ``Out(S)``'s text
+        length table: the base's, patched at the region.
+
+        A base child's text offset is its previous sibling's plus that
+        sibling's length and the ``", "`` after it, so the walk costs the
+        region and the children lists of its kept nodes. Iterative: the
+        depth of the tree is not limited by the recursion limit.
+        """
+        text, lengths = cache.text, cache.lengths
+        base_labels = self._base._labels
+        region = self._labels
+        region_children = self._children
+        new_lengths = lengths.copy() if out else None
+        heads: "dict[object, str]" = {}
+        pieces: "list[str]" = []
+        written = 0
+        stack: list = [(self._root, 0)]
+        while stack:
+            entry = stack.pop()
+            if entry.__class__ is str:
+                pieces.append(entry)
+                written += len(entry)
+                continue
+            if entry[0] is _CLOSE:
+                pieces.append(")")
+                written += 1
+                new_lengths[entry[1]] = written - entry[2]
+                continue
+            node, at = entry
+            label = region.get(node)
+            if label is None:  # an implicit Nop subtree: the base's text
+                size = lengths[node]
+                pieces.append(text[at:at + size])
+                written += size
+                continue
+            if out:
+                key = label.output_symbol
+                prefix = heads.get(key)
+                if prefix is None:
+                    prefix = heads[key] = f"Nop.{key}"
+            else:
+                key = id(label)
+                prefix = heads.get(key)
+                if prefix is None:
+                    prefix = heads[key] = label.encode()
+            head = f"{prefix}#{node}"
+            start = written
+            pieces.append(head)
+            written += len(head)
+            kids = region_children.get(node)
+            # the node's children in order: region children, and each run
+            # of implicit ones as one slice of the base text
+            entries: list = []
+            if kids:
+                # the base text of a base node's children starts after
+                # "Nop.<label>#<id>(" (an inserted node has none)
+                if label.op is not Op.INS:
+                    at += 6 + len(base_labels[node]) + len(node)
+                done = 0
+                for kid in filter(region.__contains__, kids):
+                    index = kids.index(kid, done)
+                    if index > done:
+                        run = kids[done:index]
+                        size = sum(map(lengths.__getitem__, run)) + 2 * len(run) - 2
+                        entries.append(text[at:at + size])
+                        at += size + 2
+                    done = index + 1
+                    op = region[kid].op
+                    if op is Op.INS:
+                        entries.append((kid, -1))
+                        continue
+                    if not (out and op is Op.DEL):
+                        entries.append((kid, at))
+                    at += lengths[kid] + 2
+                if done < len(kids):
+                    run = kids[done:]
+                    size = sum(map(lengths.__getitem__, run)) + 2 * len(run) - 2
+                    entries.append(text[at:at + size])
+            if not entries:
+                if out:
+                    new_lengths[node] = written - start
+                continue
+            pieces.append("(")
+            written += 1
+            stack.append((_CLOSE, node, start) if out else ")")
+            for index in range(len(entries) - 1, 0, -1):
+                stack.append(entries[index])
+                stack.append(", ")
+            stack.append(entries[0])
+        if out:
+            for node, label in region.items():
+                if label.op is Op.DEL:
+                    del new_lengths[node]
+        return pieces, new_lengths
+
+    def _carry_phantom(self, cache: "_PhantomText") -> "_PhantomText | None":
+        """``Out(S)``'s all-``Nop`` text from the base's *cache*, or
+        ``None`` when a node or label the region adds is not a
+        term-notation word (the output then has no such text)."""
+        for node, label in self._labels.items():
+            op = label.op
+            if op is Op.INS:
+                words = (node, label.symbol)
+            elif op is Op.REN:
+                words = (label.target,)
+            else:
+                continue
+            for word in words:
+                if not isinstance(word, str) or WORD.fullmatch(word) is None:
+                    return None
+        pieces, lengths = self._splice(cache, out=True)
+        return _PhantomText("".join(pieces), lengths)
 
     @staticmethod
     def phantom_pieces(tree: Tree, cut: "Container[NodeId]" = ()) -> "list[str]":
@@ -368,7 +709,9 @@ class EditScript:
         :meth:`EditLabel.encode` refuses raises from there, as in
         :meth:`to_term`.
         """
-        tree = self._tree
+        if self._base is not None and self._region_round_trips():
+            return
+        tree = self.tree
         if tree.is_empty:
             raise InvalidScriptError("the empty script has no term notation")
         encoded = [(label, label.encode()) for label in _distinct(tree._labels).values()]
@@ -390,17 +733,218 @@ class EditScript:
                         f"node identifier {node!r} is not a term-notation word"
                     )
 
+    def _region_round_trips(self) -> bool:
+        """The round trip of a sparse script, checked where its words can
+        go wrong: the base's nodes once, by its all-``Nop`` text
+        (:func:`phantom_text`, which exists only for a base whose every
+        identifier and label is a word), and the region's labels and
+        identifiers here. ``False`` leaves the reason to the whole check.
+        """
+        if _phantom_cache(self._base) is None:
+            return False
+        for label in _distinct(self._labels).values():
+            try:
+                text = label.encode()
+            except InvalidScriptError:
+                return False
+            if WORD.fullmatch(text) is None or parse_edit_label(text) != label:
+                return False
+        for node in self._labels:
+            if not isinstance(node, str) or WORD.fullmatch(node) is None:
+                return False
+        return True
+
     def pretty(self, with_ids: bool = True) -> str:
         """Multi-line rendering with ``Ins(a)``-style labels."""
-        return self._tree.map_labels(str).pretty(with_ids)
+        return self.tree.map_labels(str).pretty(with_ids)
 
     def __repr__(self) -> str:
-        if self._tree.is_empty:
+        if self._root is None:
             return "EditScript(empty)"
         term = self.to_term()
         if len(term) > 60:
             term = term[:57] + "..."
         return f"EditScript({term})"
+
+
+class _PhantomText:
+    """A tree's all-``Nop`` script text and, per node, the length of its
+    subtree's part of it: one text and one integer per node, carried from
+    version to version as the size table is."""
+
+    __slots__ = ("text", "lengths")
+
+    def __init__(self, text: str, lengths: "dict[NodeId, int]") -> None:
+        self.text = text
+        self.lengths = lengths
+
+
+def _phantom_cache(tree: Tree) -> "_PhantomText | None":
+    """*tree*'s :class:`_PhantomText`, built once and memoized on the
+    (immutable) tree; ``None`` when an identifier or label of the tree is
+    not a term-notation word, so the text would not parse back."""
+    try:
+        return tree._nop
+    except AttributeError:
+        pass
+    cache = None
+    labels = tree._labels
+    ids = labels.keys()
+    try:
+        words = "".join(ids) + "".join(set(labels.values()))
+        safe = all(ids) and all(labels.values())
+    except TypeError:
+        safe = False
+    if tree._root is not None and safe and WORD.fullmatch(words) is not None:
+        children = tree._children
+        text = "".join(tree._render({node: "Nop." + label for node, label in labels.items()}, True))
+        lengths: "dict[NodeId, int]" = {}
+        for node in tree.postorder():
+            # "Nop.<label>#<id>", then "(", the kids joined by ", ", ")"
+            size = 5 + len(labels[node]) + len(node)
+            kids = children.get(node)
+            if kids:
+                size += 2 * len(kids) + sum(map(lengths.__getitem__, kids))
+            lengths[node] = size
+        cache = _PhantomText(text, lengths)
+    tree._nop = cache
+    return cache
+
+
+def phantom_text(tree: Tree) -> "str | None":
+    """``EditScript.phantom(tree).to_term()``, memoized on the tree, or
+    ``None`` when the tree's identifiers or labels fall outside term
+    notation.
+
+    This is the text a sparse script over *tree* is matched against and
+    spliced into. Computing it checks the tree's words once; the output
+    of a sparse script over *tree* inherits both, patched at its region.
+    """
+    cache = _phantom_cache(tree)
+    return cache.text if cache is not None else None
+
+
+def _parse_region(text: str, base: Tree) -> "EditScript | None":
+    """Parse *text* as a sparse script over *base*, or return ``None``
+    when that cannot be proven equal to the whole-text parse (see
+    :meth:`EditScript.parse`).
+
+    One pass over the text. Each child position of a kept region node
+    first tries the base's all-``Nop`` text of the base child due there:
+    an exact match (followed by ``", "`` or ``")"``) is that child,
+    untouched and implicit. Anything else is read as a canonical node
+    head. A non-inserted node must be the base child due at its position,
+    with the base's label, and every base child must be consumed, so
+    ``In(S) = base`` and no identifier can repeat; an inserted node must
+    be new to the base and to the region.
+    """
+    cache = _phantom_cache(base)
+    if cache is None:
+        return None
+    phantom, lengths = cache.text, cache.lengths
+    base_labels = base._labels
+    base_children = base._children
+    labels: "dict[NodeId, EditLabel]" = {}
+    children: "dict[NodeId, tuple[NodeId, ...]]" = {}
+    parents: "dict[NodeId, NodeId]" = {}
+    decoded: "dict[str, EditLabel]" = {}
+    head = _HEAD.match
+    # the open node: [id, op, kids so far, its base kids, next base kid, its text offset]
+    frame: "list | None" = None
+    stack: "list[list]" = []
+    pos = 0
+    while True:
+        skipped = False
+        if frame is not None and frame[1] in _KEPT and frame[4] < len(frame[3]):
+            due = frame[3][frame[4]]
+            size = lengths[due]
+            at = frame[5]
+            if (
+                text.startswith(phantom[at:at + size], pos)
+                and text[pos + size:pos + size + 1] in (",", ")")
+            ):
+                frame[2].append(due)
+                frame[4] += 1
+                frame[5] = at + size + 2
+                pos += size
+                skipped = True
+        if not skipped:
+            match = head(text, pos)
+            if match is None:
+                return None
+            word, node, opened = match.groups()
+            label = decoded.get(word)
+            if label is None:
+                try:
+                    label = decoded[word] = parse_edit_label(word)
+                except InvalidScriptError:
+                    return None
+            op = label.op
+            if node in labels:
+                return None
+            at = 0
+            if frame is None:
+                if node != base._root or not label.is_kept:
+                    return None
+            else:
+                parent_op = frame[1]
+                if parent_op is not op and parent_op in (Op.INS, Op.DEL):
+                    return None
+                if op is not Op.INS:
+                    kids = frame[3]
+                    if kids is None or frame[4] >= len(kids) or kids[frame[4]] != node:
+                        return None
+                    at = frame[5]
+                    frame[4] += 1
+                    frame[5] = at + lengths[node] + 2
+                parents[node] = frame[0]
+                frame[2].append(node)
+            if op is Op.INS:
+                if node in base_labels:
+                    return None
+            elif base_labels[node] != label.symbol:
+                return None
+            labels[node] = label
+            pos = match.end()
+            if opened:
+                if frame is not None:
+                    stack.append(frame)
+                base_kids = base_children.get(node, ()) if op is not Op.INS else None
+                frame = [node, op, [], base_kids, 0, at + 6 + len(label.symbol) + len(node)]
+                continue
+            if op is not Op.INS and node in base_children:
+                return None  # the base node has children the text leaves out
+        if frame is None:
+            break  # the root was a leaf
+        frame, pos = _close(text, pos, frame, stack, children)
+        if pos < 0:
+            return None
+        if frame is None:
+            break
+    if pos != len(text):
+        return None
+    return EditScript._sparse(base, base._root, labels, children, parents)
+
+
+def _close(text, pos, frame, stack, children):
+    """After a child of *frame*: step over ``", "``, or close the nodes
+    whose ``")"`` follow, popping *stack*. Returns the open node and the
+    new position: ``-1`` on anything but canonical punctuation or a node
+    closed before all its base children were read, ``None`` for the
+    node once the root is closed."""
+    while True:
+        if text.startswith(", ", pos):
+            return frame, pos + 2
+        if not text.startswith(")", pos):
+            return frame, -1
+        kids = frame[3]
+        if kids is not None and frame[4] != len(kids):
+            return frame, -1
+        children[frame[0]] = tuple(frame[2])
+        pos += 1
+        if not stack:
+            return None, pos
+        frame = stack.pop()
 
 
 def _distinct(labels: "dict[NodeId, EditLabel]") -> "dict[int, EditLabel]":

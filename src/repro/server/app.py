@@ -110,6 +110,8 @@ class ReproServer:
         self._conn_tasks: "set[asyncio.Task]" = set()
         self.replica_fallbacks: "dict[str, int]" = {}
         self.view_reads: "dict[str, int]" = {"cached": 0, "rendered": 0}
+        self.propagate_parse: "dict[str, int]" = {"sparse": 0, "full": 0}
+        self._parse_count_lock = threading.Lock()  # counted in executor threads
         self.drain_log: "list[str]" = []
 
     # ------------------------------------------------------------------
@@ -231,6 +233,13 @@ class ReproServer:
         rendered for that view version, else rendered by this read."""
         self.view_reads["cached" if cached else "rendered"] += 1
 
+    def note_propagate_parse(self, *, sparse: bool) -> None:
+        """Count one parsed ``propagate`` request: *sparse* when only its
+        edited region was parsed against the view, else parsed whole.
+        Called from the executor threads that serve documents."""
+        with self._parse_count_lock:
+            self.propagate_parse["sparse" if sparse else "full"] += 1
+
     def doc_lock(self, doc_id: str) -> "asyncio.Lock":
         lock = self._locks.get(doc_id)
         if lock is None:
@@ -285,6 +294,7 @@ class ReproServer:
                 "endpoints": self.endpoint_metrics.snapshot(),
                 "replica_fallbacks": dict(self.replica_fallbacks),
                 "view_reads": dict(self.view_reads),
+                "propagate_parse": dict(self.propagate_parse),
             },
             "registry": self.registry.stats_payload(),
             "documents": self._document_stats(),
@@ -305,6 +315,7 @@ class ReproServer:
         return render_metrics(
             endpoints=self.endpoint_metrics,
             view_reads=self.view_reads,
+            propagate_parse=self.propagate_parse,
             registry=self.registry.stats_payload(),
             documents=self._document_stats(),
             replicas=self._replica_stats(),

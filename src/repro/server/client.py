@@ -10,10 +10,13 @@ switch on exception types.
 
 from __future__ import annotations
 
+import re
 import socket
 
 from ..errors import ProtocolError, ServerError
 from .protocol import decode_messages, encode_message
+
+_HEADER = re.compile(rb"M (\d+) \d+\n")
 
 __all__ = ["ServeClient", "RemoteServingError"]
 
@@ -55,17 +58,25 @@ class ServeClient:
         self.close()
 
     def _read_response(self) -> dict:
+        need = 1  # bytes the buffer must hold before decoding can succeed
         while True:
+            while len(self._buffer) < need:
+                chunk = self._sock.recv(max(65536, need - len(self._buffer)))
+                if not chunk:
+                    raise ProtocolError(
+                        "server closed the connection before answering"
+                    )
+                self._buffer.extend(chunk)
             messages, consumed = decode_messages(bytes(self._buffer))
             if messages:
                 del self._buffer[:consumed]
                 return messages[0]
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                raise ProtocolError(
-                    "server closed the connection before answering"
-                )
-            self._buffer.extend(chunk)
+            # decode again only once the declared body can be complete, so
+            # a large response is not re-scanned for every chunk
+            need = len(self._buffer) + 1
+            header = _HEADER.match(self._buffer)
+            if header is not None:
+                need = max(need, header.end() + int(header.group(1)) + 1)
 
     def request(self, op: str, **fields) -> dict:
         """One round trip; returns the result payload or raises

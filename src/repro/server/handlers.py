@@ -20,7 +20,7 @@ import time
 from typing import TYPE_CHECKING
 
 from ..editing import EditScript
-from ..errors import ReplicationLagError, ServerError, error_payload
+from ..errors import ReplicationLagError, ReproError, ServerError, error_payload
 from ..obs import trace as _trace
 from ..xmltree import has_cached_xml, tree_to_xml
 
@@ -44,13 +44,25 @@ def _required(request: dict, field: str) -> str:
 
 
 async def _propagate(server: "ReproServer", request: dict) -> dict:
-    """Serve one view update onto the document's pinned session."""
+    """Serve one view update onto the document's pinned session.
+
+    The term is parsed against the session's current view, under the
+    document's lock: a term that writes its untouched subtrees exactly
+    as the server renders them is parsed at its edited region only
+    (:meth:`EditScript.parse`), any other is parsed whole.
+    """
     doc_id = _required(request, "doc")
-    update = EditScript.parse(_required(request, "update"))
+    text = _required(request, "update")
 
     def run() -> tuple:
         # one executor hop: the session lookup is a dict hit after the open
-        session = server.session(doc_id)
+        try:
+            session = server.session(doc_id)
+        except ReproError:
+            EditScript.parse(text)  # a bad term is reported first, as ever
+            raise
+        update = EditScript.parse(text, base=session.view)
+        server.note_propagate_parse(sparse=update.base is not None)
         return session.propagate(update), getattr(session, "last_seq", None)
 
     async with server.doc_lock(doc_id):

@@ -206,6 +206,24 @@ def _view_read_lines(view_reads: "dict[str, int] | None") -> "list[str]":
     return lines
 
 
+def _propagate_parse_lines(counts: "dict[str, int] | None") -> "list[str]":
+    """Unsharded propagate requests by parse path
+    (ReproServer.propagate_parse)."""
+    if counts is None:
+        return []
+    lines = [
+        "# HELP repro_propagate_requests_total Propagate requests by parse path "
+        "(sparse: only the edited region parsed against the view; full: "
+        "the whole term parsed).",
+        "# TYPE repro_propagate_requests_total counter",
+    ]
+    for parse in sorted(counts):
+        lines.append(
+            f"repro_propagate_requests_total{_labels(parse=parse)} {counts[parse]}"
+        )
+    return lines
+
+
 def _registry_lines(registry_payload: dict) -> "list[str]":
     """Engine-registry and per-engine EngineStats counters."""
     stats = registry_payload.get("registry", {})
@@ -457,6 +475,7 @@ def render_metrics(
     *,
     endpoints: "EndpointMetrics | None" = None,
     view_reads: "dict[str, int] | None" = None,
+    propagate_parse: "dict[str, int] | None" = None,
     registry: "dict | None" = None,
     documents: "dict[str, dict] | None" = None,
     replicas: "dict[str, dict] | None" = None,
@@ -479,6 +498,7 @@ def render_metrics(
     if endpoints is not None:
         lines += endpoints.render()
     lines += _view_read_lines(view_reads)
+    lines += _propagate_parse_lines(propagate_parse)
     if registry is not None:
         lines += _registry_lines(registry)
     lines += _disk_cache_lines(disk_cache)

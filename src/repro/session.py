@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core.choosers import CheapestPathChooser, PathChooser, PreferenceChooser
 from .editing import EditScript, Op
+from .editing.script import phantom_text
 from .errors import ReproError, StaleSessionError
 from .obs import span as _span
 from .xmltree import NodeId, NodeIds, Tree
@@ -334,6 +335,12 @@ class DocumentSession:
                 "rebase() the session (or open a new one) instead of "
                 "serving from stale caches"
             )
+        # the source's all-Nop text: the script's text is spliced into it,
+        # and the next source inherits it (memoized: built once per pin)
+        phantom_text(self._source)
+        # drawn before validation reads Out(update), so the view's suffix
+        # memo is computed before the next view inherits it
+        fresh = self._fresh_ids(update, floor=fresh_floor)
         with _span("engine.propagate", kind="session"):
             if validate:
                 with _span("validate"):
@@ -351,11 +358,7 @@ class DocumentSession:
             if chooser is None:
                 chooser = PreferenceChooser() if optimal else CheapestPathChooser()
             with _span("script"):
-                script = collection.build_script(
-                    chooser,
-                    self._fresh_ids(update, floor=fresh_floor),
-                    optimal_only=optimal,
-                )
+                script = collection.build_script(chooser, fresh, optimal_only=optimal)
             if verify and not self._engine.verify(self._source, update, script):
                 raise ReproError(
                     "propagation failed verification; session not advanced"
@@ -395,9 +398,7 @@ class DocumentSession:
         is at least the shard-local safe start, so the produced sequence
         stays consecutive from the floor and collision-free.
         """
-        start = 1 + max(
-            self._suffixes.max(), update.tree.max_suffix(_FRESH_PREFIX)
-        )
+        start = 1 + max(self._suffixes.max(), update.max_suffix(_FRESH_PREFIX))
         if floor is not None and floor > start:
             start = floor
         return NodeIds(_FRESH_PREFIX, start).fresh
@@ -420,8 +421,9 @@ class DocumentSession:
     def _walk_caches(self, script: EditScript) -> None:
         """Advance the size table and suffix index along a source script.
 
-        Only the edits are visited, found in one pass over the script's
-        label map. Deleted nodes drop their size entries and identifier
+        Only the edits are visited, found in one pass over the label map
+        of the script's region (the whole script's, for one without a
+        base). Deleted nodes drop their size entries and identifier
         suffixes, inserted ones add theirs, and the kept ancestors of
         each inserted or deleted subtree add its size change. Every other
         entry is carried unchanged, and so is every kept node whose size
@@ -430,10 +432,9 @@ class DocumentSession:
         a hot document deeper than the interpreter's recursion limit
         must not take the session down with it.
         """
-        tree = script.tree
-        labels = tree._labels
-        children = tree._children
-        parents = tree._parents
+        labels = script._labels
+        children = script._children
+        parents = script._parents
         sizes = self._sizes
         suffixes = self._suffixes
         deltas: dict[NodeId, int] = {}
@@ -464,7 +465,7 @@ class DocumentSession:
                 changed += 1
         self._inserted += inserted
         self._deleted += deleted
-        self._carried += len(labels) - inserted - deleted - changed
+        self._carried += script.size - inserted - deleted - changed
 
     def apply_source_script(self, script: EditScript) -> None:
         """Advance the session along an already-translated *source* script.

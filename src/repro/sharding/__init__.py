@@ -6,13 +6,11 @@ its own session (:mod:`~repro.sharding.worker`), routes every view
 update across the boundary (:mod:`~repro.sharding.router`), and wraps
 the whole thing — optionally durably — in a
 :class:`~repro.sharding.ShardedDocument`
-(:mod:`~repro.sharding.document`). Fleet-level placement of many
-documents lives in :mod:`~repro.sharding.placement`.
+(:mod:`~repro.sharding.document`).
 """
 
 from .document import SHARDING_FILE, ShardedDocument
 from .partition import ShardPlan, partition, reassemble
-from .placement import RebalanceMove, ShardMap, placement_payload, rebalance
 from .router import ShardedPropagation, ShardRouter
 from .worker import LocalShardPool, ProcessShardPool
 
@@ -26,8 +24,4 @@ __all__ = [
     "ShardedPropagation",
     "LocalShardPool",
     "ProcessShardPool",
-    "ShardMap",
-    "RebalanceMove",
-    "rebalance",
-    "placement_payload",
 ]

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from ..dtd import DTD, parse_dtd, serialize_dtd
 from ..editing import EditScript
+from ..editing.script import phantom_text
 from ..errors import (
     DocumentExistsError,
     InvalidScriptError,
@@ -819,6 +820,11 @@ class DurableSession:
             session = engine.session(
                 recovered.tree, validate_source=validate_source
             )
+        # Identifier safety is checked where identifiers enter: the pinned
+        # source's words once here (memoized with its all-Nop text, which
+        # every later version inherits), and each journalled script's
+        # region by check_round_trip.
+        phantom_text(session.source)
         # attach the journal only now — replay must never re-journal
         session.journal = self._journal
         self._session = session
@@ -834,7 +840,8 @@ class DurableSession:
             # Append only what replay can read back: a document whose node
             # identifiers fall outside term notation (spaces, commas — XML
             # attributes allow them) must fail *here*, before the update is
-            # acknowledged, not at recovery time.
+            # acknowledged, not at recovery time. A sparse script checks
+            # its region only; its base's words were checked at open.
             try:
                 script.check_round_trip()
             except InvalidScriptError as error:

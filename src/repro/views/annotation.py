@@ -172,20 +172,34 @@ class Annotation:
         return tree.node_set - self.visible_nodes(tree)
 
     def view(self, tree: Tree) -> Tree:
-        """``A(t)`` — the view of *tree*: visible nodes only, ids preserved."""
+        """``A(t)`` — the view of *tree*: visible nodes only, ids preserved.
+
+        One iterative preorder pass that fills the view's node maps
+        directly and adopts them (no per-level merge of child maps, no
+        recursion limit on the document's depth).
+        """
         if tree.is_empty:
             return tree
-
-        def project(node: NodeId) -> Tree:
-            label = tree.label(node)
-            kept = [
-                project(kid)
-                for kid in tree.children(node)
-                if self.visible(label, tree.label(kid))
-            ]
-            return Tree.build(label, node, kept)
-
-        return project(tree.root)
+        source_labels = tree._labels
+        source_children = tree._children
+        visible = self.visible
+        labels: "dict[NodeId, str]" = {}
+        children: "dict[NodeId, tuple[NodeId, ...]]" = {}
+        parents: "dict[NodeId, NodeId]" = {}
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            label = labels[node] = source_labels[node]
+            kids = source_children.get(node)
+            if not kids:
+                continue
+            kept = tuple(kid for kid in kids if visible(label, source_labels[kid]))
+            if kept:
+                children[node] = kept
+                for kid in kept:
+                    parents[kid] = node
+                stack.extend(reversed(kept))
+        return Tree._from_parts(tree.root, labels, children, parents)
 
     def is_view_of(self, view: Tree, source: Tree) -> bool:
         """Whether ``A(source) = view`` (identifier-exact, per the paper)."""

@@ -32,7 +32,7 @@ only where the dictionaries come from differs.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Callable, Container, Hashable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import DuplicateNodeError, NodeNotFoundError, TreeError
 from .nodeid import numeric_suffix as _numeric_suffix
@@ -65,11 +65,14 @@ class Tree:
     """
 
     # ``_xml`` holds the served XML rendering once
-    # :func:`~repro.xmltree.xmlio.tree_to_xml` has written it; it is
-    # never set by a constructor, and an unset slot reads as "not yet"
+    # :func:`~repro.xmltree.xmlio.tree_to_xml` has written it, and
+    # ``_nop`` the tree's all-``Nop`` script text that sparse edit
+    # scripts parse against and splice into (see
+    # :mod:`repro.editing.script`); neither is set by a constructor, and
+    # an unset slot reads as "not yet"
     __slots__ = (
         "_root", "_labels", "_children", "_parents", "_sizes", "_suffixes",
-        "_ckey", "_xml",
+        "_ckey", "_xml", "_nop",
     )
 
     def __init__(
@@ -325,27 +328,9 @@ class Tree:
                 while current is not None:
                     sizes[current] += delta
                     current = self._parents.get(current)
-        suffixes: "dict[str, tuple[int, int]] | None" = None
-        if self._suffixes:
-            suffixes = {}
-            for prefix, (best, count) in self._suffixes.items():
-                for gone in removed:
-                    if _numeric_suffix(gone, prefix) == best:
-                        count -= 1
-                if count <= 0 and best >= 0:
-                    continue  # last witness of the maximum left; rescan lazily
-                if inserted is not None:
-                    for nid in inserted._labels:
-                        suffix = _numeric_suffix(nid, prefix)
-                        if suffix is None:
-                            continue
-                        if suffix > best:
-                            best, count = suffix, 1
-                        elif suffix == best:
-                            count += 1
-                suffixes[prefix] = (best, count)
-            if not suffixes:
-                suffixes = None
+        suffixes = carry_suffixes(
+            self._suffixes, removed, inserted._labels if inserted is not None else ()
+        )
         return sizes, suffixes
 
     def __len__(self) -> int:
@@ -663,7 +648,7 @@ class Tree:
         """Identity-aware equality: same node set, labels, and relations."""
         if not isinstance(other, Tree):
             return NotImplemented
-        return (
+        return self is other or (
             self._root == other._root
             and self._labels == other._labels
             and self._children == other._children
@@ -801,3 +786,37 @@ class Tree:
         if len(term) > 60:
             term = term[:57] + "..."
         return f"Tree({term})"
+
+
+def carry_suffixes(
+    memo: "dict[str, tuple[int, int]] | None",
+    removed: "Iterable[NodeId]",
+    inserted: "Iterable[NodeId]",
+) -> "dict[str, tuple[int, int]] | None":
+    """Advance a :meth:`Tree.max_suffix` memo across one edit.
+
+    *removed* are the identifiers leaving the tree and *inserted* those
+    joining it. A prefix whose maximum loses its last witness is dropped,
+    to be rescanned lazily.
+    """
+    if not memo:
+        return None
+    removed = list(removed)
+    inserted = list(inserted)
+    suffixes = {}
+    for prefix, (best, count) in memo.items():
+        for gone in removed:
+            if _numeric_suffix(gone, prefix) == best:
+                count -= 1
+        if count <= 0 and best >= 0:
+            continue  # last witness of the maximum left; rescan lazily
+        for nid in inserted:
+            suffix = _numeric_suffix(nid, prefix)
+            if suffix is None:
+                continue
+            if suffix > best:
+                best, count = suffix, 1
+            elif suffix == best:
+                count += 1
+        suffixes[prefix] = (best, count)
+    return suffixes or None

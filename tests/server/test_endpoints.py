@@ -132,6 +132,81 @@ class TestViewReadCounter:
         assert server.view_reads == {"cached": 2, "rendered": 1}
 
 
+class TestPropagateParseCounter:
+    """``propagate_parse`` counts unsharded propagate requests by parse
+    path, in ``/stats`` and ``/metrics`` alike: a term written as the
+    server renders it is parsed at its edited region, any other whole."""
+
+    def test_canonical_and_respaced_terms(self, store_root, workload):
+        server = ReproServer(store_root=store_root, fsync="off")
+        first, second = sequential_updates(workload, 2, seed=5)
+        respaced = second.replace(", ", ",")
+
+        def client_work(host, port):
+            with ServeClient(host, port) as client:
+                scripts = [client.propagate("doc0", first)["script"]]
+                scripts.append(client.propagate("doc0", respaced)["script"])
+                counts = client.stats()["server"]["propagate_parse"]
+                metrics = client.request("metrics")["text"]
+            return scripts, counts, metrics
+
+        scripts, counts, metrics = run_with_server(server, client_work)
+        assert counts == {"sparse": 1, "full": 1}
+        assert 'repro_propagate_requests_total{parse="sparse"} 1' in metrics
+        assert 'repro_propagate_requests_total{parse="full"} 1' in metrics
+        # the same scripts as an in-process session serving both terms
+        from repro.editing import EditScript
+        from repro.engine import ViewEngine
+
+        session = ViewEngine(workload.dtd, workload.annotation).session(workload.source)
+        assert scripts == [
+            session.propagate(EditScript.parse(term)).to_term() for term in (first, second)
+        ]
+
+    def test_counts_from_many_threads_add_up(self, store_root):
+        """Documents are served in executor threads, which all count."""
+        import sys
+        import threading
+
+        server = ReproServer(store_root=store_root, fsync="off")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: [
+                        server.note_propagate_parse(sparse=i % 2 == 0) for i in range(2000)
+                    ]
+                )
+                for _ in range(8)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert server.propagate_parse == {"sparse": 8000, "full": 8000}
+
+    def test_bad_term_for_unknown_document_reports_the_term(self, store_root):
+        server = ReproServer(store_root=store_root, fsync="off")
+
+        def client_work(host, port):
+            with ServeClient(host, port) as client:
+                errors = []
+                for doc, term in (("nope", "Nop.r#n0("), ("nope", "Nop.r#n0")):
+                    with pytest.raises(RemoteServingError) as caught:
+                        client.propagate(doc, term)
+                    errors.append(str(caught.value))
+            return errors
+
+        syntax, unknown = run_with_server(server, client_work)
+        assert "[TermSyntaxError]" in syntax and "expected" in syntax
+        assert unknown.startswith("server answered unknown_document")
+        assert server.propagate_parse == {"sparse": 0, "full": 0}
+
+
 class TestBatchEndpoint:
     def test_stateless_batch_matches_library(self, workload):
         from repro.editing import EditScript
