@@ -1,7 +1,7 @@
 """Segment files: the disk cache's append-only, self-checking record log.
 
 The tier stores every cache entry as one framed record in a numbered
-segment file, reusing the WAL's CRC framing byte for byte:
+segment file, in the WAL's record frame (:mod:`repro.framing`):
 
 .. code-block:: text
 
@@ -11,19 +11,11 @@ segment file, reusing the WAL's CRC framing byte for byte:
 
 Unlike the WAL — whose records are acknowledged history, so interior
 corruption must *stop the world* — a cache record is always
-re-derivable: the worst a damaged segment may cost is a recompile. The
-failure model is therefore strictly miss-shaped:
-
-* a **torn tail** (final record cut short by a crash mid-append) is
-  ignored by scans and truncated the next time an appender holds the
-  exclusive file lock — the interrupted put simply never happened;
-* **interior corruption** (a bad checksum, malformed header, or
-  sequence gap with further data behind it) **quarantines the whole
-  segment**: its entries become misses and the file is renamed aside,
-  never read again. No code path raises into the serving tier and no
-  damaged payload is ever returned — :func:`read_payload` re-verifies
-  the CRC on every point read, so corruption that lands *after* the
-  initial scan is caught too.
+re-derivable: the worst a damaged segment may cost is a recompile. A
+torn tail is ignored and truncated by the next appender holding the
+file lock; interior damage quarantines the whole segment. No code path
+raises into the serving tier and no damaged payload is ever returned:
+:func:`read_payload` re-verifies the CRC on every point read.
 
 Segment numbers are monotonic; scans apply records in
 ``(segment, seq)`` order, so rewritten entries (garbage collection
@@ -35,10 +27,10 @@ from __future__ import annotations
 
 import os
 import re
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
+from .. import framing
 from ..store.wal import encode_record
 
 __all__ = [
@@ -49,13 +41,13 @@ __all__ = [
     "list_segments",
     "create_segment",
     "scan_segment",
+    "segment_cursor",
     "read_payload",
     "append_records",
 ]
 
 _MAGIC = b"CSEGv1"
-_HEADER_RE = re.compile(rb"CSEGv1 (\d+)")
-_RECORD_RE = re.compile(rb"R (\d+) (\d+) (\d+)")
+_GRAMMAR = framing.Grammar(rb"R (\d+)", magic=rb"CSEGv1 (\d+)", seq=0, text=True)
 
 SEGMENT_SUFFIX = ".log"
 QUARANTINE_SUFFIX = ".bad"
@@ -122,17 +114,6 @@ def _fsync_fd(handle) -> None:
     os.fsync(handle.fileno())
 
 
-def _fsync_dir(path: Path) -> None:
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def create_segment(path: "Path | str", number: int) -> int:
     """Write a fresh segment header; returns the header's byte length."""
     path = Path(path)
@@ -140,97 +121,43 @@ def create_segment(path: "Path | str", number: int) -> int:
     with open(path, "wb") as handle:
         handle.write(header)
         _fsync_fd(handle)
-    _fsync_dir(path.parent)
+    framing.fsync_dir(path.parent)
     return len(header)
 
 
-def scan_segment(
-    path: "Path | str", *, offset: int = 0, expected_seq: int = 1
-) -> SegmentScan:
-    """Scan a segment (or, with *offset* > 0, only its unseen tail).
-
-    Never raises on damage: header problems, checksum failures followed
-    by more data, and sequence gaps all come back as ``corrupt=True``
-    for the caller to quarantine; an unfinished final record comes back
-    as ``torn=True`` with everything before it intact.
-    """
-    path = Path(path)
-    try:
-        with open(path, "rb") as handle:
-            if offset:
-                handle.seek(offset)
-            data = handle.read()
-    except OSError:
-        return SegmentScan(-1, [], offset, expected_seq, False, True, "unreadable")
-    pos = 0
-    number = -1
-    if offset == 0:
-        header_end = data.find(b"\n")
-        if header_end < 0:
-            # a header shorter than one line is a torn creation
-            return SegmentScan(-1, [], 0, 1, True, False, "torn header")
-        match = _HEADER_RE.fullmatch(data[:header_end])
-        if match is None:
-            return SegmentScan(-1, [], 0, 1, False, True, "bad header")
-        number = int(match.group(1))
-        pos = header_end + 1
-    records: "list[CacheRecord]" = []
-    intact_end = pos
-    torn = False
-    corrupt = False
-    reason: "str | None" = None
-    seq = expected_seq
-    while pos < len(data):
-        header_end = data.find(b"\n", pos)
-        if header_end < 0:
-            torn, reason = True, "torn record header"
-            break
-        match = _RECORD_RE.fullmatch(data[pos:header_end])
-        if match is None:
-            if header_end == len(data) - 1 and data.find(b"\n", header_end + 1) < 0:
-                torn, reason = True, "garbage final line"
-                break
-            corrupt, reason = True, f"malformed record header at byte {offset + pos}"
-            break
-        rec_seq, length, crc = (int(group) for group in match.groups())
-        body_start = header_end + 1
-        body_end = body_start + length
-        if body_end + 1 > len(data):
-            torn, reason = True, "payload cut short"
-            break
-        payload = data[body_start:body_end]
-        is_last = body_end + 1 == len(data)
-        intact = (
-            data[body_end:body_end + 1] == b"\n" and zlib.crc32(payload) == crc
-        )
-        text: "str | None" = None
-        if intact:
-            try:
-                text = payload.decode("utf-8")
-            except UnicodeDecodeError:
-                intact = False
-        if not intact:
-            if is_last:
-                torn, reason = True, "torn final record"
-                break
-            corrupt, reason = True, f"checksum failure at byte {offset + pos}"
-            break
-        if rec_seq != seq:
-            corrupt, reason = (
-                True,
-                f"expected record {seq} at byte {offset + pos}, found {rec_seq}",
-            )
-            break
-        assert text is not None
-        records.append(
-            CacheRecord(number, rec_seq, offset + body_start, length, crc, text)
-        )
-        seq += 1
-        pos = body_end + 1
-        intact_end = pos
+def _segment_scan(found: framing.Scan) -> SegmentScan:
+    damage = found.damage
+    number = -1 if found.head is None else found.head
+    records = [
+        CacheRecord(number, frame.tag, frame.body, frame.length, frame.crc, frame.payload)
+        for frame in found.frames
+    ]
+    next_seq = 1 if found.seq is None else found.seq + 1
+    if damage is None:
+        return SegmentScan(number, records, found.end, next_seq, False, False)
+    kind = "torn" if damage.torn else "damaged"
     return SegmentScan(
-        number, records, offset + intact_end, seq, torn, corrupt, reason
+        number, records, found.end, next_seq, damage.torn, not damage.torn,
+        f"{kind} {damage.reason} at byte {found.end}",
     )
+
+
+def segment_cursor(path: "Path | str") -> framing.TailCursor:
+    """A cursor whose ``read()`` returns a :class:`SegmentScan` of the
+    records appended to the segment since its previous read. Never
+    raises on damage (see :func:`scan_segment`); an unreadable file
+    raises :class:`OSError`."""
+    return framing.TailCursor(path, _GRAMMAR, _segment_scan)
+
+
+def scan_segment(path: "Path | str") -> SegmentScan:
+    """Scan a whole segment. Never raises on damage: interior damage
+    comes back as ``corrupt=True``, a torn tail as ``torn=True``."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return SegmentScan(-1, [], 0, 1, False, True, "unreadable")
+    return _segment_scan(framing.scan(data, _GRAMMAR))
 
 
 def read_payload(
@@ -242,19 +169,9 @@ def read_payload(
     newline, CRC mismatch, undecodable bytes, unreadable file) — the
     caller treats that as corruption and quarantines the segment.
     """
+    payload = framing.read_at(path, offset, length, crc)
     try:
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            data = handle.read(length + 1)
-    except OSError:
-        return None
-    if len(data) != length + 1 or data[length:] != b"\n":
-        return None
-    payload = data[:length]
-    if zlib.crc32(payload) != crc:
-        return None
-    try:
-        return payload.decode("utf-8")
+        return None if payload is None else payload.decode("utf-8")
     except UnicodeDecodeError:
         return None
 
@@ -267,34 +184,20 @@ def append_records(
     number: int,
     fsync: bool = False,
 ) -> "tuple[list[CacheRecord], int]":
-    """Append *texts* as consecutive records from *first_seq*.
+    """Append *texts* as consecutive records from *first_seq* to a
+    segment :func:`create_segment` started.
 
     Returns the appended records and the new end offset. The caller is
     responsible for exclusion (the tier appends under its file lock)
     and for having truncated any torn tail first — appends always land
     at the current end of file.
     """
-    path = Path(path)
-    records: "list[CacheRecord]" = []
+    blob = b"".join(encode_record(first_seq + i, text) for i, text in enumerate(texts))
     with open(path, "ab") as handle:
         end = handle.tell()
-        for index, text in enumerate(texts):
-            seq = first_seq + index
-            blob = encode_record(seq, text)
-            payload = text.encode("utf-8")
-            header_len = len(blob) - len(payload) - 1
-            records.append(
-                CacheRecord(
-                    number,
-                    seq,
-                    end + header_len,
-                    len(payload),
-                    zlib.crc32(payload),
-                    text,
-                )
-            )
-            handle.write(blob)
-            end += len(blob)
+        handle.write(blob)
         if fsync:
             _fsync_fd(handle)
-    return records, end
+    # the records are what a scan of the appended bytes reads
+    found = framing.scan(blob, _GRAMMAR, origin=end, seq=first_seq - 1)
+    return _segment_scan(found._replace(head=number)).records, end + len(blob)

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
+from ..framing import TailCursor, TailState
 from ..obs import child_span as _child_span
 from .segments import (
     CacheRecord,
@@ -50,7 +51,7 @@ from .segments import (
     create_segment,
     list_segments,
     read_payload,
-    scan_segment,
+    segment_cursor,
     segment_path,
 )
 
@@ -201,7 +202,7 @@ class DiskCache:
         self._index: "OrderedDict[str, _Entry]" = OrderedDict()
         self._tenant_bytes: "dict[str, int]" = {}
         self._bytes = 0
-        self._scanned: "dict[int, tuple[int, int]]" = {}  # segment -> (end, next_seq)
+        self._scanned: "dict[int, TailCursor]" = {}  # segment -> its tail cursor
         self._quarantined: "set[int]" = set()
         self._noted: "set[str]" = set()  # manifest tokens already recorded
         # Payload bodies already CRC-verified at scan or put time: a hit
@@ -228,7 +229,7 @@ class DiskCache:
                 with self._flock():
                     if not list_segments(self._root):
                         end = create_segment(segment_path(self._root, 1), 1)
-                        self._scanned[1] = (end, 1)
+                        self._track(1, end, 0)
                     else:  # another process won the race
                         self._refresh()
 
@@ -545,32 +546,29 @@ class DiskCache:
         for number, path in list_segments(self._root):
             if number in self._quarantined:
                 continue
-            known = self._scanned.get(number)
-            if known is None:
-                scan = scan_segment(path)
-                if not scan.corrupt and scan.number != number:
-                    scan.corrupt = True
-            else:
-                end, next_seq = known
-                try:
-                    size = path.stat().st_size
-                except OSError:
-                    self._quarantine(number)
+            cursor = self._scanned.get(number) or segment_cursor(path)
+            try:
+                if not cursor.changed():
                     continue
-                if size <= end:
-                    continue
-                scan = scan_segment(path, offset=end, expected_seq=next_seq)
-                scan.number = number
-            if scan.corrupt:
+                scan = cursor.read()
+            except OSError:
+                scan = None
+            if scan is None or scan.corrupt or scan.number != number:
                 self._quarantine(number)
                 continue
             for record in scan.records:
-                self._apply(
-                    CacheRecord(
-                        number, record.seq, record.offset, record.length, record.crc, record.text
-                    )
-                )
-            self._scanned[number] = (scan.intact_end, scan.next_seq)
+                self._apply(record)
+            self._scanned[number] = cursor
+
+    def _track(self, number: int, end: int, last_seq: int) -> None:
+        """Move segment *number*'s cursor past records this process
+        appended itself: they end at *end*, the last one is *last_seq*."""
+        path = segment_path(self._root, number)
+        cursor = self._scanned.get(number)
+        if cursor is None:
+            cursor = self._scanned[number] = segment_cursor(path)
+        info = path.stat()
+        cursor.state = TailState((info.st_dev, info.st_ino), end, number, last_seq)
 
     def _apply(self, record: CacheRecord) -> None:
         head, _, body = record.text.partition("\n")
@@ -646,8 +644,9 @@ class DiskCache:
             if number == 0:
                 end = create_segment(segment_path(self._root, 1), 1)
                 number = 1
-                self._scanned[1] = (end, 1)
-            end, next_seq = self._scanned[number]
+                self._track(1, end, 0)
+            state = self._scanned[number].state
+            end, next_seq = state.offset, state.seq + 1
             path = segment_path(self._root, number)
             try:
                 size = path.stat().st_size
@@ -659,21 +658,16 @@ class DiskCache:
                 # intact record.
                 with open(path, "r+b") as handle:
                     handle.truncate(end)
-            if end == 0:
-                # even the header was torn; rewrite it in place
-                end = create_segment(path, number)
-                next_seq = 1
-                self._scanned[number] = (end, next_seq)
             if end >= self._roll:
                 number += 1
                 end = create_segment(segment_path(self._root, number), number)
                 next_seq = 1
-                self._scanned[number] = (end, next_seq)
+                self._track(number, end, 0)
                 path = segment_path(self._root, number)
             records, new_end = append_records(
                 path, texts, next_seq, number=number, fsync=self._fsync
             )
-            self._scanned[number] = (new_end, next_seq + len(texts))
+            self._track(number, new_end, next_seq + len(texts) - 1)
             return records
 
     # ------------------------------------------------------------------
@@ -715,7 +709,8 @@ class DiskCache:
                 self._index.clear()
                 self._tenant_bytes.clear()
                 self._bytes = 0
-                self._scanned = {number: (end, len(live) + 1)}
+                self._scanned = {}
+                self._track(number, end, len(live))
                 for (key, old_entry, _), record in zip(live, records):
                     self._remember(key, record, old_entry.tenant, old_entry.factory, old_entry.kind)
                     kept = decoded.get(key)

@@ -47,7 +47,6 @@ directory still gets shipped within ``poll_interval``.
 
 from __future__ import annotations
 
-import errno
 import select
 import socket
 import threading
@@ -55,7 +54,7 @@ import time
 
 from ..errors import ProtocolError, ReplicationError
 from ..obs import span as _span
-from ..server.protocol import decode_messages, encode_message
+from ..server.protocol import encode_message, message_buffer
 from ..store import DocumentStore
 from ..store.store import _WAL_FILE
 from .shipper import WalShipper
@@ -88,23 +87,20 @@ def parse_address(address: str) -> "tuple[str, int]":
 
 class _MessageChannel:
     """The M-framed half of a link socket: CRC messages in, CRC
-    messages out, torn final message treated as in flight — the same
-    failure model :mod:`repro.server.protocol` gives the serving port.
-    """
+    messages out, with the serving port's stream rules
+    (:mod:`repro.server.protocol`)."""
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
-        self._buffer = bytearray()
+        self._buffer = message_buffer()
         self._pending: "list[dict]" = []
-        self.eof = False
+
+    @property
+    def eof(self) -> bool:
+        return self._buffer.eof
 
     def send(self, obj: dict) -> None:
         self._sock.sendall(encode_message(obj))
-
-    def _decode_buffered(self) -> None:
-        messages, consumed = decode_messages(bytes(self._buffer))
-        del self._buffer[:consumed]
-        self._pending.extend(messages)
 
     def recv(self, timeout: "float | None") -> "dict | None":
         """Block up to *timeout* for one message; ``None`` on EOF or
@@ -126,33 +122,13 @@ class _MessageChannel:
                 return None
             finally:
                 self._sock.settimeout(None)
-            if not chunk:
-                self.eof = True
-                return None
-            self._buffer.extend(chunk)
-            self._decode_buffered()
+            self._pending.extend(self._buffer.feed(chunk))
         return self._pending.pop(0)
 
     def poll(self) -> "list[dict]":
         """Drain whatever complete messages have already arrived,
         without blocking. Sets ``eof`` when the peer closed."""
-        while True:
-            try:
-                self._sock.setblocking(False)
-                try:
-                    chunk = self._sock.recv(_CHUNK)
-                finally:
-                    self._sock.setblocking(True)
-            except OSError as error:
-                if error.errno in (errno.EAGAIN, errno.EWOULDBLOCK):
-                    break
-                raise
-            if not chunk:
-                self.eof = True
-                break
-            self._buffer.extend(chunk)
-        self._decode_buffered()
-        drained, self._pending = self._pending, []
+        drained, self._pending = self._pending + self._buffer.pull(self._sock), []
         return drained
 
 

@@ -38,11 +38,12 @@ from ..obs import span as _span
 from ..store import DocumentStore
 from ..store.snapshot import list_snapshots, read_snapshot
 from ..store.store import _ANN_FILE, _DTD_FILE, _META, _SNAP_DIR, _WAL_FILE
-from ..store.wal import scan_wal
+from ..store.wal import wal_cursor
 from ..xmltree import tree_to_xml
 from .transport import ReplicationTransport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..framing import TailCursor
     from .standby import StandbyStore
 
 __all__ = ["WalShipper", "replicate"]
@@ -76,6 +77,10 @@ class WalShipper:
         self._transport = transport
         self._doc_ids = tuple(doc_ids) if doc_ids is not None else None
         self._positions: "dict[str, int]" = {}
+        # one WAL cursor per document for shipping and one for the lag
+        # gauge, which /metrics reads from another thread
+        self._ship_cursors: "dict[str, TailCursor]" = {}
+        self._lag_cursors: "dict[str, TailCursor]" = {}
         self._bootstraps = 0
         self._checkpoints = 0
         self._records = 0
@@ -130,6 +135,13 @@ class WalShipper:
             raise UnknownDocumentError(doc_id)
         return directory
 
+    def _cursor(self, cursors: "dict[str, TailCursor]", doc_id: str) -> "TailCursor":
+        cursor = cursors.get(doc_id)
+        if cursor is None:
+            cursor = wal_cursor(self._doc_dir(doc_id) / _WAL_FILE)
+            cursor = cursors.setdefault(doc_id, cursor)
+        return cursor
+
     def _newest_snapshot(self, doc_id: str, directory: Path, schema_hash: str):
         snapshots = list_snapshots(directory / _SNAP_DIR)
         if not snapshots:
@@ -157,9 +169,13 @@ class WalShipper:
     def _ship(self, doc_id: str) -> int:
         directory = self._doc_dir(doc_id)
         schema_hash = self._primary.meta(doc_id)["schema"]
-        scan = scan_wal(directory / _WAL_FILE)
-        sent = 0
         position = self._positions.get(doc_id)
+        cursor = self._cursor(self._ship_cursors, doc_id)
+        state = cursor.state
+        if position is None or (state is not None and position < state.seq):
+            cursor.state = None  # the standby needs records this cursor passed
+        scan = cursor.read()
+        sent = 0
         if position is None:
             snapshot = self._newest_snapshot(doc_id, directory, schema_hash)
             self._transport.send(
@@ -242,13 +258,15 @@ class WalShipper:
         lag: "dict[str, int]" = {}
         for doc_id in doc_ids:
             try:
-                directory = self._doc_dir(doc_id)
-                scan = scan_wal(directory / _WAL_FILE)
+                cursor = self._cursor(self._lag_cursors, doc_id)
+                if doc_id not in self._positions:
+                    cursor.state = None  # every record after the log's base is unshipped
+                scan = cursor.read()
             except (UnknownDocumentError, OSError):
                 continue
+            # read after the log, so a ship in between cannot inflate the lag
             position = self._positions.get(doc_id)
             if position is None:
-                # records span base_seq + 1 .. last_seq, all unshipped
                 position = scan.base_seq
             lag[doc_id] = max(0, scan.last_seq - position)
         return lag

@@ -37,7 +37,6 @@ from ..errors import (
     ScriptError,
     StaleSessionError,
     TreeError,
-    WALCorruptError,
 )
 from ..registry import schema_fingerprint
 from ..store import DocumentStore
@@ -48,14 +47,15 @@ from ..store.wal import (
     create_wal,
     encode_record,
     scan_wal,
-    scan_wal_tail,
     truncate_torn_tail,
+    wal_cursor,
 )
 from ..views import Annotation
 from ..xmltree import Tree, tree_from_xml
 from .transport import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..framing import TailCursor
     from ..session import DocumentSession
 
 __all__ = ["StandbyStore", "ReplicaSession"]
@@ -112,6 +112,7 @@ class StandbyStore(DocumentStore):
                 self._primary_root = str(Path(primary_root))
                 self._write_marker()
         self._applied: "dict[str, int]" = {}
+        self._lag_cursors: "dict[str, TailCursor]" = {}  # over the primary's logs
 
     def _write_marker(self) -> None:
         _write_file(
@@ -250,7 +251,10 @@ class StandbyStore(DocumentStore):
         wal = Path(self._primary_root) / "docs" / doc_id / _WAL_FILE
         if not wal.is_file():
             return None
-        return max(0, scan_wal(wal).last_seq - self.applied_seq(doc_id))
+        cursor = self._lag_cursors.get(doc_id)
+        if cursor is None:
+            cursor = self._lag_cursors.setdefault(doc_id, wal_cursor(wal))
+        return max(0, cursor.read().last_seq - self.applied_seq(doc_id))
 
     def apply_frames(self, frames: "Iterable[Frame]") -> "dict[str, int]":
         """Apply a drained batch of frames; returns counts by outcome
@@ -463,11 +467,9 @@ class ReplicaSession:
             doc_id
         )
         self._applied = self._recovered.last_seq
-        # Byte offset just past the last applied record, so refresh can
-        # read only the log tail. Unknown (None) until the first refresh
-        # establishes it with one full scan; reset whenever the log is
-        # rewritten under us (compaction, checkpoint re-base).
-        self._offset: "int | None" = None
+        # reads only the log tail past the last refresh; the first read,
+        # and any after the log is rewritten under us, reads it in full
+        self._cursor = wal_cursor(standby._require_doc(doc_id) / _WAL_FILE)
         self._refreshes = 0
         self._records_applied = 0
 
@@ -520,27 +522,10 @@ class ReplicaSession:
 
     def refresh(self) -> int:
         """Apply records the standby acknowledged since the last refresh;
-        returns how many. Incremental: after the first refresh (one full
-        scan establishes the byte position), only the log tail past this
-        session's position is read and replayed — O(new records), not
-        O(history)."""
-        wal = self._standby._require_doc(self._doc_id) / _WAL_FILE
-        if self._offset is not None:
-            try:
-                scan = scan_wal_tail(
-                    wal, offset=self._offset, last_seq=self._applied
-                )
-            except WALCorruptError:
-                # bytes at our position no longer parse as a continuation
-                # — the file was rewritten under us; fall back to a full
-                # scan below
-                self._offset = None
-            else:
-                if scan.base_seq == -1:  # file shrank: rewritten under us
-                    self._offset = None
-                else:
-                    return self._apply_scanned(scan)
-        scan = scan_wal(wal)
+        returns how many. Incremental: after the first refresh, only the
+        log tail past this session's position is read and replayed —
+        O(new records), not O(history)."""
+        scan = self._cursor.read()
         if scan.base_seq > self._applied:
             # The shipper re-based the standby past this session's
             # position (checkpoint frame); incremental replay is
@@ -549,15 +534,10 @@ class ReplicaSession:
                 self._standby._replay_session(self._doc_id)
             )
             applied, self._applied = self._applied, self._recovered.last_seq
-            self._offset = None
+            self._cursor.state = None
             self._refreshes += 1
             self._records_applied += max(0, self._applied - applied)
             return max(0, self._applied - applied)
-        return self._apply_scanned(scan)
-
-    def _apply_scanned(self, scan) -> int:
-        """Advance the session along a scan's unapplied records and
-        remember the byte position its clean prefix ends at."""
         count = 0
         for record in scan.records:
             if record.seq <= self._applied:
@@ -565,14 +545,13 @@ class ReplicaSession:
             try:
                 self._session.apply_source_script(EditScript.parse(record.text))
             except (ScriptError, TreeError, StaleSessionError) as error:
+                self._cursor.state = None
                 raise ReplicationError(
                     f"replica log record {record.seq} does not extend the "
                     f"session's document ({error})"
                 ) from error
             self._applied = record.seq
             count += 1
-        if self._applied == scan.last_seq:
-            self._offset = scan.end_offset
         self._refreshes += 1
         self._records_applied += count
         return count

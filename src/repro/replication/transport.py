@@ -2,24 +2,10 @@
 
 What travels between a primary and its standbys is exactly the durable
 artifact the store already trusts — WAL records (translated source edit
-scripts) plus snapshot payloads for bootstrap. The wire framing
-therefore mirrors the WAL's own discipline::
-
-    F <kind> <length> <crc32>\\n
-    <length bytes of JSON payload>\\n
-
-Frames are self-checking and self-delimiting, so every carrier shares
-one failure model, the same one the log has:
-
-* an **incomplete final frame** — a shipper killed mid-record, a spool
-  file truncated by a crash, a socket that died mid-send — is simply
-  *not yet received*: the decoder stops in front of it and reports the
-  clean prefix (the bytes stay buffered/spooled; when the rest arrives
-  the frame completes);
-* a **damaged interior frame** — checksum failure with further data
-  after it — means acknowledged ship traffic was corrupted in flight or
-  at rest, and raises :class:`~repro.errors.ReplicationError` rather
-  than silently skipping history.
+scripts) plus snapshot payloads for bootstrap — as ``F <kind>`` frames of
+:mod:`repro.framing`. Under its damage model an incomplete final frame
+is *not yet received*, and interior damage raises
+:class:`~repro.errors.ReplicationError` rather than skipping history.
 
 Three carriers implement the same two-ended interface
 (:class:`ReplicationTransport`: ``send`` frames in, ``drain`` complete
@@ -39,16 +25,14 @@ frames out):
 
 from __future__ import annotations
 
-import errno
 import json
 import os
-import re
 import socket
-import zlib
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
+from .. import framing
 from ..errors import ReplicationError
 
 __all__ = [
@@ -61,11 +45,11 @@ __all__ = [
     "FileSpoolTransport",
 ]
 
-_FRAME_RE = re.compile(rb"F ([a-z_]+) (\d+) (\d+)")
-
 FRAME_KINDS = ("bootstrap", "checkpoint", "record")
 """What ships: a full document (schema + snapshot), a snapshot alone
 (re-basing a standby past a compacted prefix), one WAL record."""
+
+_GRAMMAR = framing.Grammar(b"F (" + "|".join(FRAME_KINDS).encode("ascii") + b")")
 
 
 @dataclass(frozen=True)
@@ -83,61 +67,49 @@ def encode_frame(kind: str, payload: dict) -> bytes:
             f"unknown frame kind {kind!r}; ship one of {FRAME_KINDS}"
         )
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    header = f"F {kind} {len(body)} {zlib.crc32(body)}\n".encode("ascii")
-    return header + body + b"\n"
+    return framing.encode(b"F " + kind.encode("ascii"), body)
 
 
-def decode_frames(data: bytes) -> "tuple[list[Frame], int]":
-    """Parse the complete frames at the front of *data*.
+_INTERIOR = {
+    framing.HEADER: "malformed ship frame header at byte {at} — the stream "
+    "is not a replication feed or was corrupted",
+    framing.CHECKSUM: "ship frame at byte {at} fails its checksum with further "
+    "data after it — interior corruption, refusing to apply anything past it",
+    framing.CUT: "ship frame at byte {at} declares {length} bytes, running past "
+    "the end of the spool, but an intact frame follows it — interior "
+    "corruption, refusing to apply anything past it",
+}
 
-    Returns ``(frames, consumed)`` where *consumed* is the byte offset
-    just past the last complete frame — an incomplete final frame stays
-    unconsumed for the caller to retry once more bytes arrive. A frame
-    that is provably damaged (checksum or header failure with further
-    data after it) raises :class:`~repro.errors.ReplicationError`.
-    """
+
+def _frames(found: framing.Scan) -> "list[Frame]":
+    """The scan's frames, decoded; raises :class:`ReplicationError` for
+    an unreadable payload or interior damage."""
     frames: "list[Frame]" = []
-    pos = 0
-    while pos < len(data):
-        header_end = data.find(b"\n", pos)
-        if header_end < 0:
-            break  # header still in flight
-        match = _FRAME_RE.fullmatch(data[pos:header_end])
-        if match is None:
-            raise ReplicationError(
-                f"malformed ship frame header at byte {pos} — the stream "
-                "is not a replication feed or was corrupted"
-            )
-        kind = match.group(1).decode("ascii")
-        length, crc = int(match.group(2)), int(match.group(3))
-        body_start = header_end + 1
-        body_end = body_start + length
-        if body_end + 1 > len(data):
-            break  # body (or trailing newline) still in flight
-        body = data[body_start:body_end]
-        intact = data[body_end:body_end + 1] == b"\n" and zlib.crc32(body) == crc
-        if not intact:
-            if body_end + 1 == len(data):
-                break  # torn final frame: treat as in flight
-            raise ReplicationError(
-                f"ship frame at byte {pos} fails its checksum with further "
-                "data after it — interior corruption, refusing to apply "
-                "anything past it"
-            )
+    for raw in found.frames:
         try:
-            payload = json.loads(body.decode("utf-8"))
+            payload = json.loads(raw.payload.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as error:
             raise ReplicationError(
-                f"ship frame at byte {pos} carries an unreadable payload "
+                f"ship frame at byte {raw.at} carries an unreadable payload "
                 f"({error})"
             ) from error
         if not isinstance(payload, dict):
             raise ReplicationError(
-                f"ship frame at byte {pos} payload is not an object"
+                f"ship frame at byte {raw.at} payload is not an object"
             )
-        frames.append(Frame(kind=kind, payload=payload))
-        pos = body_end + 1
-    return frames, pos
+        frames.append(Frame(kind=raw.tag.decode("ascii"), payload=payload))
+    damage = found.damage
+    if damage is not None and not damage.torn:
+        raise ReplicationError(_INTERIOR[damage.reason].format(at=found.end, **damage._asdict()))
+    return frames
+
+
+def decode_frames(data: bytes) -> "tuple[list[Frame], int]":
+    """``(frames, consumed)``: the complete frames at the front of
+    *data* and the offset just past them; an incomplete final frame
+    stays unconsumed, a damaged one raises :class:`ReplicationError`."""
+    found = framing.scan(data, _GRAMMAR, stream=True)
+    return _frames(found), found.end
 
 
 class ReplicationTransport:
@@ -202,8 +174,6 @@ class SocketTransport(ReplicationTransport):
     sent the frame at all.
     """
 
-    _CHUNK = 65536
-
     def __init__(
         self,
         send_sock: "socket.socket | None" = None,
@@ -215,10 +185,13 @@ class SocketTransport(ReplicationTransport):
         self._recv_sock = recv_sock
         if self._recv_sock is not None:
             self._recv_sock.setblocking(False)
-        self._buffer = bytearray()
+        self._buffer = framing.StreamBuffer(_GRAMMAR, _frames)
         self.sent = 0
         self.received = 0
-        self.eof = False
+
+    @property
+    def eof(self) -> bool:
+        return self._buffer.eof
 
     def send(self, kind: str, payload: dict) -> None:
         if self._send_sock is None:
@@ -235,19 +208,7 @@ class SocketTransport(ReplicationTransport):
                 "this transport end only sends — the receiver lives in "
                 "another process"
             )
-        while True:
-            try:
-                chunk = self._recv_sock.recv(self._CHUNK)
-            except OSError as error:
-                if error.errno in (errno.EAGAIN, errno.EWOULDBLOCK):
-                    break
-                raise
-            if not chunk:
-                self.eof = True
-                break  # sender closed
-            self._buffer.extend(chunk)
-        frames, consumed = decode_frames(bytes(self._buffer))
-        del self._buffer[:consumed]
+        frames = self._buffer.pull(self._recv_sock)
         self.received += len(frames)
         return frames
 
@@ -262,19 +223,17 @@ class FileSpoolTransport(ReplicationTransport):
     """An append-only spool file as the carrier.
 
     The shipper appends frames (flushed, optionally fsynced); the
-    applier reads complete frames past its high-water offset. A shipper
-    killed mid-append leaves a torn final frame that the applier simply
-    does not see — when shipping resumes (or re-runs), the spool is
-    truncated back to its last complete frame first, exactly like a WAL
-    torn tail. Because appliers skip already-applied sequence numbers,
-    replaying the whole spool from byte 0 is always safe: the spool is
-    idempotent by construction.
+    applier reads complete frames past its position. A torn final frame
+    is not shipped yet, and a resumed shipper truncates it before
+    appending, like a WAL torn tail. Because appliers skip
+    already-applied sequence numbers, replaying the whole spool from
+    byte 0 is always safe: the spool is idempotent by construction.
     """
 
     def __init__(self, path: "Path | str", *, fsync: bool = False) -> None:
         self._path = Path(path)
         self._fsync = fsync
-        self._offset = 0
+        self._cursor = framing.TailCursor(self._path, _GRAMMAR, _frames)
         self._tail_repaired = False
         self.sent = 0
         self.received = 0
@@ -288,15 +247,17 @@ class FileSpoolTransport(ReplicationTransport):
         otherwise the new frame would be glued onto garbage and read as
         interior corruption forever. Once per transport: only a frame a
         *previous* shipper died inside can be torn; this instance's own
-        appends are written whole."""
+        appends are written whole. Interior damage raises: cutting there
+        would drop frames that were shipped whole."""
         try:
             data = self._path.read_bytes()
         except FileNotFoundError:
             return
-        _, consumed = decode_frames(data)
-        if consumed < len(data):
+        found = framing.scan(data, _GRAMMAR)
+        _frames(found)  # raises for interior damage
+        if found.end < len(data):
             with open(self._path, "r+b") as handle:
-                handle.truncate(consumed)
+                handle.truncate(found.end)
                 handle.flush()
                 os.fsync(handle.fileno())
 
@@ -312,24 +273,17 @@ class FileSpoolTransport(ReplicationTransport):
         self.sent += 1
 
     def drain(self) -> "list[Frame]":
+        """Complete frames appended since the last drain (all of them
+        again when the spool was rewritten shorter: a fresh shipping
+        run, which sequence-number skipping at the applier makes safe)."""
         try:
-            with open(self._path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                if handle.tell() < self._offset:
-                    # the spool was rewritten shorter (a fresh shipping
-                    # run); start over — sequence-number skipping at the
-                    # applier makes that safe
-                    self._offset = 0
-                handle.seek(self._offset)
-                data = handle.read()
+            frames = self._cursor.read()
         except FileNotFoundError:
             return []
-        frames, consumed = decode_frames(data)
-        self._offset += consumed
         self.received += len(frames)
         return frames
 
     def rewind(self) -> None:
         """Re-read the spool from the start on the next drain (appliers
         deduplicate by sequence number, so this is always safe)."""
-        self._offset = 0
+        self._cursor.state = None

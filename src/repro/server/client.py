@@ -10,13 +10,10 @@ switch on exception types.
 
 from __future__ import annotations
 
-import re
 import socket
 
 from ..errors import ProtocolError, ServerError
-from .protocol import decode_messages, encode_message
-
-_HEADER = re.compile(rb"M (\d+) \d+\n")
+from .protocol import encode_message, message_buffer
 
 __all__ = ["ServeClient", "RemoteServingError"]
 
@@ -42,7 +39,7 @@ class ServeClient:
 
     def __init__(self, host: str, port: int, *, timeout: float = 60.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._buffer = bytearray()
+        self._buffer = message_buffer()
         #: ``trace_id`` of the last answered request (``None`` when the
         #: server traces nothing and the caller supplied none) — look it
         #: up in the server's ``/debug/traces`` to see where time went.
@@ -58,25 +55,13 @@ class ServeClient:
         self.close()
 
     def _read_response(self) -> dict:
-        need = 1  # bytes the buffer must hold before decoding can succeed
         while True:
-            while len(self._buffer) < need:
-                chunk = self._sock.recv(max(65536, need - len(self._buffer)))
-                if not chunk:
-                    raise ProtocolError(
-                        "server closed the connection before answering"
-                    )
-                self._buffer.extend(chunk)
-            messages, consumed = decode_messages(bytes(self._buffer))
+            chunk = self._sock.recv(65536)
+            if not chunk:
+                raise ProtocolError("server closed the connection before answering")
+            messages = self._buffer.feed(chunk)
             if messages:
-                del self._buffer[:consumed]
                 return messages[0]
-            # decode again only once the declared body can be complete, so
-            # a large response is not re-scanned for every chunk
-            need = len(self._buffer) + 1
-            header = _HEADER.match(self._buffer)
-            if header is not None:
-                need = max(need, header.end() + int(header.group(1)) + 1)
 
     def request(self, op: str, **fields) -> dict:
         """One round trip; returns the result payload or raises

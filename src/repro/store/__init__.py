@@ -50,7 +50,7 @@ from .wal import (
     WalWriter,
     create_wal,
     scan_wal,
-    scan_wal_tail,
+    wal_cursor,
 )
 
 __all__ = [
@@ -71,7 +71,7 @@ __all__ = [
     "WalWriter",
     "create_wal",
     "scan_wal",
-    "scan_wal_tail",
+    "wal_cursor",
     "Snapshot",
     "list_snapshots",
     "read_snapshot",

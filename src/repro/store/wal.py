@@ -14,20 +14,10 @@ format is deliberately textual and self-checking:
 
 ``base_seq`` is the absolute sequence number the log starts *after*
 (compaction rewrites the log with a new base; sequence numbers never
-reset for the lifetime of a document). Each record carries the CRC-32
-and byte length of its payload, so a reader can tell exactly how far
-the log is trustworthy:
-
-* a **torn tail** — a final record cut short by a crash mid-append
-  (partial header, short payload, missing trailing newline, or a
-  checksum failure on the *last* record) — is reported via
-  :attr:`WalScan.torn_at` and safely truncated by recovery: the record
-  never finished, so by write-ahead discipline its update was never
-  applied;
-* **interior corruption** — an unreadable record *followed by more
-  data*, or a sequence-number gap — means acknowledged history was
-  damaged, and raises :class:`~repro.errors.WALCorruptError` instead of
-  silently dropping suffixes of the log.
+reset for the lifetime of a document). Under :mod:`repro.framing`'s
+damage model a torn tail is reported via :attr:`WalScan.torn_at` and
+truncated by recovery (by write-ahead discipline its update was never
+applied), and interior damage raises :class:`~repro.errors.WALCorruptError`.
 
 :class:`WalWriter` is the append side, implementing the three fsync
 policies of the store (``always`` / ``batch`` / ``off``).
@@ -40,14 +30,13 @@ instead of one fsync per writer per interval.
 from __future__ import annotations
 
 import os
-import re
 import threading
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .. import framing
 from ..errors import StoreError, WALCorruptError
 from ..obs import child_span as _child_span
 
@@ -55,7 +44,7 @@ __all__ = [
     "WalRecord",
     "WalScan",
     "scan_wal",
-    "scan_wal_tail",
+    "wal_cursor",
     "create_wal",
     "rewrite_wal",
     "WalWriter",
@@ -64,8 +53,7 @@ __all__ = [
 ]
 
 _MAGIC = b"WALv1"
-_HEADER_RE = re.compile(rb"WALv1 (\d+)")
-_RECORD_RE = re.compile(rb"R (\d+) (\d+) (\d+)")
+_GRAMMAR = framing.Grammar(rb"R (\d+)", magic=rb"WALv1 (\d+)", seq="head", text=True)
 
 FSYNC_POLICIES = ("always", "batch", "off")
 """When appends reach the platter: every record, every N records, never."""
@@ -81,14 +69,15 @@ class WalRecord:
 
 @dataclass(frozen=True)
 class WalScan:
-    """The result of reading a log file front to back."""
+    """The result of reading a log file front to back (or, through a
+    :func:`wal_cursor`, what was appended since the cursor's last read)."""
 
     base_seq: int
-    """Sequence number the log starts after (its records are
-    ``base_seq + 1 .. last_seq``)."""
+    """Sequence number the records read start after (its records are
+    ``base_seq + 1 .. last_seq``): the log's base on a whole read."""
 
     records: tuple[WalRecord, ...]
-    """Every complete, checksummed record in order."""
+    """Every complete, checksummed record read, in order."""
 
     end_offset: int
     """Byte offset just past the last valid record — where the next
@@ -104,32 +93,9 @@ class WalScan:
         return self.records[-1].seq if self.records else self.base_seq
 
 
-def _fsync_path(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _fsync_dir(path: Path) -> None:
-    # Directory fsync makes renames/creates durable; not every platform
-    # allows opening a directory, in which case we did our best.
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def encode_record(seq: int, text: str) -> bytes:
     """The exact bytes :class:`WalWriter` appends for (*seq*, *text*)."""
-    payload = text.encode("utf-8")
-    header = f"R {seq} {len(payload)} {zlib.crc32(payload)}\n".encode("ascii")
-    return header + payload + b"\n"
+    return framing.encode(b"R %d" % seq, text.encode("utf-8"))
 
 
 def rewrite_wal(
@@ -158,7 +124,7 @@ def rewrite_wal(
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
-    _fsync_dir(path.parent)
+    framing.fsync_dir(path.parent)
 
 
 def create_wal(path: "Path | str", base_seq: int = 0) -> None:
@@ -167,122 +133,56 @@ def create_wal(path: "Path | str", base_seq: int = 0) -> None:
     rewrite_wal(path, base_seq)
 
 
-def _parse_records(
-    data: bytes, pos: int, expected: int, name: str
-) -> "tuple[list[WalRecord], int, int | None]":
-    """Parse contiguous records starting at byte *pos* with sequence
-    numbers from *expected*; returns (records, end_offset, torn_at).
-    The shared body of :func:`scan_wal` (whole file) and
-    :func:`scan_wal_tail` (bytes past a known-good prefix)."""
-    records: list[WalRecord] = []
-    end_offset = pos
-    torn_at: "int | None" = None
-    while pos < len(data):
-        header_end = data.find(b"\n", pos)
-        if header_end < 0:
-            torn_at = pos  # header cut short by the crash
-            break
-        match = _RECORD_RE.fullmatch(data[pos:header_end])
-        if match is None:
-            if header_end == len(data) - 1 and data.find(b"\n", header_end + 1) < 0:
-                torn_at = pos  # garbage final line, nothing after it
-                break
-            raise WALCorruptError(
-                f"{name}: malformed record header at byte {pos} "
-                "with further data after it"
-            )
-        seq, length, crc = (int(group) for group in match.groups())
-        body_start = header_end + 1
-        body_end = body_start + length
-        if body_end + 1 > len(data):
-            torn_at = pos  # payload (or its trailing newline) cut short
-            break
-        payload = data[body_start:body_end]
-        is_last = body_end + 1 == len(data)
-        intact = data[body_end:body_end + 1] == b"\n" and zlib.crc32(payload) == crc
-        text: "str | None" = None
-        if intact:
-            try:
-                text = payload.decode("utf-8")
-            except UnicodeDecodeError:
-                intact = False
-        if not intact:
-            if is_last:
-                torn_at = pos  # classic torn write into the final record
-                break
-            raise WALCorruptError(
-                f"{name}: record {seq} at byte {pos} fails its "
-                "checksum but is not the final record — interior "
-                "corruption, refusing to replay past it"
-            )
-        if seq != expected:
-            raise WALCorruptError(
-                f"{name}: expected record {expected} at byte {pos}, "
-                f"found {seq} — records are missing or reordered"
-            )
-        records.append(WalRecord(seq, text))
-        expected += 1
-        pos = body_end + 1
-        end_offset = pos
-    return records, end_offset, torn_at
+_INTERIOR = {
+    framing.HEADER: "{name}: malformed record header at byte {at} "
+    "with further data after it",
+    framing.CHECKSUM: "{name}: record {tag} at byte {at} fails its checksum but "
+    "is not the final record — interior corruption, refusing to replay past it",
+    framing.CUT: "{name}: record {tag} at byte {at} declares {length} bytes, "
+    "running past the end of the log, but an intact record follows it — "
+    "interior corruption, refusing to replay past it",
+    framing.SEQ: "{name}: expected record {expected} at byte {at}, found {tag} "
+    "— records are missing or reordered",
+}
 
 
-def scan_wal(path: "Path | str") -> WalScan:
-    """Read the log, classifying its end (see the module docstring).
-
-    Raises :class:`WALCorruptError` for interior corruption — a broken
-    record with more data after it, a checksum failure before the tail,
-    or a sequence-number gap. A torn tail is *not* an error: it is
-    reported through :attr:`WalScan.torn_at` for the caller to truncate.
-    """
-    path = Path(path)
-    data = path.read_bytes()
-    newline = data.find(b"\n")
-    if newline < 0 or not _HEADER_RE.fullmatch(data[:newline]):
+def _wal_scan(name: str, found: framing.Scan) -> WalScan:
+    damage = found.damage
+    if damage is not None and damage.reason == framing.MAGIC:
         raise WALCorruptError(
-            f"{path.name}: missing or malformed WAL header "
+            f"{name}: missing or malformed WAL header "
             "(the header is written and fsynced at creation; a bad one "
             "means the file is not a WAL or was overwritten)"
         )
-    base_seq = int(_HEADER_RE.fullmatch(data[:newline]).group(1))
-    records, end_offset, torn_at = _parse_records(
-        data, newline + 1, base_seq + 1, path.name
-    )
-    return WalScan(
-        base_seq=base_seq,
-        records=tuple(records),
-        end_offset=end_offset,
-        torn_at=torn_at,
-    )
-
-
-def scan_wal_tail(
-    path: "Path | str", *, offset: int, last_seq: int
-) -> WalScan:
-    """Scan only the bytes past *offset*, the end of a previously
-    scanned prefix whose final record was *last_seq* — O(new records)
-    instead of O(history), for pollers that track their position (a
-    replica session's refresh). The file having shrunk below *offset*
-    means it was rewritten under the caller (compaction, a checkpoint
-    re-base), reported as ``base_seq = -1``: positions are void, re-scan
-    from scratch. The returned scan's offsets are absolute."""
-    path = Path(path)
-    with open(path, "rb") as handle:
-        handle.seek(0, os.SEEK_END)
-        size = handle.tell()
-        if size < offset:
-            return WalScan(
-                base_seq=-1, records=(), end_offset=offset, torn_at=None
+    if damage is not None and not damage.torn:
+        raise WALCorruptError(
+            _INTERIOR[damage.reason].format(
+                name=name, at=found.end, expected=found.seq + 1, **damage._asdict()
             )
-        handle.seek(offset)
-        data = handle.read()
-    records, end_offset, torn_at = _parse_records(data, 0, last_seq + 1, path.name)
+        )
+    records = tuple(WalRecord(frame.tag, frame.payload) for frame in found.frames)
     return WalScan(
-        base_seq=last_seq,
-        records=tuple(records),
-        end_offset=offset + end_offset,
-        torn_at=None if torn_at is None else offset + torn_at,
+        base_seq=found.seq - len(records),
+        records=records,
+        end_offset=found.end,
+        torn_at=None if damage is None else found.end,
     )
+
+
+def wal_cursor(path: "Path | str") -> framing.TailCursor:
+    """A cursor over the log at *path*: each ``read()`` returns the
+    :class:`WalScan` of the records appended since its previous read,
+    O(new records) rather than O(history), and the whole log again
+    after a rewrite (compaction, a checkpoint re-base)."""
+    name = os.path.basename(path)
+    return framing.TailCursor(path, _GRAMMAR, lambda found: _wal_scan(name, found))
+
+
+def scan_wal(path: "Path | str") -> WalScan:
+    """Read the log; raises :class:`WALCorruptError` for interior
+    damage, and reports a torn tail through :attr:`WalScan.torn_at`."""
+    path = Path(path)
+    return _wal_scan(path.name, framing.scan(path.read_bytes(), _GRAMMAR))
 
 
 def truncate_torn_tail(path: "Path | str", scan: WalScan) -> bool:

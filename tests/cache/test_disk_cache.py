@@ -318,6 +318,23 @@ class TestGarbageCollection:
         assert not list(fresh.root.glob("*.bad"))
 
 
+    def test_length_damage_with_an_intact_successor_quarantines(self, tmp_path):
+        from repro.cache.segments import scan_segment
+
+        disk = DiskCache(tmp_path)
+        for n in range(5):
+            disk.put_artifact(f"h{n}", "minimal", {"v": n})
+        seg = next(disk.root.glob("seg-*.log"))
+        data = seg.read_bytes()
+        at = data.index(b"\nR 4 ") + len(b"\nR 4 ")
+        seg.write_bytes(data[:at] + b"9" + data[at:])  # record 4 runs past EOF
+        scan = scan_segment(seg)
+        assert (scan.torn, scan.corrupt) == (False, True)
+        fresh = DiskCache(tmp_path)
+        assert fresh.stats.quarantines == 1
+        assert fresh.get_artifact("h4", "minimal") is None
+
+
 class TestKillMidPut:
     def test_torn_tail_is_a_safe_miss_then_repaired(self, tmp_path, schema):
         """Kill-mid-put: a half-written record never surfaces, earlier

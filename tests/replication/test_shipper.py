@@ -1,7 +1,12 @@
-"""The shipper: bootstrap, resume, compaction bridging, multi-standby."""
+"""The shipper: bootstrap, resume, compaction bridging, multi-standby,
+and tail reads that cost the new records, not the log."""
+
+import sys
+import threading
 
 import pytest
 
+from repro import framing
 from repro.errors import UnknownDocumentError
 from repro.replication import (
     QueueTransport,
@@ -9,7 +14,8 @@ from repro.replication import (
     WalShipper,
     replicate,
 )
-from repro.store import DocumentStore
+from repro.store import DocumentStore, scan_wal
+from repro.store.wal import encode_record
 from repro.xmltree import tree_to_xml
 
 from .conftest import serve_updates
@@ -120,3 +126,87 @@ def test_new_documents_are_picked_up_by_later_passes(primary, standby, workload)
     out = replicate(store, standby)
     assert out["positions"] == {"doc": 5, "second": 0}
     assert _identical(store, standby, "second")
+
+
+def test_ship_and_lag_read_only_the_new_record(tmp_path, workload, monkeypatch):
+    store = DocumentStore.init(tmp_path / "p", fsync="off")
+    store.put("doc", workload.source, workload.dtd, workload.annotation)
+    serve_updates(store, "doc", workload, steps=200)
+    standby = StandbyStore.init(tmp_path / "s", primary_root=tmp_path / "p")
+    queue = QueueTransport()
+    shipper = WalShipper(store, queue)
+    shipper.ship("doc")
+    standby.apply_frames(queue.drain())
+    assert shipper.lag() == {"doc": 0} and standby.lag("doc") == 0
+    serve_updates(store, "doc", workload, steps=1, seed=5)
+    last = scan_wal(tmp_path / "p" / "docs" / "doc" / "wal.log").records[-1]
+    assert last.seq == 201
+    scanned = []
+    real = framing.scan
+
+    def spy(data, *args, **kwargs):
+        scanned.append(len(data))
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(framing, "scan", spy)
+    assert shipper.ship("doc") == 1
+    assert shipper.lag() == {"doc": 0}
+    assert standby.lag("doc") == 1
+    assert scanned == [len(encode_record(last.seq, last.text))] * 3
+
+
+def test_compaction_between_two_ships_of_one_shipper(tmp_path, workload):
+    store = DocumentStore.init(tmp_path / "p", fsync="off", keep_snapshots=1)
+    store.put("doc", workload.source, workload.dtd, workload.annotation)
+    serve_updates(store, "doc", workload, steps=3)
+    standby = StandbyStore.init(tmp_path / "s", primary_root=tmp_path / "p")
+    queue = QueueTransport()
+    shipper = WalShipper(store, queue).resume_from(standby)
+    shipper.ship("doc")
+    standby.apply_frames(queue.drain())
+    serve_updates(store, "doc", workload, steps=3, seed=61)
+    store.compact("doc")
+    serve_updates(store, "doc", workload, steps=2, seed=62)
+    assert shipper.lag() == {"doc": 5}
+    shipper.ship("doc")
+    frames = queue.drain()
+    assert [f.kind for f in frames] == ["checkpoint", "record", "record"]
+    standby.apply_frames(frames)
+    wal = "docs/doc/wal.log"
+    assert (tmp_path / "s" / wal).read_bytes() == (tmp_path / "p" / wal).read_bytes()
+    assert shipper.lag() == {"doc": 0} and standby.lag("doc") == 0
+
+
+def test_lag_reads_race_shipping_without_a_lock(tmp_path, workload):
+    """Scrapers read the lag gauge while the shipper ships: every read is
+    a real position, and no shipped record is lost or repeated."""
+    store = DocumentStore.init(tmp_path / "p", fsync="off")
+    store.put("doc", workload.source, workload.dtd, workload.annotation)
+    queue = QueueTransport()
+    shipper = WalShipper(store, queue)
+    shipper.ship("doc")
+    stop = threading.Event()
+    seen = []
+
+    def scrape():
+        while not stop.is_set():
+            seen.append(shipper.lag()["doc"])
+
+    scrapers = [threading.Thread(target=scrape) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for scraper in scrapers:
+            scraper.start()
+        for seed in range(20):
+            serve_updates(store, "doc", workload, steps=2, seed=seed)
+            shipper.ship("doc")
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        for scraper in scrapers:
+            scraper.join(timeout=30)
+    assert not any(scraper.is_alive() for scraper in scrapers)
+    assert seen and all(0 <= lag <= 2 for lag in seen)
+    assert shipper.lag() == {"doc": 0}
+    assert [f.payload["seq"] for f in queue.drain()[1:]] == list(range(1, 41))

@@ -37,14 +37,6 @@ class TestFraming:
         with pytest.raises(ReplicationError, match="unknown frame kind"):
             encode_frame("gossip", {})
 
-    @pytest.mark.parametrize("cut", [1, 5, 20, -1])
-    def test_incomplete_final_frame_is_left_in_flight(self, cut):
-        whole = encode_frame("record", PAYLOADS[0])
-        data = whole + encode_frame("record", PAYLOADS[1])[:cut]
-        frames, consumed = decode_frames(data)
-        assert len(frames) == 1
-        assert consumed == len(whole)
-
     def test_interior_corruption_is_fatal(self):
         first = bytearray(encode_frame("record", PAYLOADS[0]))
         first[-3] ^= 0xFF  # flip a payload byte: checksum now fails
@@ -104,6 +96,33 @@ class TestSocketTransport:
         finally:
             sock.close()
 
+    def test_a_large_frame_is_scanned_about_once(self, monkeypatch):
+        """An 8 MiB bootstrap frame arriving in 64 KiB pieces hands the
+        scanner at most twice its bytes: the buffer re-scans only once
+        the declared body can be complete."""
+        from repro import framing
+
+        scanned = []
+        real = framing.scan
+
+        def spy(data, *args, **kwargs):
+            scanned.append(len(data))
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr(framing, "scan", spy)
+        payload = {"doc_id": "a", "snapshot_xml": "x" * (8 << 20)}
+        whole = encode_frame("bootstrap", payload)
+        sock = SocketTransport()
+        try:
+            frames = []
+            for at in range(0, len(whole), 1 << 16):
+                sock._send_sock.sendall(whole[at:at + (1 << 16)])
+                frames += sock.drain()
+        finally:
+            sock.close()
+        assert [f.payload for f in frames] == [payload]
+        assert sum(scanned) <= 2 * len(whole)
+
 
 class TestFileSpoolTransport:
     def test_drain_advances_past_only_complete_frames(self, tmp_path):
@@ -119,26 +138,23 @@ class TestFileSpoolTransport:
     def test_missing_spool_reads_as_empty(self, tmp_path):
         assert FileSpoolTransport(tmp_path / "nope.spool").drain() == []
 
-    def test_kill_mid_append_hides_the_torn_frame(self, tmp_path):
+    def test_resumed_shipping_refuses_interior_damage(self, tmp_path):
+        """Frame 2 of 3 declares a body running past the end of the
+        spool, but frame 3 is intact: that is damage, not a torn tail,
+        and a resumed shipper must not cut frames 2 and 3 away."""
         path = tmp_path / "s.spool"
         spool = FileSpoolTransport(path)
-        spool.send("record", PAYLOADS[0])
-        spool.send("record", PAYLOADS[1])
+        for seq in (1, 2, 3):
+            spool.send("record", {"doc_id": "a", "seq": seq, "text": "Nop.r#n0"})
         data = path.read_bytes()
-        path.write_bytes(data[:-7])  # the shipper died mid-record
-        reader = FileSpoolTransport(path)
-        assert [f.payload for f in reader.drain()] == [PAYLOADS[0]]
-
-    def test_resumed_shipping_repairs_the_torn_tail(self, tmp_path):
-        path = tmp_path / "s.spool"
-        spool = FileSpoolTransport(path)
-        spool.send("record", PAYLOADS[0])
-        spool.send("record", PAYLOADS[1])
-        path.write_bytes(path.read_bytes()[:-7])
-        resumed = FileSpoolTransport(path)
-        resumed.send("record", PAYLOADS[2])  # truncates the torn frame first
-        reader = FileSpoolTransport(path)
-        assert [f.payload for f in reader.drain()] == [PAYLOADS[0], PAYLOADS[2]]
+        second = data.index(b"\nF record ") + len(b"\nF record ")
+        path.write_bytes(data[:second] + b"9" + data[second:])
+        damaged = path.read_bytes()
+        with pytest.raises(ReplicationError, match="intact frame follows"):
+            FileSpoolTransport(path).send("record", {"doc_id": "a", "seq": 4, "text": "x"})
+        assert path.read_bytes() == damaged
+        with pytest.raises(ReplicationError):
+            FileSpoolTransport(path).drain()
 
     def test_rewind_replays_from_the_start(self, tmp_path):
         spool = FileSpoolTransport(tmp_path / "s.spool")

@@ -183,6 +183,34 @@ class TestStoreCli:
         assert "error[wal_corrupt]:" in capsys.readouterr().err
 
 
+    def test_interior_length_damage_refuses_recovery(self, populated, capsys):
+        """A 9 in front of record 1's declared length, with record 2
+        intact behind it: recovery exits 3 and cuts nothing."""
+        root, _ = populated
+        for term in (
+            "Nop.r#n0(Nop.a#n1, Nop.d#n3(Nop.c#n8), Nop.a#n4, "
+            "Ins.d#u0(Ins.c#u1), Ins.a#u2, Nop.d#n6(Nop.c#n10))",
+            "Nop.r#n0(Nop.a#n1, Nop.d#n3(Nop.c#n8), Nop.a#n4, "
+            "Nop.d#u0(Nop.c#u1), Del.a#u2, Del.d#n6(Del.c#n10))",
+        ):
+            update = root / "u.term"
+            update.write_text(term)
+            assert main(
+                [
+                    "store", "propagate", "--root", str(root), "--id", "demo",
+                    "--update", str(update), "--fsync", "always",
+                ]
+            ) == 0
+        wal = root / "docs" / "demo" / "wal.log"
+        data = wal.read_bytes()
+        wal.write_bytes(data.replace(b"\nR 1 ", b"\nR 1 9", 1))
+        damaged = wal.read_bytes()
+        capsys.readouterr()
+        assert main(["store", "recover", "--root", str(root), "--id", "demo"]) == 3
+        assert "error[wal_corrupt]:" in capsys.readouterr().err
+        assert wal.read_bytes() == damaged
+
+
 class TestStatsCli:
     def test_registry_stats_json(self, files, capsys):
         tmp_path, dtd, annotation, doc, update = files

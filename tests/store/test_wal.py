@@ -69,17 +69,6 @@ class TestTornTails:
     """Every prefix a crash mid-append can leave must scan as torn —
     never as corrupt, never as complete."""
 
-    def test_every_partial_suffix_of_final_record_is_torn(self, wal):
-        _append_raw(wal, "Nop.r#n0")
-        intact = wal.read_bytes()
-        record = encode_record(2, "Nop.r#n0(Ins.a#n1)")
-        for cut in range(1, len(record)):
-            wal.write_bytes(intact + record[:cut])
-            scan = scan_wal(wal)
-            assert scan.torn_at == len(intact), f"cut at {cut}"
-            assert scan.last_seq == 1
-            assert scan.end_offset == len(intact)
-
     def test_truncate_torn_tail_repairs(self, wal):
         _append_raw(wal, "Nop.r#n0")
         intact = wal.read_bytes()
@@ -106,15 +95,6 @@ class TestTornTails:
 
 
 class TestInteriorCorruption:
-    def test_checksum_failure_before_tail_is_fatal(self, wal):
-        _append_raw(wal, "Nop.r#n0", "Nop.r#n0(Ins.a#n1)")
-        data = bytearray(wal.read_bytes())
-        first_payload = data.find(b"Nop.r#n0")
-        data[first_payload] ^= 0xFF
-        wal.write_bytes(bytes(data))
-        with pytest.raises(WALCorruptError, match="checksum"):
-            scan_wal(wal)
-
     def test_malformed_header_with_data_after_is_fatal(self, wal):
         garbage = b"XX not a record\n"
         wal.write_bytes(wal.read_bytes() + garbage + encode_record(1, "Nop.r#n0"))
@@ -128,14 +108,30 @@ class TestInteriorCorruption:
         with pytest.raises(WALCorruptError, match="missing or reordered"):
             scan_wal(wal)
 
-    def test_crc_collision_needs_matching_length(self, wal):
-        # a record whose payload was swapped for different bytes with the
-        # same declared length fails the checksum even at equal size
-        record = encode_record(1, "Nop.r#n0")
-        swapped = record.replace(b"Nop.r#n0", b"Del.r#n0")
-        wal.write_bytes(wal.read_bytes() + swapped + encode_record(2, "Nop.r#n0"))
-        with pytest.raises(WALCorruptError):
+
+class TestDamagedLength:
+    """A length digit damaged to declare a body running past the end of
+    the log is interior damage when an intact record follows it."""
+
+    def test_record_4_of_5_is_not_a_torn_tail(self, wal):
+        _append_raw(wal, *(f"Nop.r#n{i}" for i in range(5)))
+        data = wal.read_bytes()
+        at = data.index(b"R 4 ") + len(b"R 4 ")
+        wal.write_bytes(data[:at] + b"9" + data[at:])
+        damaged = wal.read_bytes()
+        with pytest.raises(WALCorruptError, match="record 4 at byte .* intact record follows"):
             scan_wal(wal)
+        with pytest.raises(WALCorruptError):
+            WalWriter(wal, policy="off")
+        assert wal.read_bytes() == damaged  # records 4 and 5 were not cut
+
+    def test_the_same_damage_in_the_final_record_is_torn(self, wal):
+        _append_raw(wal, "Nop.r#n0", "Nop.r#n1")
+        data = wal.read_bytes()
+        at = data.index(b"R 2 ") + len(b"R 2 ")
+        wal.write_bytes(data[:at] + b"9" + data[at:])
+        scan = scan_wal(wal)
+        assert scan.last_seq == 1 and scan.torn_at == at - len(b"R 2 ")
 
 
 class TestWalWriter:
