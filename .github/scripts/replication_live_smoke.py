@@ -10,8 +10,11 @@ Topology (all localhost TCP, all real processes):
 Script: drive 10 propagations through the wire client and assert
 ``repro_shipper_lag`` converges to 0 on the daemon's ``/metrics``;
 ``kill -9`` the daemon, drive 10 more (lag builds with nobody
-shipping), restart the daemon, assert convergence again; assert a
-bounded ``view`` read is served by a replica; SIGTERM everything and
+shipping); while it is dead, connect to one applier as a shipper and
+send a record frame whose length field is damaged (it declares 100 GB)
+ahead of intact frames, and assert the applier hangs up within 5 s;
+restart the daemon, assert convergence again; assert a bounded
+``view`` read is served by a replica; SIGTERM everything and
 byte-compare both standby WALs, documents, and views against the
 primary.
 
@@ -26,6 +29,7 @@ import argparse
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -35,7 +39,9 @@ from pathlib import Path
 from repro.engine import ViewEngine
 from repro.generators.updates import random_view_update
 from repro.generators.workloads import running_example
+from repro.replication.transport import encode_frame
 from repro.server.client import ServeClient
+from repro.server.protocol import message_buffer
 from repro.store import DocumentStore
 from repro.store.wal import scan_wal
 from repro.xmltree import tree_to_xml
@@ -128,6 +134,40 @@ def wait_applied(root: Path, seq: int, timeout: float = 30.0) -> None:
             pass
         time.sleep(0.05)
     raise SystemExit(f"FAIL: {root} never applied up to seq {seq}")
+
+
+def damaged_feed(address: str, timeout: float = 5.0) -> None:
+    """Act as a shipper towards the applier at *address*: read its
+    hello, send a record frame whose length field declares 100 GB
+    followed by two intact frames, and require the applier to close the
+    connection within *timeout* seconds instead of waiting for the
+    declared bytes."""
+    host, port = address.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as conn:
+        buffer, hello = message_buffer(), []
+        while not hello:
+            chunk = conn.recv(1 << 16)
+            if not chunk:
+                raise SystemExit(f"FAIL: applier {address} hung up before its hello")
+            hello = buffer.feed(chunk)
+        if hello[0].get("op") != "hello":
+            raise SystemExit(f"FAIL: applier {address} opened with {hello[0]!r}")
+        intact = b"".join(
+            encode_frame("record", {"doc_id": DOC, "seq": seq, "text": "Nop.r#n0"})
+            for seq in (1, 2)
+        )
+        conn.sendall(b"F record 99999999999 0\n" + intact)
+        conn.settimeout(timeout)
+        try:
+            while conn.recv(1 << 16):
+                pass
+        except ConnectionResetError:
+            pass  # closed with our bytes unread: a reset is a hang-up too
+        except socket.timeout:
+            raise SystemExit(
+                f"FAIL: applier {address} kept a feed with a damaged length "
+                f"open for {timeout:.0f} s"
+            ) from None
 
 
 def main() -> int:
@@ -239,6 +279,8 @@ def main() -> int:
         for term in updates[10:]:
             client.propagate(DOC, term)
         print("phase 2: daemon killed, 10 more updates written with no shipper")
+        damaged_feed(feeds["sby1"])
+        print("phase 2: a feed with a damaged frame length was dropped by sby1")
 
         # -- phase 3: restart, assert it converges again -----------------
         (workdir / "daemon.log").rename(workdir / "daemon-killed.log")

@@ -30,16 +30,20 @@ from ..dtd import DTD, MinimalTreeFactory, TreeFactory, view_dtd
 from ..editing import EditScript, EditLabel, Op
 from ..editing.ops import uniform_label
 from ..errors import DuplicateNodeError, InvalidViewUpdateError, NoPropagationError
-from ..graphutil import min_distances
 from ..inversion import InversionGraphs, inversion_graphs
 from ..views import Annotation
 from ..xmltree import NodeId, NodeIds, Tree
-from .choosers import PathChooser
+from .choosers import PathChooser, PreferenceChooser
 from .optimal import OptimalPropagationGraph
 from .propagation_graph import (
+    INF,
+    CostSweep,
     EdgeKind,
+    InsertMoves,
     PropagationGraph,
     build_propagation_graph,
+    classify_positions,
+    label_moves,
 )
 
 __all__ = [
@@ -225,15 +229,25 @@ class PropagationGraphs:
     0-cost path — and with it the whole optimal subgraph — consumes all
     children in order with Nops. Its cheapest cost is 0 and the script
     it contributes is ``Nop(t|node)`` no matter which path a chooser
-    picks. The collection builder consequently builds only the graphs of
-    the *affected* kept nodes — those above an edit, found from the
-    edits' parent chains without walking the rest of the update — and
+    picks. ``costs`` answers 0 for every pristine node, and
     :meth:`build_script` splices pristine source subtrees directly.
-    ``costs`` answers 0 for every pristine node. Accessing a pristine
-    node's graph through :meth:`__getitem__`/:meth:`optimal` still
-    works: it materializes on demand, identical to an eager build.
-    Iteration, :attr:`pristine` and :attr:`total_size` cover every kept
-    node and walk the whole update on first use; ``len()`` does not.
+
+    **Affected nodes.** The kept nodes above an edit (found from the
+    edits' parent chains without walking the rest of the update) are
+    *affected*. For each, bottom-up, the collection classifies the child
+    positions once and runs a :class:`~repro.core.propagation_graph.CostSweep`:
+    the distance to a target from every vertex of ``G_n``, computed
+    without building a vertex or an edge object. Its value at the
+    source vertex is the node's cost.
+
+    **Materialized graphs.** ``G_n`` itself is built only on demand, for
+    affected and pristine nodes alike, identical to an eager build:
+    through :meth:`__getitem__`, :meth:`optimal`, :attr:`total_size`,
+    and by :meth:`build_script` for any chooser other than a
+    :class:`~repro.core.choosers.PreferenceChooser` walking the optimal
+    graphs. Iteration, :attr:`pristine` and :attr:`total_size` cover
+    every kept node and walk the whole update on first use; ``len()``
+    does not.
     """
 
     def __init__(
@@ -260,6 +274,8 @@ class PropagationGraphs:
         self.insertions = dict(insertions)
         self.costs = _KeptCosts(self)
         self._graphs: dict[NodeId, PropagationGraph] = {}
+        self._sweeps: dict[NodeId, CostSweep] = {}
+        self._tables: "dict[str, InsertMoves]" = {}
         self._affected = affected
         self._kept_count = kept_count
         self._order: "list[NodeId] | None" = None
@@ -289,10 +305,25 @@ class PropagationGraphs:
             )
         return self._pristine
 
+    def _effective_label(self, node: NodeId) -> "str | None":
+        label = self.update.edit_label(node)
+        return label.output_symbol if label.op is Op.REN else None
+
+    def _table(self, label: str) -> InsertMoves:
+        """The compiled move table of *label*: the engine's when it handed
+        one in, else compiled here once per label."""
+        if self._insert_moves is not None:
+            return self._insert_moves(label)
+        table = self._tables.get(label)
+        if table is None:
+            table = self._tables[label] = label_moves(
+                self.dtd, self.annotation, label, self.factory, self._hidden_table
+            )
+        return table
+
     def _build(self, node: NodeId) -> PropagationGraph:
         """Build ``G_node`` from the costs of its kept children."""
-        label = self.update.edit_label(node)
-        effective = label.output_symbol if label.op is Op.REN else None
+        effective = self._effective_label(node)
         graph = build_propagation_graph(
             self.dtd,
             self.annotation,
@@ -305,40 +336,47 @@ class PropagationGraphs:
             insert_costs=self._insert_costs,
             effective_label=effective,
             hidden_table=self._hidden_table,
-            insert_moves=(
-                self._insert_moves(
-                    effective if effective is not None else self.source.label(node)
-                )
-                if self._insert_moves is not None
-                else None
+            insert_moves=self._table(
+                effective if effective is not None else self.source.label(node)
             ),
         )
         self._graphs[node] = graph
         return graph
 
-    def _build_affected(self, postorder: "Sequence[NodeId]") -> None:
-        """Build the affected graphs bottom-up, recording cheapest costs."""
+    def _sweep_affected(self, postorder: "Sequence[NodeId]") -> None:
+        """Sweep the affected nodes bottom-up, recording cheapest costs."""
         costs = self.costs._built
         for node in postorder:
-            graph = self._build(node)
-            dist = min_distances([graph.source], graph.edges_from)
-            best = min(
-                (dist[target] for target in graph.targets if target in dist),
-                default=None,
+            effective = self._effective_label(node)
+            table = self._table(
+                effective if effective is not None else self.source.label(node)
             )
-            if best is None:
+            positions = classify_positions(
+                self.dtd,
+                self.annotation,
+                self.source,
+                self.update,
+                node,
+                subtree_sizes=self._subtree_sizes,
+                child_costs=self.costs,
+                insert_costs=self._insert_costs,
+                effective_label=effective,
+            )
+            sweep = CostSweep(positions, table)
+            if sweep.cost is INF:
                 raise NoPropagationError(
-                    f"no propagation path in G_{node!r} (label {graph.label!r}); "
+                    f"no propagation path in G_{node!r} (label {positions.label!r}); "
                     "Theorem 5 guarantees one for valid view updates — was "
                     "validation skipped on an invalid update?"
                 )
-            costs[node] = best
+            self._sweeps[node] = sweep
+            costs[node] = sweep.cost
 
     def __getitem__(self, node: NodeId) -> PropagationGraph:
         graph = self._graphs.get(node)
         if graph is None:
-            # only a pristine node's graph is left unbuilt (class doc)
-            if not self._is_pristine(node):
+            # built on demand, for affected and pristine nodes alike
+            if node not in self._affected and not self._is_pristine(node):
                 raise KeyError(node)
             graph = self._build(node)
         return graph
@@ -396,6 +434,15 @@ class PropagationGraphs:
         identifiers drawn in the same preorder as a recursive assembly,
         and the script expands to the same tree, every fresh identifier
         included.
+
+        A :class:`~repro.core.choosers.PreferenceChooser` (any operation
+        order) on the optimal graphs builds no graph: each affected
+        node's path is the walk of its cost sweep
+        (:meth:`~repro.core.propagation_graph.CostSweep.walk`), which
+        keeps at every vertex exactly the edges of ``G*_n`` and takes the
+        one the chooser prefers — the path :func:`~repro.graphutil.greedy_path`
+        takes in ``G*_n``. Every other chooser, and ``optimal_only=False``,
+        reads the graphs, materialized on demand.
         """
         if fresh is None:
             # byte-compatible with NodeIds.avoiding(source + update, "f"):
@@ -442,15 +489,24 @@ class PropagationGraphs:
 
         # the optimal subgraph of a pristine node admits exactly one
         # script — keep everything — so no chooser can emit anything but
-        # the phantom source subtree (class doc)
-        is_pristine = self._is_pristine
+        # the phantom source subtree (class doc); a child a (vi)-edge
+        # keeps is pristine unless affected, a (vii)-edge's never is
+        affected = self._affected
+        walk = optimal_only and type(chooser) is PreferenceChooser
 
         def open_node(node: NodeId) -> list:
-            graph = self.optimal(node) if optimal_only else self[node]
-            return [node, iter(chooser.choose(graph)), []]
+            if walk:
+                path = self._sweeps[node].walk(chooser.preference)
+            else:
+                graph = self.optimal(node) if optimal_only else self[node]
+                path = [
+                    (edge.kind, edge.symbol, edge.t_child, edge.s_child)
+                    for edge in chooser.choose(graph)
+                ]
+            return [node, iter(path), []]
 
         root = update.root
-        if optimal_only and is_pristine(root):
+        if optimal_only and self._is_pristine(root):
             labels[root] = uniform_label(Op.NOP, source_labels[root])
             emitted += 1
             if root in source_children:
@@ -459,25 +515,24 @@ class PropagationGraphs:
             frames = [open_node(root)]
             while frames:
                 node, path, kids = frames[-1]
-                for edge in path:
-                    kind = edge.kind
+                for kind, symbol, t_child, s_child in path:
                     if kind is EdgeKind.INVISIBLE_INSERT:
-                        kids.append(emit_fragment(self.factory.build(edge.symbol, fresh)))
+                        kids.append(emit_fragment(self.factory.build(symbol, fresh)))
                     elif kind in (EdgeKind.INVISIBLE_DELETE, EdgeKind.VISIBLE_DELETE):
-                        kids.append(emit_deleted(edge.t_child))
+                        kids.append(emit_deleted(t_child))
                     elif kind is EdgeKind.INVISIBLE_NOP:
-                        kids.append(edge.t_child)  # implicit: the source subtree
+                        kids.append(t_child)  # implicit: the source subtree
                     elif kind is EdgeKind.VISIBLE_INSERT:
-                        inversion = self.insertions[edge.s_child]
+                        inversion = self.insertions[s_child]
                         kids.append(emit_fragment(inversion.build_tree(
                             lambda g: chooser.choose(g),
                             fresh,
                             optimal_only=optimal_only,
                         )))
-                    elif optimal_only and is_pristine(edge.t_child):  # untouched
-                        kids.append(edge.t_child)
+                    elif optimal_only and t_child not in affected:  # pristine
+                        kids.append(t_child)
                     else:  # VISIBLE_NOP / VISIBLE_RENAME: descend
-                        frames.append(open_node(edge.t_child))
+                        frames.append(open_node(t_child))
                         break
                 else:
                     frames.pop()
@@ -502,7 +557,8 @@ class PropagationGraphs:
         # pristine-skipped graph, defeating the fast path for a repr
         return (
             f"PropagationGraphs(|N_Δ|={len(self)}, "
-            f"built={len(self._graphs)}, pristine={len(self) - len(self._affected)}, "
+            f"built={len(self._graphs)}, swept={len(self._sweeps)}, "
+            f"pristine={len(self) - len(self._affected)}, "
             f"min_cost={self.min_cost()})"
         )
 
@@ -549,12 +605,15 @@ def propagation_graphs(
     """Build ``G(D, A, t, S)`` with the paper's edge weights.
 
     One bottom-up pass over the affected phantom nodes of ``N_Δ`` (see
-    :class:`PropagationGraphs` for why the pristine rest is skipped);
-    inversion-graph collections are built for every visibly inserted
-    subtree on the way (their minimal sizes weigh the (iv)-edges).
-    Polynomial in ``|D|``, ``|t|``, ``|S|``; apart from one pass over the
-    update's label map, the work is proportional to the edited region
-    and the children lists of the nodes above it.
+    :class:`PropagationGraphs` for why the pristine rest is skipped)
+    computes each one's cost with a
+    :class:`~repro.core.propagation_graph.CostSweep` over its child
+    positions × automaton states; no graph is built until one is asked
+    for. Inversion-graph collections are built for every visibly
+    inserted subtree on the way (their minimal sizes weigh the
+    (iv)-edges). Polynomial in ``|D|``, ``|t|``, ``|S|``; apart from one
+    pass over the update's label map, the work is proportional to the
+    edited region and the children lists of the nodes above it.
 
     *derived_view_dtd*, *hidden_table*, and *insert_moves* accept a
     compiled engine's artifacts (see :class:`repro.engine.ViewEngine`)
@@ -658,7 +717,7 @@ def propagation_graphs(
         hidden_table=hidden_table,
         insert_moves=insert_moves,
     )
-    graphs._build_affected(postorder)
+    graphs._sweep_affected(postorder)
     return graphs
 
 

@@ -391,8 +391,11 @@ class ViewEngine:
 
         Per automaton state, the hidden symbols insertable under
         *label*, their successor states, and their factory weights — the
-        innermost enumeration of both graph builders, schema-level and
-        therefore compiled once per label and shared by every request.
+        innermost enumeration of both graph builders — together with the
+        state-indexed content model the cost sweep and its walk read
+        (state order, finals, and each symbol's successors once a
+        request first uses it): schema-level, and therefore compiled
+        once per label and shared by every request.
         """
         table = self._insert_moves.get(label)
         if table is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Mapping, Sequence
 
 from ..dtd import DTD, MinimalTreeFactory, TreeFactory
-from ..errors import NoInversionError
+from ..errors import DuplicateNodeError, NoInversionError
 from ..graphutil import min_distances
 from ..views import Annotation
 from ..xmltree import NodeId, NodeIds, Tree
@@ -94,6 +94,12 @@ class InversionGraphs:
         *choose* receives ``H_n`` (or ``H*_n`` with ``optimal_only``) and
         returns an inversion path in it; (i)-edges materialise
         ``factory`` trees with *fresh* identifiers.
+
+        Iterative (an explicit stack of open nodes, each resuming its
+        path where a child's subtree interrupted it), so paths are chosen
+        and fresh identifiers drawn in preorder, as a recursive assembly
+        would, and the tree's maps are built once, in the order such an
+        assembly's per-level merges would leave them.
         """
         if fresh is None:
             # byte-compatible with NodeIds.avoiding(view.nodes(), "h"):
@@ -101,18 +107,47 @@ class InversionGraphs:
             # can collide — and the maximum is memoized on the tree.
             fresh = NodeIds("h", self.view.max_suffix("h") + 1).fresh
 
-        def build(node: NodeId) -> Tree:
+        view_labels = self.view._labels
+        labels: "dict[NodeId, str]" = {}
+        children: "dict[NodeId, tuple[NodeId, ...]]" = {}
+        parents: "dict[NodeId, NodeId]" = {}
+
+        def clash(nodes) -> DuplicateNodeError:
+            nid = next(nid for nid in nodes if nid in labels)
+            return DuplicateNodeError(f"node {nid!r} occurs in more than one subtree")
+
+        def open_node(node: NodeId) -> list:
+            if node in labels:
+                raise clash((node,))
+            labels[node] = view_labels[node]
             graph = self.optimal(node) if optimal_only else self._graphs[node]
-            path = choose(graph)  # type: ignore[arg-type]
-            children: list[Tree] = []
+            return [node, graph, iter(choose(graph)), []]  # type: ignore[arg-type]
+
+        root = self.view.root
+        frames = [open_node(root)]
+        while frames:
+            node, graph, path, kids = frames[-1]
             for edge in path:
                 if edge.is_insert:
-                    children.append(self.factory.build(edge.symbol, fresh))
+                    tree = self.factory.build(edge.symbol, fresh)
+                    if not labels.keys().isdisjoint(tree._labels):
+                        raise clash(tree._labels)
+                    labels.update(tree._labels)
+                    children.update(tree._children)
+                    parents.update(tree._parents)
+                    parents[tree.root] = node
+                    kids.append(tree.root)
                 else:
-                    children.append(build(graph.child_at(edge.child_index)))
-            return Tree.build(self.view.label(node), node, children)
-
-        return build(self.view.root)
+                    frames.append(open_node(graph.child_at(edge.child_index)))
+                    break
+            else:
+                frames.pop()
+                if kids:
+                    children[node] = tuple(kids)
+                if frames:
+                    parents[node] = frames[-1][0]
+                    frames[-1][3].append(node)
+        return Tree._from_parts(root, labels, children, parents)
 
     def __repr__(self) -> str:
         return (

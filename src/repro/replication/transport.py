@@ -36,6 +36,7 @@ from .. import framing
 from ..errors import ReplicationError
 
 __all__ = [
+    "MAX_FRAME_BYTES",
     "Frame",
     "encode_frame",
     "decode_frames",
@@ -49,7 +50,17 @@ FRAME_KINDS = ("bootstrap", "checkpoint", "record")
 """What ships: a full document (schema + snapshot), a snapshot alone
 (re-basing a standby past a compacted prefix), one WAL record."""
 
-_GRAMMAR = framing.Grammar(b"F (" + "|".join(FRAME_KINDS).encode("ascii") + b")")
+MAX_FRAME_BYTES = 1 << 30
+"""Refuse a ship frame whose payload exceeds 1 GiB. The largest
+legitimate frame is a ``bootstrap``: it carries the document's whole
+snapshot (schema and source document), so this bounds the documents a
+standby can be seeded with; records and checkpoints are smaller. A
+header declaring more is damage, not a frame in flight: a live feed
+drops the link instead of buffering toward the declared length."""
+
+_GRAMMAR = framing.Grammar(
+    b"F (" + "|".join(FRAME_KINDS).encode("ascii") + b")", limit=MAX_FRAME_BYTES
+)
 
 
 @dataclass(frozen=True)
@@ -67,12 +78,20 @@ def encode_frame(kind: str, payload: dict) -> bytes:
             f"unknown frame kind {kind!r}; ship one of {FRAME_KINDS}"
         )
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    if len(body) > MAX_FRAME_BYTES:
+        raise ReplicationError(
+            f"{kind} frame of {len(body)} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte frame limit"
+        )
     return framing.encode(b"F " + kind.encode("ascii"), body)
 
 
 _INTERIOR = {
     framing.HEADER: "malformed ship frame header at byte {at} — the stream "
     "is not a replication feed or was corrupted",
+    framing.LIMIT: "ship frame at byte {at} declares {length} bytes, beyond "
+    f"the {MAX_FRAME_BYTES}-byte frame limit — the feed is damaged, "
+    "refusing to apply anything past it",
     framing.CHECKSUM: "ship frame at byte {at} fails its checksum with further "
     "data after it — interior corruption, refusing to apply anything past it",
     framing.CUT: "ship frame at byte {at} declares {length} bytes, running past "

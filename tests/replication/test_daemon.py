@@ -361,6 +361,38 @@ class TestReconnectBackoff:
             standby.close()
 
 
+class TestDamagedFeed:
+    def test_length_beyond_the_limit_ends_the_feed(self, tmp_path, primary):
+        """A shipper whose first frame declares 100 GB: the applier ends
+        the feed instead of buffering toward it, names the limit, and
+        applies none of the intact frames behind it."""
+        from repro.replication import encode_frame
+        from repro.server.protocol import message_buffer
+
+        store, doc_id, _, _ = primary
+        standby = StandbyStore.init(tmp_path / "sby", primary_root=store.root)
+        with FollowerServer(standby, listen=("127.0.0.1", 0)) as follower:
+            with socket.create_connection(follower.address, timeout=10) as conn:
+                buffer, hello = message_buffer(), []
+                while not hello:
+                    hello = buffer.feed(conn.recv(1 << 16))
+                assert hello[0]["op"] == "hello"
+                intact = b"".join(
+                    encode_frame("record", {"doc_id": doc_id, "seq": seq, "text": "x"})
+                    for seq in (1, 2)
+                )
+                conn.sendall(b"F record 99999999999 0\n" + intact)
+                conn.settimeout(5)
+                try:  # the applier hangs up (a reset if bytes were unread)
+                    assert conn.recv(1 << 16) == b""
+                except ConnectionResetError:
+                    pass
+            assert wait_until(lambda: follower.last_error is not None)
+            assert "frame limit" in follower.last_error
+            assert follower.applied == 0 and standby.positions() == {}
+        standby.close()
+
+
 class TestDaemonStats:
     def test_stats_shape(self, tmp_path, primary):
         store, doc_id, _, _ = primary

@@ -48,6 +48,30 @@ class TestFraming:
         with pytest.raises(ReplicationError, match="malformed ship frame"):
             decode_frames(b"not a frame\n" + encode_frame("record", PAYLOADS[0]))
 
+    def test_length_beyond_the_limit_is_fatal(self):
+        """A damaged length digit declaring 100 GB is not a frame in
+        flight: the stream is refused, nothing before it is lost."""
+        intact = b"".join(encode_frame("record", p) for p in PAYLOADS[:2])
+        with pytest.raises(ReplicationError, match="frame limit"):
+            decode_frames(b"F record 99999999999 0\n" + intact)
+        with pytest.raises(ReplicationError, match="frame limit"):
+            decode_frames(intact + b"F record 99999999999 0\n")
+
+    def test_oversized_payload_is_refused_at_encode_time(self, monkeypatch):
+        from repro.replication import transport
+
+        monkeypatch.setattr(transport, "MAX_FRAME_BYTES", 64)
+        encode_frame("record", {"text": "x" * 40})
+        with pytest.raises(ReplicationError, match="64-byte frame limit"):
+            encode_frame("bootstrap", {"text": "x" * 60})
+        sock = SocketTransport()
+        try:
+            with pytest.raises(ReplicationError, match="frame limit"):
+                sock.send("record", {"text": "x" * 60})
+            assert sock.sent == 0 and sock.drain() == []  # nothing went out
+        finally:
+            sock.close()
+
     def test_non_object_payload_is_refused(self):
         import json
         import zlib
@@ -93,6 +117,19 @@ class TestSocketTransport:
             sock._send_sock.sendall(whole[10:])
             frames = sock.drain()
             assert [f.payload for f in frames] == [PAYLOADS[0]]
+        finally:
+            sock.close()
+
+    def test_damaged_length_digit_drops_the_link(self):
+        sock = SocketTransport()
+        try:
+            sock._send_sock.sendall(
+                b"F record 99999999999 0\n"
+                + b"".join(encode_frame("record", p) for p in PAYLOADS[:2])
+            )
+            with pytest.raises(ReplicationError, match="frame limit"):
+                sock.drain()
+            assert sock.received == 0
         finally:
             sock.close()
 

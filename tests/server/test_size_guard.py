@@ -11,19 +11,27 @@ session, every request must stay under one node bound at both sizes:
   the tree they patch (a label or children entry not taken from the
   session's view or source);
 * the nodes ``build_script`` emits;
-* the nodes :meth:`Tree._render` renders.
+* the nodes :meth:`Tree._render` renders;
+* the :class:`~repro.core.propagation_graph.PEdge` objects built.
 
-No served request may expand a sparse script's :attr:`EditScript.tree`.
+No served request may expand a sparse script's :attr:`EditScript.tree`,
+build a propagation graph (``build_propagation_graph``) or an optimal
+one (:class:`~repro.core.optimal.OptimalPropagationGraph`): the default
+chooser walks each affected node's cost sweep. Inversion graphs of the
+inserted fragments are still built and searched.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from importlib import import_module
 
 import pytest
 
+from repro.core.optimal import OptimalPropagationGraph
 from repro.core.propagate import PropagationGraphs
+from repro.core.propagation_graph import PEdge
 from repro.editing import EditScript, UpdateBuilder
 from repro.engine import ViewEngine
 from repro.generators.workloads import hospital, huge_document
@@ -33,8 +41,12 @@ from repro.xmltree import Tree, parse_term
 
 from .conftest import run_with_server
 
+# the module, which ``repro.core`` shadows with its ``propagate`` function
+_PROPAGATE = import_module("repro.core.propagate")
+
 BOUND = 64
-"""Nodes per request, per measure, at every document size."""
+"""Nodes (or edge objects) per request, per measure, at every document
+size."""
 
 REQUESTS = 6
 
@@ -137,6 +149,27 @@ def _install(monkeypatch, server, measured: Counter) -> None:
             measured["expanded"] += 1
         return expand(self)
 
+    build_graph = _PROPAGATE.build_propagation_graph
+
+    def counted_build_graph(*args, **kwargs):
+        measured["graphs"] += 1
+        return build_graph(*args, **kwargs)
+
+    optimal = OptimalPropagationGraph.__init__
+
+    def counted_optimal(self, *args, **kwargs):
+        measured["optimal_graphs"] += 1
+        optimal(self, *args, **kwargs)
+
+    edge = PEdge.__init__
+
+    def counted_edge(self, *args, **kwargs):
+        measured["edges"] += 1
+        edge(self, *args, **kwargs)
+
+    monkeypatch.setattr(_PROPAGATE, "build_propagation_graph", counted_build_graph)
+    monkeypatch.setattr(OptimalPropagationGraph, "__init__", counted_optimal)
+    monkeypatch.setattr(PEdge, "__init__", counted_edge)
     monkeypatch.setattr(EditScript, "parse", classmethod(counted_parse))
     monkeypatch.setattr(PropagationGraphs, "build_script", counted_build)
     monkeypatch.setattr(EditScript, "_project", counted_project)
@@ -180,5 +213,6 @@ def test_one_edit_streams_cost_the_edit(tmp_path, monkeypatch, make, edit):
         terms = _stream(workload, edit, REQUESTS, seed=size)
         for measures in _serve(tmp_path / str(size), monkeypatch, workload, terms):
             assert measures["expanded"] == 0, (size, measures)
-            for name in ("parse", "projections", "build_script", "render"):
+            assert measures["graphs"] == measures["optimal_graphs"] == 0, (size, measures)
+            for name in ("parse", "projections", "build_script", "render", "edges"):
                 assert measures[name] <= BOUND, (size, name, measures)

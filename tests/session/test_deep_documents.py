@@ -130,3 +130,38 @@ def test_phantom_text_stays_linear_on_the_chain():
         assert allocated < 4 * len(text) + 1000 * source.size, (allocated, len(text))
     new_view = session.view
     assert phantom_text(new_view) == EditScript.phantom(new_view).to_term()
+
+
+def _inserted_chain(depth: int, prefix: str) -> Tree:
+    labels = {f"{prefix}{index}": "a" for index in range(depth)}
+    children = {f"{prefix}{index}": (f"{prefix}{index + 1}",) for index in range(depth - 1)}
+    return Tree(f"{prefix}0", labels, children)
+
+
+def test_deep_inserted_chain_propagates_journals_replays_and_inverts(tmp_path):
+    """An update inserting a 5,000-deep ``a`` chain: its inversion graphs
+    are built and its inverse assembled without recursion, then the
+    propagated script is journalled, replayed at ``open_session`` and
+    the resulting view inverted."""
+    store = DocumentStore.init(tmp_path / "store", fsync="off")
+    store.put("chain", _chain(8), DTD_CHAIN, HIDDEN_B)
+    with store.open_session("chain") as session:
+        builder = UpdateBuilder(session.view, forbidden_ids=session.source.nodes())
+        builder.insert("c7", _inserted_chain(DEPTH, "z"))
+        term = builder.script().to_term()
+        script = session.propagate(EditScript.parse(term, base=session.view))
+        # a minimal inverse of the fragment adds no hidden b
+        assert script.cost == DEPTH
+        journalled = session.source
+    assert journalled.size == _chain(8).size + DEPTH
+    assert journalled.height() == 7 + DEPTH
+    with store.open_session("chain") as session:
+        assert session.recovered.replayed == 1
+        assert session.source == journalled
+    store.close()
+
+    engine = ViewEngine(DTD_CHAIN, HIDDEN_B)
+    view = engine.view(journalled)
+    inverse = engine.invert(view)
+    assert engine.verify_inverse(view, inverse)
+    assert inverse.size == view.size
