@@ -3,8 +3,8 @@ in time polynomial in |D| + |t| + |S| + |W|. End-to-end timings across
 document sizes and workload families, the cold-vs-warm ViewEngine
 comparison (amortised per-update serving cost), the streaming
 workload pitting a :class:`DocumentSession` against transient-engine
-serving, the cross-request memoization and process-pool columns of the
-propagation fast path, and the durability columns quantifying
+serving, the cross-request memoization column of the propagation
+fast path, and the durability columns quantifying
 write-ahead-log overhead (``always``/``batch``/group-commit fsync vs
 in-memory serving). Run with ``REPRO_BENCH_SMOKE=1`` for a 2-update
 import-clean smoke pass.
@@ -13,8 +13,8 @@ Run **as a script** to emit the machine-readable perf trajectory::
 
     python benchmarks/bench_end_to_end.py --json BENCH_PR10.json [--smoke]
 
-writing per-workload medians for the five serving modes (cold, warm,
-session, memoized, process-pool) plus the WAL, replication, served,
+writing per-workload medians for the four serving modes (cold, warm,
+session, memoized) plus the WAL, replication, served,
 sharded and ``cold_start`` columns (the persistent disk-cache tier's
 restart win) — the checked-in ``BENCH_PR10.json`` is that output, and
 CI's ``bench-smoke`` job fails on regressions against it
@@ -445,28 +445,7 @@ class TestMemoizedServing:
 
 
 # ---------------------------------------------------------------------------
-# Process pool: a CPU-bound many-document batch served by worker processes.
-# On a single-core box the pool only adds pickling overhead — the column
-# exists for byte-identity and for recording the crossover on real hardware.
-# ---------------------------------------------------------------------------
-
-
-class TestProcessPoolServing:
-    def test_process_pool_matches_serial(self):
-        workload = hospital(6 if SMOKE else 40)
-        dtd, annotation = workload.dtd, workload.annotation
-        engine = ViewEngine(dtd, annotation).warm_up()
-        batch = [(workload.source, workload.update)] * (4 if SMOKE else 16)
-
-        serial = engine.propagate_many(list(batch), memo=False)
-        pooled = engine.propagate_many(
-            list(batch), parallel="process", workers=min(4, os.cpu_count() or 1)
-        )
-        assert [s.to_term() for s in pooled] == [s.to_term() for s in serial]
-
-
-# ---------------------------------------------------------------------------
-# Sharded streaming: one huge document split at the spine across workers.
+# Sharded streaming: one huge document split at the spine into shards.
 # The claim under test is **size independence** — with `splice=False` and
 # dirty hints, serving an interior edit costs the touched shard, not the
 # document, so per-edit latency at 100k nodes must stay within 2x of the
@@ -596,7 +575,7 @@ def _median_seconds(fn, rounds: int) -> float:
 
 
 def _repeated_update_modes(workload, repeats: int, rounds: int) -> dict:
-    """Median ms/request for the four single-request serving modes."""
+    """Median ms/request for the three single-request serving modes."""
     dtd, annotation = workload.dtd, workload.annotation
     source, update = workload.source, workload.update
     reference = ViewEngine(dtd, annotation, memo_capacity=0).propagate(
@@ -620,16 +599,10 @@ def _repeated_update_modes(workload, repeats: int, rounds: int) -> dict:
         for _ in range(repeats):
             memo_engine.propagate(source, update)
 
-    batch = [(source, update)] * repeats
-
-    def serve_process_pool():
-        memo_engine.propagate_many(batch, parallel="process")
-
     modes = {
         "cold_ms": _median_seconds(serve_cold, rounds),
         "warm_ms": _median_seconds(serve_warm, rounds),
         "memoized_ms": _median_seconds(serve_memoized, rounds),
-        "process_pool_ms": _median_seconds(serve_process_pool, rounds),
     }
     per_request = {key: value / repeats * 1000 for key, value in modes.items()}
     per_request["memoized_speedup_vs_warm"] = (
@@ -1111,7 +1084,7 @@ def main(argv=None) -> int:
             print(
                 f"{name}: cold {repeated['cold_ms']:.2f} / warm "
                 f"{repeated['warm_ms']:.2f} / memoized {repeated['memoized_ms']:.3f} "
-                f"/ process-pool {repeated['process_pool_ms']:.2f} ms/request; "
+                "ms/request; "
                 f"memo speedup {repeated['memoized_speedup_vs_warm']:.1f}x vs warm; "
                 f"streaming session {streaming['session_ms_per_update']:.2f} "
                 f"ms/update ({streaming['session_speedup_vs_transient']:.1f}x vs "

@@ -53,7 +53,7 @@ point-in-time recovery, per-document write leases),
 :mod:`repro.replication` (WAL-shipping replication: standby stores,
 bounded-lag replica reads, promotion with lease fencing),
 :mod:`repro.sharding` (horizontal scale-out: one huge document split
-at a spine depth across per-shard workers), :mod:`repro.repair`
+at a spine depth into per-shard sessions), :mod:`repro.repair`
 (the Section 6.2 baseline), :mod:`repro.generators` (random workloads),
 :mod:`repro.paperdata` (every figure of the paper).
 """

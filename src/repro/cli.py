@@ -21,7 +21,7 @@ Subcommands (``repro-xml <command> --help`` for details):
   the continuous shipping daemon over live TCP feeds), ``follow``
   (the applier end of a feed), ``spool``, ``apply``, ``status``,
   ``promote``;
-* ``shard …``   — one huge document sharded across workers
+* ``shard …``   — one huge document served as per-shard sessions
   (:mod:`repro.sharding`): ``init`` (partition into a durable
   per-shard store), ``status`` (per-shard metrics as JSON),
   ``propagate`` (route view updates across the shard boundary);
@@ -981,7 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     shard = commands.add_parser(
         "shard",
-        help="one huge document sharded at a spine depth across workers",
+        help="one huge document sharded at a spine depth into per-shard sessions",
     )
     shard_commands = shard.add_subparsers(dest="shard_command", required=True)
 
@@ -1014,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
     sh_prop = shard_commands.add_parser(
         "propagate",
         help="route view updates across the shard boundary: shard-local "
-        "scripts in parallel, spliced byte-identically to unsharded serving",
+        "scripts, spliced byte-identically to unsharded serving",
     )
     sh_prop.add_argument("--root", required=True, help="store directory")
     sh_prop.add_argument("--update", required=True, help="update script file")

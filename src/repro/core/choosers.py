@@ -31,7 +31,6 @@ __all__ = [
     "PathChooser",
     "PreferenceChooser",
     "CheapestPathChooser",
-    "chooser_from_key",
     "NOP_OVER_DEL_OVER_INS",
     "DEL_OVER_NOP_OVER_INS",
     "INS_OVER_NOP_OVER_DEL",
@@ -105,11 +104,11 @@ class PreferenceChooser:
         )
 
     def cache_key(self) -> tuple:
-        """A hashable, picklable key determining this chooser's behaviour.
+        """A hashable key determining this chooser's behaviour.
 
         Equal keys mean byte-identical path choices — the propagation
-        memo of :class:`~repro.engine.ViewEngine` and the process-pool
-        serving envelopes both rely on it (see :func:`chooser_from_key`).
+        memo of :class:`~repro.engine.ViewEngine` (in memory and on
+        disk) relies on it; a chooser without one bypasses the memo.
         """
         order = sorted(self._rank, key=self._rank.get)
         return ("greedy", tuple(op.value for op in order))
@@ -154,19 +153,3 @@ class CheapestPathChooser:
     def __repr__(self) -> str:
         order = sorted(self._rank, key=self._rank.get)
         return f"CheapestPathChooser({' > '.join(op.value for op in order)})"
-
-
-def chooser_from_key(key: tuple) -> "PreferenceChooser | CheapestPathChooser":
-    """Rebuild a shipped chooser from its :meth:`~PreferenceChooser.cache_key`.
-
-    The inverse the process-pool serving path uses to reconstruct Φ
-    inside a worker: only the two shipped chooser families round-trip
-    (user-defined choosers have no canonical key).
-    """
-    kind, op_values = key
-    op_order = tuple(Op(value) for value in op_values)
-    if kind == "greedy":
-        return PreferenceChooser(op_order)
-    if kind == "dijkstra":
-        return CheapestPathChooser(op_order)
-    raise ValueError(f"unknown chooser key {key!r}")

@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -821,8 +820,6 @@ class ViewEngine:
         chooser: PathChooser | None = None,
         optimal: bool = True,
         validate: bool = True,
-        parallel: "bool | int | str" = False,
-        workers: "int | None" = None,
         memo: bool = True,
     ) -> list[EditScript]:
         """Propagate a batch of updates, reusing everything compiled.
@@ -836,27 +833,11 @@ class ViewEngine:
         same determinism, same order); consecutive updates against the
         same document additionally share one view extraction during
         validation, and repeated identical requests are served from the
-        cross-request memo (*memo=False* opts out).
-
-        *parallel* fans the per-request work out:
-
-        ``True`` / ``"thread"`` / an integer
-            a thread pool (the integer fixes the worker count, as does
-            *workers*) — cheap to start, but CPU-bound batches contend
-            on the GIL;
-        ``"process"``
-            a process pool for CPU-bound many-document batches. Each
-            worker parses the engine's serialized schema once, compiles
-            (or, under ``fork``, inherits) its own engine through the
-            process-local registry, and serves contiguous chunks of the
-            batch; tasks and results cross the process boundary as
-            picklable envelopes. Requires a shipped chooser (one with a
-            ``cache_key``) and a default or insertlet-package factory.
-
-        Compiled artifacts are forced up front (so the immutable tables
-        are shared, not racing to build) and results keep batch order. A
-        single hot document is usually better served sequentially (or
-        through a :class:`~repro.session.DocumentSession`).
+        cross-request memo (*memo=False* opts out). The batch is served
+        in order on the calling thread: propagation is pure Python, so a
+        thread or process fan-out only adds handoff and pickling cost.
+        A single hot document is usually better served through a
+        :class:`~repro.session.DocumentSession`.
         """
         if updates is None:
             pairs = list(source)  # type: ignore[arg-type]
@@ -865,34 +846,6 @@ class ViewEngine:
         if chooser is None:
             chooser = PreferenceChooser() if optimal else CheapestPathChooser()
         self._counters["propagations"] += len(pairs)
-        if isinstance(parallel, str) and parallel not in ("thread", "process"):
-            raise ValueError(
-                f"unknown parallel mode {parallel!r}: pass False, True, a "
-                "worker count, 'thread', or 'process'"
-            )
-        if not parallel or len(pairs) < 2:
-            return self._propagate_batch(pairs, chooser, optimal, validate, memo)
-        if parallel == "process":
-            from .parallel import propagate_batch_processes
-
-            self.warm_up()
-            return propagate_batch_processes(
-                self, pairs, chooser, optimal, validate, workers, memo
-            )
-        if isinstance(parallel, int) and parallel > 1 and workers is None:
-            workers = parallel
-        return self._propagate_batch_parallel(
-            pairs, chooser, optimal, validate, workers, memo
-        )
-
-    def _propagate_batch(
-        self,
-        pairs: "list[tuple[Tree, EditScript]]",
-        chooser: PathChooser,
-        optimal: bool,
-        validate: bool,
-        memo: bool = True,
-    ) -> list[EditScript]:
         chooser_key = self._chooser_key(chooser) if memo else None
         use_memo = chooser_key is not None and self._memo is not None
         results: list[EditScript] = []
@@ -937,55 +890,6 @@ class ViewEngine:
                         )
                     )
         return results
-
-    def _propagate_batch_parallel(
-        self,
-        pairs: "list[tuple[Tree, EditScript]]",
-        chooser: PathChooser,
-        optimal: bool,
-        validate: bool,
-        workers: "int | None",
-        memo: bool = True,
-    ) -> list[EditScript]:
-        import os
-
-        if workers is None:
-            workers = min(32, (os.cpu_count() or 1) + 4)
-        workers = min(workers, len(pairs))
-        # Force every schema artifact before fanning out: afterwards the
-        # workers only *read* the engine, and per-document views are
-        # extracted once per distinct tree rather than per request.
-        self.warm_up()
-        views: "dict[int, Tree] | None" = None
-        if validate:
-            views = {}
-            for doc, _ in pairs:
-                if id(doc) not in views:
-                    views[id(doc)] = self._annotation.view(doc)
-        chooser_key = self._chooser_key(chooser) if memo else None
-        use_memo = chooser_key is not None and self._memo is not None
-
-        def serve(pair: "tuple[Tree, EditScript]") -> EditScript:
-            doc, update = pair
-            if use_memo:
-                return self._memo_propagate(
-                    doc,
-                    update,
-                    chooser,
-                    chooser_key,  # type: ignore[arg-type]
-                    optimal,
-                    validate,
-                    (lambda: views[id(doc)]) if validate else None,  # type: ignore[index]
-                )
-            self._counters["memo_bypass"] += 1
-            if validate:
-                assert views is not None
-                self.validate(doc, update, source_view=views[id(doc)])
-            collection = self.propagation_graphs(doc, update, validate=False)
-            return collection.build_script(chooser, None, optimal_only=optimal)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(serve, pairs))
 
     def session(self, source: Tree, **kwargs) -> "DocumentSession":
         """Open a :class:`~repro.session.DocumentSession` pinning *source*.

@@ -331,17 +331,13 @@ class ReplicationLagError(ReplicationError):
 
 class ShardingError(ReproError):
     """Base class for :mod:`repro.sharding` failures: invalid spine
-    depths, partitions of empty documents, inconsistent shard layouts,
-    or modes the sharded serving tier cannot combine (per-shard
-    durability across process boundaries, for instance)."""
+    depths, partitions of empty documents, or inconsistent shard
+    layouts."""
 
 
 class ShardWorkerError(ShardingError):
-    """A shard worker failed or answered a dispatch with an error.
-
-    For process-mode workers the original exception cannot cross the
-    pipe; its type name and message are carried in this error's text.
-    """
+    """A dispatch named a shard the pool does not hold, or committed a
+    shard it never previewed."""
 
 
 # ---------------------------------------------------------------------------

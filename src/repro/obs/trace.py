@@ -9,11 +9,10 @@ it the parent of whatever spans are opened underneath, including across
 
 Two deliberate caveats:
 
-* plain thread pools do **not** inherit the ambient context — fan-out
-  sites capture :func:`current_span` before dispatch and pass it as the
-  explicit ``parent=`` of each per-item span;
-* a span finished after its root was serialized is lost (stragglers
-  from an abandoned fan-out), never mis-attached.
+* a plain thread does **not** inherit the ambient context — work handed
+  to one must pass its parent span as the explicit ``parent=``;
+* a span finished after its root was serialized is lost (a straggler
+  from abandoned work), never mis-attached.
 
 Sampling is head-based with two escape hatches: the keep/drop decision
 is drawn once per trace at root creation (``sample_rate``), but a trace
@@ -88,12 +87,6 @@ class _NoopSpan:
     def mark_error(self, label) -> "_NoopSpan":
         return self
 
-    def adopt(self, exported) -> None:
-        return None
-
-    def export(self) -> Optional[dict]:
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<noop span>"
 
@@ -106,7 +99,7 @@ class Span:
 
     Use as a context manager.  ``_t0``/``_t1`` are ``perf_counter``
     readings (monotonic; nesting-safe), ``wall_start`` is wall-clock
-    for display and for re-basing spans adopted from other processes.
+    for display.
     """
 
     __slots__ = (
@@ -182,11 +175,6 @@ class Span:
         self.error = str(label)
         return self
 
-    def adopt(self, exported: Optional[dict]) -> None:
-        """Attach an exported span dict from another process as a child."""
-        if exported:
-            self.children.append(dict(exported))
-
     # -- timing ------------------------------------------------------------
 
     @property
@@ -219,27 +207,8 @@ class Span:
         if self.error is not None:
             out["error"] = self.error
         if self.children:
-            serialized = []
-            for child in self.children:
-                if isinstance(child, Span):
-                    serialized.append(child.to_dict(base_t0))
-                else:  # adopted from another process: re-base on wall clock
-                    remote = dict(child)
-                    remote["remote"] = True
-                    remote["offset_ms"] = max(
-                        0.0,
-                        (remote.get("wall_start", self.wall_start) - self.root.wall_start)
-                        * 1000.0,
-                    )
-                    serialized.append(remote)
-            out["children"] = serialized
+            out["children"] = [child.to_dict(base_t0) for child in self.children]
         return out
-
-    def export(self) -> Optional[dict]:
-        """Serialize a *finished* root span for cross-process adoption."""
-        if not self._t1:
-            return None
-        return self.to_dict()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<span {self.name} trace={self.trace_id}>"

@@ -3,7 +3,7 @@
 :class:`ReproServer` fronts the whole stack — durable document
 sessions from a :class:`~repro.store.DocumentStore`, bounded-staleness
 reads from a :class:`~repro.replication.StandbyStore`, stateless
-process-pool batches through the engine registry, and a
+many-document batches through the engine registry, and a
 :class:`~repro.sharding.ShardedDocument` — behind the framed protocol
 of :mod:`repro.server.protocol`. The same port speaks just enough
 HTTP/1.1 for observability: ``GET /metrics`` (Prometheus text),

@@ -34,12 +34,11 @@ async def _ping(server: "ReproServer", request: dict) -> dict:
     return {"pong": True}
 
 
-def _required(request: dict, field: str) -> str:
+def _required(request: dict, field: str, *, where: "str | None" = None) -> str:
     value = request.get(field)
     if not isinstance(value, str) or not value:
-        raise ServerError(
-            f"request op {request.get('op')!r} needs a {field!r} string field"
-        )
+        where = where or f"request op {request.get('op')!r}"
+        raise ServerError(f"{where} needs a {field!r} string field")
     return value
 
 
@@ -157,8 +156,8 @@ async def _batch(server: "ReproServer", request: dict) -> dict:
     The request ships its own schema (DTD + annotation text) and a list
     of ``{"source": xml, "update": term}`` entries; the engine comes
     from the server's registry (compiled once per schema across
-    requests) and ``parallel="process"`` fans the batch out across
-    worker processes exactly as the library call would.
+    requests) and serves the entries in order, as
+    :meth:`~repro.engine.ViewEngine.propagate_many` does.
     """
     from ..dtd import parse_dtd
     from ..views import Annotation
@@ -169,19 +168,19 @@ async def _batch(server: "ReproServer", request: dict) -> dict:
     entries = request.get("requests")
     if not isinstance(entries, list):
         raise ServerError("request op 'batch' needs a 'requests' list")
-    pairs = [
-        (
-            tree_from_xml(_required(entry, "source")),
-            EditScript.parse(_required(entry, "update")),
-        )
-        for entry in entries
-    ]
-    parallel = request.get("parallel", False)
-    workers = request.get("workers")
+    pairs = []
+    for index, entry in enumerate(entries):
+        where = f"request op 'batch' entry {index}"
+        if not isinstance(entry, dict):
+            raise ServerError(f"{where} must be an object")
+        pairs.append((
+            tree_from_xml(_required(entry, "source", where=where)),
+            EditScript.parse(_required(entry, "update", where=where)),
+        ))
 
     def run():
         engine = server.registry.get_or_compile(dtd, annotation, warm=True)
-        return engine.propagate_many(pairs, parallel=parallel, workers=workers)
+        return engine.propagate_many(pairs)
 
     scripts = await server.run_blocking(run)
     return {

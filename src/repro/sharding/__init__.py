@@ -1,9 +1,9 @@
-"""Horizontal scale-out: shard one huge document across workers.
+"""Sharding: serve one huge document as a spine plus per-shard sessions.
 
 The package splits a document at a configurable spine depth
-(:mod:`~repro.sharding.partition`), hands each shard to a worker with
-its own session (:mod:`~repro.sharding.worker`), routes every view
-update across the boundary (:mod:`~repro.sharding.router`), and wraps
+(:mod:`~repro.sharding.partition`), gives each shard its own session
+(:mod:`~repro.sharding.worker`), routes every view update across the
+boundary (:mod:`~repro.sharding.router`), and wraps
 the whole thing — optionally durably — in a
 :class:`~repro.sharding.ShardedDocument`
 (:mod:`~repro.sharding.document`).
@@ -12,7 +12,7 @@ the whole thing — optionally durably — in a
 from .document import SHARDING_FILE, ShardedDocument
 from .partition import ShardPlan, partition, reassemble
 from .router import ShardedPropagation, ShardRouter
-from .worker import LocalShardPool, ProcessShardPool
+from .worker import LocalShardPool
 
 __all__ = [
     "ShardedDocument",
@@ -23,5 +23,4 @@ __all__ = [
     "ShardRouter",
     "ShardedPropagation",
     "LocalShardPool",
-    "ProcessShardPool",
 ]

@@ -1,8 +1,7 @@
 """`ShardedDocument`: one huge document served as spine + shards.
 
 The facade that ties the pieces together: :func:`~repro.sharding.partition`
-cuts the document, a worker pool (:class:`~repro.sharding.LocalShardPool`
-threads or :class:`~repro.sharding.ProcessShardPool` processes) owns one
+cuts the document, a :class:`~repro.sharding.LocalShardPool` owns one
 :class:`~repro.session.DocumentSession` per shard, and a
 :class:`~repro.sharding.ShardRouter` splits each incoming view update at
 the boundary, dispatches, and splices.
@@ -19,8 +18,7 @@ shard has its own write-ahead log, snapshots, and write lease — plus a
 ``sharding.json`` layout file carrying the spine (as term notation), the
 shard order, and the shard→store-document mapping. Interior updates
 advance only the touched shards' logs; boundary updates rewrite the
-layout file as well. Durable shards require ``mode="thread"``: WAL
-handles and leases cannot cross a process boundary.
+layout file as well.
 
 Crash consistency matches the store's per-document guarantees for
 interior updates (each touched shard's WAL records the renumbered
@@ -42,7 +40,7 @@ from ..errors import ShardingError
 from ..xmltree import NodeId, Tree, parse_term
 from .partition import ShardPlan, partition
 from .router import ShardedPropagation, ShardRouter
-from .worker import LocalShardPool, ProcessShardPool
+from .worker import LocalShardPool
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..dtd import DTD
@@ -64,7 +62,7 @@ def _write_layout(path: Path, payload: dict) -> None:
 
 
 class ShardedDocument:
-    """One document, partitioned at a spine depth, served by workers.
+    """One document, partitioned at a spine depth, served per shard.
 
     Like the sessions underneath, a sharded document is not
     thread-safe: one update stream per document.
@@ -76,21 +74,14 @@ class ShardedDocument:
         source: Tree,
         *,
         depth: int = 1,
-        mode: str = "thread",
-        workers: "int | None" = None,
         chooser: "PathChooser | None" = None,
         optimal: bool = True,
         validate_source: bool = True,
     ) -> None:
-        if mode not in ("thread", "process"):
-            raise ShardingError(f"unknown shard worker mode {mode!r}")
         if validate_source:
             engine.dtd.assert_valid(source)
         plan = partition(source, engine.annotation, depth)
-        if mode == "process":
-            pool = ProcessShardPool(engine, workers=workers)
-        else:
-            pool = LocalShardPool(engine, workers=workers)
+        pool = LocalShardPool(engine)
         self._wire(engine, plan, pool, chooser, optimal, store=None)
         for sid in plan.shard_roots:
             self._router.note_suffix(sid, pool.adopt(sid, plan.shards[sid]))
@@ -136,7 +127,6 @@ class ShardedDocument:
         depth: int = 1,
         registry: "EngineRegistry | None" = None,
         fsync: str = "always",
-        workers: "int | None" = None,
         chooser: "PathChooser | None" = None,
         optimal: bool = True,
         validate_source: bool = True,
@@ -150,9 +140,7 @@ class ShardedDocument:
             dtd.assert_valid(source)
         plan = partition(source, annotation, depth)
         self = cls.__new__(cls)
-        pool = LocalShardPool(
-            engine, workers=workers, session_factory=self._durable_factory
-        )
+        pool = LocalShardPool(engine, session_factory=self._durable_factory)
         self._wire(engine, plan, pool, chooser, optimal, store=store)
         for sid in plan.shard_roots:
             session = self._durable_factory(sid, plan.shards[sid])
@@ -167,7 +155,6 @@ class ShardedDocument:
         *,
         registry: "EngineRegistry | None" = None,
         fsync: "str | None" = None,
-        workers: "int | None" = None,
         chooser: "PathChooser | None" = None,
         optimal: bool = True,
     ) -> "ShardedDocument":
@@ -208,9 +195,7 @@ class ShardedDocument:
         if engine is None:
             raise ShardingError("sharded layout lists no shards")
         plan = ShardPlan(int(layout["depth"]), spine, tuple(roots), {})
-        pool = LocalShardPool(
-            engine, workers=workers, session_factory=self._durable_factory
-        )
+        pool = LocalShardPool(engine, session_factory=self._durable_factory)
         self._wire(engine, plan, pool, chooser, optimal, store=store)
         self._wrappers = wrappers
         self._doc_ids = {
@@ -270,10 +255,6 @@ class ShardedDocument:
     @property
     def depth(self) -> int:
         return self._router.depth
-
-    @property
-    def mode(self) -> str:
-        return self._pool.mode
 
     @property
     def durable(self) -> bool:
@@ -377,7 +358,7 @@ class ShardedDocument:
 
     def close(self) -> None:
         """Flush and close every shard (durable shards release their
-        leases), the worker pool, and the store."""
+        leases), the shard pool, and the store."""
         if self._closed:
             return
         self._closed = True
@@ -397,5 +378,5 @@ class ShardedDocument:
     def __repr__(self) -> str:
         return (
             f"ShardedDocument(shards={len(self.shard_roots)}, "
-            f"depth={self.depth}, mode={self.mode!r}, durable={self.durable})"
+            f"depth={self.depth}, durable={self.durable})"
         )

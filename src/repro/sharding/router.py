@@ -108,7 +108,7 @@ class ShardedPropagation:
     """Cost of the (possibly unmaterialised) whole-document script."""
 
     touched: tuple
-    """Shard roots whose workers propagated, in document order."""
+    """Shard roots whose sessions propagated, in document order."""
 
     boundary: bool
     """Whether the slow (boundary/re-partition) path ran."""
@@ -260,7 +260,6 @@ class ShardRouter:
         """JSON-serializable router counters plus per-shard session stats."""
         return {
             "depth": self._depth,
-            "mode": self._pool.mode,
             "shards": len(self._shard_roots),
             "spine_size": self._spine.size,
             "edits": {
@@ -613,7 +612,7 @@ class ShardRouter:
                 continue
             sub_script = script.subscript(sid)
             if sub_script.is_identity():
-                # untouched by this update: the worker's session (and a
+                # untouched by this update: the shard's session (and a
                 # durable shard's WAL) need not move at all
                 suffixes[sid] = self._shard_suffix.get(
                     sid, self._pool.suffix_max(sid)

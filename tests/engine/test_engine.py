@@ -177,6 +177,12 @@ class TestBatchEquivalence:
         ):
             assert engine.verify(source, u, script)
 
+    def test_empty_batch_returns_empty(self, running_example):
+        dtd, annotation, source, _, _ = running_example
+        engine = ViewEngine(dtd, annotation)
+        assert engine.propagate_many([]) == []
+        assert engine.propagate_many(source, []) == []
+
     def test_batch_validates_each_update(self, running_example):
         dtd, annotation, source, view, update = running_example
         engine = ViewEngine(dtd, annotation)

@@ -14,7 +14,6 @@ from repro.core import (
     DEL_OVER_NOP_OVER_INS,
     PreferenceChooser,
 )
-from repro.core.choosers import chooser_from_key
 from repro.editing import EditScript
 from repro.engine import ViewEngine
 from repro.errors import InvalidViewUpdateError
@@ -177,12 +176,20 @@ class TestInversionFragmentCache:
         g2 = engine.propagation_graphs(source, second)
         assert g1.insertions["u0"] is g2.insertions["u0"]
 
-    def test_chooser_key_round_trip(self):
-        for chooser in (
+
+class TestChooserKeys:
+    def test_keys_are_stable_and_tell_choosers_apart(self):
+        choosers = (
             PreferenceChooser(),
             PreferenceChooser(DEL_OVER_NOP_OVER_INS),
             CheapestPathChooser(),
-        ):
-            rebuilt = chooser_from_key(chooser.cache_key())
-            assert type(rebuilt) is type(chooser)
-            assert rebuilt.cache_key() == chooser.cache_key()
+            CheapestPathChooser(DEL_OVER_NOP_OVER_INS),
+        )
+        keys = [chooser.cache_key() for chooser in choosers]
+        # the memo keys entries by them: hashable, one per behaviour
+        assert len(set(keys)) == len(choosers)
+        # and equal for a chooser rebuilt with the same preference
+        assert PreferenceChooser().cache_key() == keys[0]
+        assert (
+            CheapestPathChooser(DEL_OVER_NOP_OVER_INS).cache_key() == keys[3]
+        )

@@ -32,8 +32,6 @@ class TestDisabledFastPath:
     def test_noop_span_swallows_the_whole_api(self):
         with obs.span("x") as span:
             span.set(a=1).mark_error("boom")
-            span.adopt({"name": "remote"})
-            assert span.export() is None
             assert span.trace_id is None
             assert not span.recording
 
@@ -113,19 +111,14 @@ class TestSpanTrees:
             assert root.trace_id == "feedface01"
         assert tracer.find("feedface01") is not None
 
-    def test_attrs_and_adoption_serialize(self, tracer):
+    def test_attrs_serialize(self, tracer):
         with obs.trace("r", op="propagate") as root:
             with obs.span("stage") as stage:
                 stage.set(memo="hit")
-            root.adopt(
-                {"name": "remote.chunk", "duration_ms": 1.0,
-                 "wall_start": root.wall_start, "offset_ms": 0.0}
-            )
         rec = tracer.find(root.trace_id)["root"]
         assert rec["attrs"] == {"op": "propagate"}
-        stage_dict, remote = rec["children"]
+        (stage_dict,) = rec["children"]
         assert stage_dict["attrs"] == {"memo": "hit"}
-        assert remote["remote"] is True and remote["name"] == "remote.chunk"
 
 
 class TestSamplingPolicy:
@@ -256,9 +249,7 @@ class TestEngineInstrumentation:
         names = flat_names(tracer.find(root.trace_id)["root"])
         assert "graphs" not in names and "script" not in names
 
-    def test_process_pool_spans_reattach_under_the_batch_root(
-        self, tracer, workload
-    ):
+    def test_batch_spans_nest_under_the_request_root(self, tracer, workload):
         rng = random.Random(23)
         engine = ViewEngine(workload.dtd, workload.annotation)
         pairs = [
@@ -272,21 +263,19 @@ class TestEngineInstrumentation:
             for _ in range(3)
         ]
         with obs.trace("batch-request") as root:
-            scripts = engine.propagate_many(
-                pairs, parallel="process", workers=2
-            )
-        assert len(scripts) == len(pairs)
-        record = tracer.find(root.trace_id)
-        tree = list(span_names(record["root"]))
-        names = [name for _, name in tree]
-        assert "process_pool.batch" in names
-        # worker-side chunk traces came home through the result envelope
-        chunk_depths = [d for d, n in tree if n == "process_pool.chunk"]
-        batch_depth = next(d for d, n in tree if n == "process_pool.batch")
-        assert chunk_depths and all(d == batch_depth + 1 for d in chunk_depths)
-        # and each chunk carries the engine stages it ran remotely
-        assert any(
-            n == "engine.propagate" and d > batch_depth + 1 for d, n in tree
+            scripts = engine.propagate_many(pairs + pairs[:1])
+        assert len(scripts) == len(pairs) + 1
+        children = tracer.find(root.trace_id)["root"]["children"]
+        # one engine span per entry, in batch order, right under the
+        # request root: the batch runs on the calling thread
+        assert [child["name"] for child in children] == ["engine.propagate"] * 4
+        assert [child["attrs"]["memo"] for child in children] == [
+            "miss", "miss", "miss", "hit",
+        ]
+        assert all(
+            {"validate", "graphs", "script"}
+            <= {grandchild["name"] for grandchild in child["children"]}
+            for child in children[:3]
         )
 
 

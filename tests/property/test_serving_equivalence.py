@@ -1,7 +1,7 @@
 """Differential property tests for the serving tier.
 
 The serving layers — registry-shared engines, :class:`DocumentSession`
-streams, parallel ``propagate_many`` — are *pure plumbing*: they change
+streams, many-document ``propagate_many`` — are *pure plumbing*: they change
 where cached artifacts come from, never the algorithm. For randomly
 generated (DTD, annotation, document, update-stream) workloads, every
 serving path must therefore return scripts **byte-identical** (same term
@@ -95,17 +95,15 @@ def test_registry_served_engines_match_cold_baseline(seed, steps):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(2, 4))
-def test_parallel_propagate_many_matches_cold_baseline(seed, steps):
-    """propagate_many(parallel=True) over a many-document batch preserves
+def test_many_document_propagate_many_matches_cold_baseline(seed, steps):
+    """propagate_many([(t, s), ...]) over a many-document batch preserves
     order and bytes relative to the cold per-request baseline."""
     dtd, annotation, _, stream = _workload(seed, steps)
     pairs = [(document, update) for document, update, _ in stream]
-    engine = ViewEngine(dtd, annotation)
-    parallel_scripts = engine.propagate_many(pairs, parallel=True)
-    sequential_scripts = engine.propagate_many(pairs)
-    for (_, _, cold), par, seq in zip(stream, parallel_scripts, sequential_scripts):
-        assert par.to_term() == cold.to_term()
-        assert seq.to_term() == cold.to_term()
+    scripts = ViewEngine(dtd, annotation).propagate_many(pairs)
+    assert len(scripts) == len(stream)
+    for (_, _, cold), script in zip(stream, scripts):
+        assert script.to_term() == cold.to_term()
 
 
 @settings(
@@ -145,24 +143,6 @@ def test_memoized_engine_matches_cold_baseline(seed, steps):
     }
     if len(distinct) > 1:
         assert tiny.stats.memo_evictions > 0
-
-
-@settings(
-    max_examples=5,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(2, 3))
-def test_process_pool_matches_cold_baseline(seed, steps):
-    """propagate_many(parallel="process") ships the batch through worker
-    processes and returns scripts byte-identical to serial serving, in
-    order."""
-    dtd, annotation, _, stream = _workload(seed, steps)
-    pairs = [(document, update) for document, update, _ in stream]
-    engine = ViewEngine(dtd, annotation)
-    pooled = engine.propagate_many(pairs, parallel="process", workers=2)
-    for (_, _, cold), script in zip(stream, pooled):
-        assert script.to_term() == cold.to_term()
 
 
 @settings(

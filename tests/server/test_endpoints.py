@@ -1,5 +1,5 @@
 """Endpoint routing: replica reads with staleness budgets, stateless
-process-pool batches, and the sharded-document front."""
+many-document batches, and the sharded-document front."""
 
 import pytest
 
@@ -244,9 +244,7 @@ class TestBatchEndpoint:
         assert result["scripts"] == expected
 
     def test_empty_batch_is_served_not_crashed(self, workload):
-        """The satellite-3 edge over the wire: an empty request list
-        (with the process pool requested) answers [] instead of dying
-        in balanced_chunk_indices."""
+        """An empty request list answers [] instead of crashing."""
         from repro.dtd import serialize_dtd
 
         server = ReproServer()
@@ -258,12 +256,97 @@ class TestBatchEndpoint:
                     dtd=serialize_dtd(workload.dtd),
                     annotation=workload.annotation.serialize(),
                     requests=[],
-                    parallel="process",
-                    workers=4,
                 )
 
         result = run_with_server(server, client_work)
         assert result == {"count": 0, "scripts": [], "costs": []}
+
+
+def _batch_request(workload, client, entries, **fields):
+    from repro.dtd import serialize_dtd
+
+    return client.request(
+        "batch",
+        dtd=serialize_dtd(workload.dtd),
+        annotation=workload.annotation.serialize(),
+        requests=entries,
+        **fields,
+    )
+
+
+class TestBatchRequestChecks:
+    def test_pool_fields_are_ignored_and_start_no_process(
+        self, workload, monkeypatch
+    ):
+        """``parallel`` and ``workers`` come from the client: they must
+        not decide how many processes the server starts."""
+        import concurrent.futures
+        import multiprocessing
+        import multiprocessing.process
+
+        from repro.editing import EditScript
+        from repro.engine import ViewEngine
+        from repro.xmltree import tree_to_xml
+
+        terms = [sequential_updates(workload, 1, seed=s)[0] for s in (4, 5)]
+        expected = ViewEngine(workload.dtd, workload.annotation).propagate_many(
+            [(workload.source, EditScript.parse(term)) for term in terms]
+        )
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("the batch op started a child process")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_process)
+        monkeypatch.setattr(multiprocessing, "Process", no_process)
+        # a pool class imported before the patch still starts its
+        # workers through BaseProcess.start
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        server = ReproServer()
+
+        def client_work(host, port):
+            with ServeClient(host, port) as client:
+                return _batch_request(
+                    workload,
+                    client,
+                    [
+                        {"source": tree_to_xml(workload.source), "update": term}
+                        for term in terms
+                    ],
+                    parallel="process",
+                    workers=64,
+                )
+
+        result = run_with_server(server, client_work)
+        assert result["scripts"] == [script.to_term() for script in expected]
+        assert result["costs"] == [script.cost for script in expected]
+
+    def _refusal(self, workload, entries):
+        server = ReproServer()
+
+        def client_work(host, port):
+            with ServeClient(host, port) as client:
+                with pytest.raises(RemoteServingError) as caught:
+                    _batch_request(workload, client, entries)
+            return caught.value
+
+        return run_with_server(server, client_work)
+
+    def test_non_object_entry_is_named(self, workload):
+        error = self._refusal(workload, ["oops"])
+        assert (error.code, error.remote_type) == ("server_failed", "ServerError")
+        assert "'batch' entry 0" in error.payload["message"]
+
+    def test_entry_without_source_is_named(self, workload):
+        from repro.xmltree import tree_to_xml
+
+        (term,) = sequential_updates(workload, 1)
+        error = self._refusal(
+            workload,
+            [{"source": tree_to_xml(workload.source), "update": term}, {"update": term}],
+        )
+        assert error.code == "server_failed"
+        assert "'batch' entry 1" in error.payload["message"]
+        assert "'source'" in error.payload["message"]
 
 
 def _sharded_book(root):

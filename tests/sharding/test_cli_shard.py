@@ -86,7 +86,7 @@ class TestShardCli:
         payload = json.loads(out.read_text())
         assert payload["durable"] and payload["depth"] == 2
         assert payload["shards"] == len(payload["docs"])
-        assert payload["mode"] == "thread"
+        assert "mode" not in payload
 
     def test_propagate_script_matches_unsharded(self, initialised, tmp_path):
         tmp_path_, root, w = initialised

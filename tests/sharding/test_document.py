@@ -1,4 +1,4 @@
-"""`ShardedDocument`: the facade — in-memory, process-mode, durable."""
+"""`ShardedDocument`: the facade — in-memory and durable."""
 
 import random
 
@@ -49,12 +49,8 @@ class TestInMemory:
             assert doc.source.to_term() == session.source.to_term()
             assert doc.view.to_term() == engine.view(session.source).to_term()
 
-    def test_rejects_invalid_source_and_unknown_mode(
-        self, deep_workload, engine_for
-    ):
+    def test_rejects_invalid_source(self, deep_workload, engine_for):
         engine = engine_for(deep_workload)
-        with pytest.raises(ShardingError):
-            ShardedDocument(engine, deep_workload.source, mode="fiber")
         from repro.errors import ReproError
 
         bad = parse_term("hospital#h(symptom#s)")
@@ -75,19 +71,57 @@ class TestInMemory:
             assert doc.source.to_term() == session.source.to_term()
 
 
-class TestProcessMode:
-    def test_matches_unsharded_across_processes(self, deep_workload, engine_for):
-        engine = engine_for(deep_workload)
-        session = engine.session(deep_workload.source)
-        with ShardedDocument(
-            engine, deep_workload.source, depth=2, mode="process", workers=2
-        ) as doc:
-            assert doc.mode == "process"
-            for update in _stream(engine, deep_workload, seed=23, steps=3):
-                assert (
-                    doc.propagate(update).to_term()
-                    == session.propagate(update).to_term()
+class TestSerialFanout:
+    def test_multi_shard_edits_match_unsharded_without_threads(
+        self, workload, engine_for, monkeypatch
+    ):
+        import multiprocessing.process
+        import threading
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sharded edit started a thread or process")
+
+        engine = engine_for(workload)
+        session = engine.session(workload.source)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        with ShardedDocument(engine, workload.source, depth=1) as doc:
+            for first, second, fresh in (("d1", "d3", "u0"), ("d0", "d2", "u2")):
+                edit = UpdateBuilder(
+                    engine.view(doc.source), forbidden_ids=doc.source.nodes()
                 )
+                edit.insert(first, parse_term(f"c#{fresh}"), index=1)
+                edit.insert(second, parse_term(f"c#{fresh}x"), index=0)
+                update = edit.script()
+                result = doc.propagate(update.to_term())
+                assert not result.boundary
+                assert result.touched == (first, second)
+                assert result.script == session.propagate(update).to_term()
+            assert doc.source.to_term() == session.source.to_term()
+
+    @pytest.mark.parametrize("entry", ["constructor", "create", "open", "pool"])
+    def test_pool_keywords_are_refused(
+        self, entry, workload, engine_for, tmp_path
+    ):
+        from repro.sharding import LocalShardPool
+
+        engine = engine_for(workload)
+        root = tmp_path / "sharded"
+        calls = {
+            "constructor": lambda **knob: ShardedDocument(
+                engine, workload.source, **knob
+            ),
+            "create": lambda **knob: ShardedDocument.create(
+                root, workload.source, workload.dtd, workload.annotation, **knob
+            ),
+            "open": lambda **knob: ShardedDocument.open(root, **knob),
+            "pool": lambda **knob: LocalShardPool(engine, **knob),
+        }
+        knobs = [{"workers": 2}] + ([] if entry == "pool" else [{"mode": "process"}])
+        for knob in knobs:
+            with pytest.raises(TypeError):
+                calls[entry](**knob)
+        assert not root.exists()
 
 
 class TestDurable:

@@ -223,4 +223,31 @@ class TestRouterGuards:
         payload = router.stats_payload()
         assert payload["edits"] == {"fast": 1, "boundary": 1, "identity": 0}
         assert payload["shards"] == len(router.shard_roots)
-        assert payload["mode"] == "thread"
+        assert "mode" not in payload
+
+
+class TestLocalShardPool:
+    def test_a_failed_preview_parks_nothing(self, workload, engine_for):
+        from repro.core import PreferenceChooser
+        from repro.errors import InvalidViewUpdateError, ShardWorkerError
+
+        engine = engine_for(workload)
+        plan = partition(workload.source, workload.annotation, 1)
+        pool = LocalShardPool(engine)
+        for sid in plan.shard_roots:
+            pool.adopt(sid, plan.shards[sid])
+        grow_d1 = EditScript.parse("Nop.d#d1(Nop.c#c1, Ins.c#u0)")
+        not_d3 = EditScript.parse("Nop.d#d1(Nop.c#c1)")
+        options = dict(chooser=PreferenceChooser(), optimal=True, validate=True)
+        # shards preview one after another; the second refuses ...
+        with pytest.raises(InvalidViewUpdateError):
+            pool.preview([("d1", grow_d1, 0), ("d3", not_d3, 0)], **options)
+        # ... so the first one's preview is not parked for a commit
+        with pytest.raises(ShardWorkerError):
+            pool.commit({"d1": 0}, want_script=False)
+        assert pool.text("d1", view=True) == "Nop.d#d1(Nop.c#c1)"
+        # previewed alone it parks, and the commit advances the shard
+        ((cost, consumed),) = pool.preview([("d1", grow_d1, 0)], **options).values()
+        assert consumed >= 1 and cost > consumed
+        pool.commit({"d1": 0}, want_script=False)
+        assert pool.text("d1", view=True).count("Nop.c#") == 2

@@ -192,19 +192,45 @@ class TestParsePath:
         ]
         assert [attrs.get("parse") for attrs in routes] == ["local", "full"]
 
+    def test_each_touched_shard_propagates_under_the_fanout(self, engine_for):
+        workload = running_example(4)
+        engine = engine_for(workload)
+        view = workload.annotation.view(workload.source)
+        edit = UpdateBuilder(view, forbidden_ids=workload.source.nodes())
+        edit.insert("d1", parse_term("c#u0"), index=1)
+        edit.insert("d3", parse_term("c#u1"), index=0)
+        tracer = obs.configure(enabled=True, sample_rate=1.0, log_spans=False)
+        tracer.reset()
+        try:
+            with _doc(engine, workload) as doc:
+                with obs.trace("request") as root:
+                    doc.propagate(edit.script().to_term())
+            record = tracer.find(root.trace_id)
+        finally:
+            tracer.reset()
+            obs.configure(enabled=False)
 
-class TestProcessMode:
-    def test_text_requests_across_processes(self, engine_for):
+        def spans(node, name):
+            if node["name"] == name:
+                yield node
+            for child in node.get("children", []):
+                yield from spans(child, name)
+
+        (fanout,) = spans(record["root"], "shard.fanout")
+        assert sorted(
+            (child["name"], child["attrs"]["shard"]) for child in fanout["children"]
+        ) == [("shard.propagate", "d1"), ("shard.propagate", "d3")]
+
+
+class TestOwnerIndexAfterCommits:
+    def test_reuse_is_refused_after_text_commits(self, engine_for):
+        """A reused hidden id is refused with the owner index that the
+        earlier commits keep current."""
         workload = huge_document(300)
         engine = engine_for(workload)
-        stream = _stream(workload, engine, 2)
-        with ShardedDocument(
-            engine, workload.source, depth=1, mode="process", workers=1
-        ) as doc:
-            for text, dirty, expected in stream:
+        with _doc(engine, workload) as doc:
+            for text, dirty, expected in _stream(workload, engine, 2):
                 assert doc.propagate(text, dirty=dirty).script == expected.to_term()
-            # a reused hidden id is refused with the owner index the
-            # workers' commits keep current
             view = engine.annotation.view(doc.source)
             last = view.children(view.root)[-1]
             section = [s for s in view.children(last) if view.label(s) == "section"][0]
