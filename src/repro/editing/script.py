@@ -26,6 +26,13 @@ script on demand, equal to the whole tree. ``In(S)`` is the base itself,
 splices the region's text into the base's cached all-``Nop`` text
 (:func:`phantom_text`), so a sparse script costs its region plus the
 children lists it touches, not the document.
+
+**Record text.** The write-ahead log holds :meth:`EditScript.to_record`:
+the term text with each maximal run of *untouched* children (all-``Nop``
+subtrees) written as one skip token ``~k``, e.g.
+``Nop.r#n0(~85, Del.a#n86, ~3)``. A record costs what its script costs,
+and reads back only against the tree it edits
+(``EditScript.parse(text, base=tree, skips=True)``).
 """
 
 from __future__ import annotations
@@ -37,15 +44,21 @@ from typing import Container, Iterator, Sequence
 from ..errors import InvalidScriptError, NodeNotFoundError
 from ..xmltree import NodeId, Tree, parse_term
 from ..xmltree.nodeid import numeric_suffix
-from ..xmltree.term import WORD
+from ..xmltree.term import WORD, _error
 from ..xmltree.tree import carry_suffixes
 from .ops import EditLabel, Op, dele, ins, nop, parse_edit_label, ren, uniform_label
 
-__all__ = ["EditScript", "phantom_text"]
+__all__ = ["EditScript", "check_record_syntax", "phantom_text"]
 
 # one node head of canonical term text (what to_term writes): the label
 # word, ``#id`` and whether children follow
 _HEAD = re.compile(r"([\w.\-]+)#([\w.\-]+)(\()?")
+
+# a skip token of record text: a run of k >= 1 untouched children
+_SKIP = re.compile(r"~([1-9][0-9]*)")
+
+# one node head or skip token of record text, and the punctuation after it
+_TOKEN = re.compile(r"(?:~[1-9][0-9]*|([\w.\-]+)#[\w.\-]+(\()?)(\)*)(, )?")
 
 # markers on the splice renderer's stack
 _CLOSE = object()
@@ -205,7 +218,12 @@ class EditScript:
 
     @classmethod
     def parse(
-        cls, text: str, id_prefix: str = "n", *, base: "Tree | None" = None
+        cls,
+        text: str,
+        id_prefix: str = "n",
+        *,
+        base: "Tree | None" = None,
+        skips: bool = False,
     ) -> "EditScript":
         """Parse compact term notation, e.g. ``Nop.r#n0(Del.a#n1, Ins.d#n11)``.
 
@@ -222,16 +240,33 @@ class EditScript:
         identifier-less nodes, repeated identifiers, a stale base, syntax
         errors — is parsed whole, exactly as without *base*, so the
         script (or the error) is the same either way.
+
+        *skips* reads record text (:meth:`to_record`) against its *base*,
+        for the write-ahead log's readers: a skip token ``~k`` is the
+        next *k* children of the base, untouched. Whole term text, as
+        earlier builds journalled it, reads as above. Either way the
+        script must apply to *base*: text that does not raises
+        :class:`InvalidScriptError` (or :class:`TermSyntaxError`, when
+        it is not record text at all).
         """
         if base is not None:
-            script = _parse_region(text, base)
+            script = _parse_region(text, base, skips)
             if script is not None:
                 return script
+        if skips and "~" in text:  # never in whole term text
+            check_record_syntax(text)
+            raise InvalidScriptError(
+                "the record does not fit the tree it edits: a skip run, "
+                "an identifier or a label differs from that tree's"
+            )
         raw = parse_term(text, id_prefix=id_prefix)
         words = raw._labels
         decoded = {word: parse_edit_label(word) for word in dict.fromkeys(words.values())}
         labels = dict(zip(words, map(decoded.__getitem__, words.values())))
-        return cls(Tree._from_parts(raw._root, labels, raw._children, raw._parents))
+        script = cls(Tree._from_parts(raw._root, labels, raw._children, raw._parents))
+        if skips and script.input_tree != base:
+            raise InvalidScriptError("script input tree does not match the given tree")
+        return script
 
     # ------------------------------------------------------------------
     # Structure access
@@ -564,8 +599,35 @@ class EditScript:
             self._term = term
         return term
 
+    def to_record(self) -> str:
+        """The script's write-ahead log text: :meth:`to_term`'s, with each
+        maximal run of untouched children written as one skip token
+        ``~k``. :meth:`parse` reads it back against the tree the script
+        applies to (``base=`` that tree, ``skips=True``).
+
+        An untouched child is an all-``Nop`` subtree, found from the
+        script's non-``Nop`` nodes, so the text depends only on the
+        script: a script without a base writes what an equal sparse one
+        writes. It costs the region and the children lists of its kept
+        nodes.
+        """
+        if self._root is None:
+            raise InvalidScriptError("the empty script has no term notation")
+        parents = self._parents
+        touched = {self._root}
+        for node, label in self._labels.items():
+            if label.op is not Op.NOP:
+                while node not in touched:
+                    touched.add(node)
+                    node = parents[node]
+        return "".join(self._splice(None, touched=touched)[0])
+
     def _splice(
-        self, cache: "_PhantomText", *, out: bool
+        self,
+        cache: "_PhantomText | None",
+        *,
+        out: bool = False,
+        touched: "set[NodeId] | None" = None,
     ) -> "tuple[list[str], dict[NodeId, int] | None]":
         """The sparse script's term text in pieces: the region rendered,
         each implicit subtree a slice of the base's all-``Nop`` *cache*.
@@ -575,13 +637,18 @@ class EditScript:
         ``Nop`` with its output label), returned with ``Out(S)``'s text
         length table: the base's, patched at the region.
 
+        With *touched* (:meth:`to_record`, any script), only those nodes
+        are written, each maximal run of other children as one skip
+        token, and no *cache* is read.
+
         A base child's text offset is its previous sibling's plus that
         sibling's length and the ``", "`` after it, so the walk costs the
         region and the children lists of its kept nodes. Iterative: the
         depth of the tree is not limited by the recursion limit.
         """
-        text, lengths = cache.text, cache.lengths
-        base_labels = self._base._labels
+        if touched is None:
+            text, lengths = cache.text, cache.lengths
+            base_labels = self._base._labels
         region = self._labels
         region_children = self._children
         new_lengths = lengths.copy() if out else None
@@ -625,7 +692,17 @@ class EditScript:
             # the node's children in order: region children, and each run
             # of implicit ones as one slice of the base text
             entries: list = []
-            if kids:
+            if kids and touched is not None:
+                done = 0
+                for kid in filter(touched.__contains__, kids):
+                    index = kids.index(kid, done)
+                    if index > done:
+                        entries.append(f"~{index - done}")
+                    entries.append((kid, 0))
+                    done = index + 1
+                if done < len(kids):
+                    entries.append(f"~{len(kids) - done}")
+            elif kids:
                 # the base text of a base node's children starts after
                 # "Nop.<label>#<id>(" (an inserted node has none)
                 if label.op is not Op.INS:
@@ -824,19 +901,20 @@ def phantom_text(tree: Tree) -> "str | None":
     return cache.text if cache is not None else None
 
 
-def _parse_region(text: str, base: Tree) -> "EditScript | None":
+def _parse_region(text: str, base: Tree, skips: bool = False) -> "EditScript | None":
     """Parse *text* as a sparse script over *base*, or return ``None``
     when that cannot be proven equal to the whole-text parse (see
     :meth:`EditScript.parse`).
 
     One pass over the text. Each child position of a kept region node
-    first tries the base's all-``Nop`` text of the base child due there:
-    an exact match (followed by ``", "`` or ``")"``) is that child,
-    untouched and implicit. Anything else is read as a canonical node
-    head. A non-inserted node must be the base child due at its position,
-    with the base's label, and every base child must be consumed, so
-    ``In(S) = base`` and no identifier can repeat; an inserted node must
-    be new to the base and to the region.
+    first tries, with *skips*, a skip token ``~k``: the next *k* base
+    children, untouched and implicit. Then the base's all-``Nop`` text
+    of the base child due there: an exact match (followed by ``", "`` or
+    ``")"``) is that child, untouched and implicit. Anything else is
+    read as a canonical node head. A non-inserted node must be the base
+    child due at its position, with the base's label, and every base
+    child must be consumed, so ``In(S) = base`` and no identifier can
+    repeat; an inserted node must be new to the base and to the region.
     """
     cache = _phantom_cache(base)
     if cache is None:
@@ -859,7 +937,21 @@ def _parse_region(text: str, base: Tree) -> "EditScript | None":
             due = frame[3][frame[4]]
             size = lengths[due]
             at = frame[5]
-            if (
+            if skips and text.startswith("~", pos):
+                match = _SKIP.match(text, pos)
+                if match is None:
+                    return None
+                kids = frame[3]
+                done = frame[4] + int(match.group(1))
+                if done > len(kids):
+                    return None
+                run = kids[frame[4]:done]
+                frame[2].extend(run)
+                frame[4] = done
+                frame[5] = at + sum(map(lengths.__getitem__, run)) + 2 * len(run)
+                pos = match.end()
+                skipped = True
+            elif (
                 text.startswith(phantom[at:at + size], pos)
                 and text[pos + size:pos + size + 1] in (",", ")")
             ):
@@ -945,6 +1037,47 @@ def _close(text, pos, frame, stack, children):
         if not stack:
             return None, pos
         frame = stack.pop()
+
+
+def check_record_syntax(text: str) -> None:
+    """Raise unless *text* reads as a write-ahead log record: term text
+    as :meth:`EditScript.to_term` or :meth:`EditScript.to_record` write
+    it (canonical spacing, an identifier on every node, skip tokens only
+    in children lists), every label an edit label.
+
+    A syntax check, not a parse: one regular-expression match per node
+    or skip token, nothing built. Raises :class:`TermSyntaxError`, or
+    :class:`InvalidScriptError` for a label that is not an edit label.
+    """
+    depth = pos = 0
+    words: "set[str]" = set()
+    while True:
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            raise _error(text, "expected a node or a skip run", pos)
+        word, opened, closers, comma = match.groups()
+        if word is None and not depth:
+            raise _error(text, "a skip run outside a children list", pos)
+        if word is not None and word not in words:
+            parse_edit_label(word)
+            words.add(word)
+        pos = match.end()
+        if opened:
+            if closers or comma:
+                raise _error(text, "expected a child", match.start(3))
+            depth += 1
+            continue
+        depth -= len(closers)
+        if depth < 0:
+            raise _error(text, "trailing input", match.start(3))
+        if not comma:
+            break
+        if not depth:
+            raise _error(text, "trailing input", match.start(4))
+    if depth:
+        raise _error(text, "expected ')'", pos)
+    if pos != len(text):
+        raise _error(text, "trailing input", pos)
 
 
 def _distinct(labels: "dict[NodeId, EditLabel]") -> "dict[int, EditLabel]":

@@ -13,8 +13,9 @@ frame kinds:
     never seen: the raw schema files, the newest retained snapshot, and
     the sequence number it stands at;
 ``record``
-    one WAL record (sequence number + edit-script text), shipped in
-    order from wherever the standby is acknowledged up to the log head;
+    one WAL record (sequence number + record text, the bytes the
+    primary journalled), shipped in order from wherever the standby is
+    acknowledged up to the log head;
 ``checkpoint``
     a snapshot alone, bridging a standby that fell behind a compacted
     prefix — the records it still needs were trimmed on the primary, so

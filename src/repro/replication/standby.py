@@ -30,12 +30,12 @@ from typing import TYPE_CHECKING, Iterable
 
 from ..dtd import parse_dtd
 from ..editing import EditScript
+from ..editing.script import check_record_syntax
 from ..errors import (
     ReadOnlyReplicaError,
     ReplicationError,
     ReplicationLagError,
     ScriptError,
-    StaleSessionError,
     TreeError,
 )
 from ..registry import schema_fingerprint
@@ -389,10 +389,12 @@ class StandbyStore(DocumentStore):
                 f"log contiguously (acknowledged up to {applied}) — a "
                 "checkpoint frame must bridge the compacted gap"
             )
-        # Refuse garbage before acknowledging it: the record must be an
-        # edit script, exactly as the primary's journal guaranteed.
+        # Refuse garbage before acknowledging it: the record must read as
+        # record text, whole or with skips, as the primary's journal
+        # wrote it. A syntax check: whether it fits the document is
+        # decided where it is replayed, against that document.
         try:
-            EditScript.parse(text)
+            check_record_syntax(text)
         except (ScriptError, TreeError) as error:
             raise ReplicationError(
                 f"record {seq} for {doc_id!r} is not an edit script "
@@ -543,13 +545,16 @@ class ReplicaSession:
             if record.seq <= self._applied:
                 continue
             try:
-                self._session.apply_source_script(EditScript.parse(record.text))
-            except (ScriptError, TreeError, StaleSessionError) as error:
+                script = EditScript.parse(
+                    record.text, base=self._session.source, skips=True
+                )
+            except (ScriptError, TreeError) as error:
                 self._cursor.state = None
                 raise ReplicationError(
                     f"replica log record {record.seq} does not extend the "
                     f"session's document ({error})"
                 ) from error
+            self._session.apply_source_script(script)
             self._applied = record.seq
             count += 1
         self._refreshes += 1

@@ -173,10 +173,12 @@ async def _batch(server: "ReproServer", request: dict) -> dict:
         where = f"request op 'batch' entry {index}"
         if not isinstance(entry, dict):
             raise ServerError(f"{where} must be an object")
-        pairs.append((
-            tree_from_xml(_required(entry, "source", where=where)),
-            EditScript.parse(_required(entry, "update", where=where)),
-        ))
+        source = _required(entry, "source", where=where)
+        update = _required(entry, "update", where=where)
+        try:
+            pairs.append((tree_from_xml(source), EditScript.parse(update)))
+        except (ReproError, SyntaxError) as error:  # ParseError is a SyntaxError
+            raise ServerError(f"{where}: {error}") from error
 
     def run():
         engine = server.registry.get_or_compile(dtd, annotation, warm=True)

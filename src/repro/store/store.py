@@ -21,6 +21,16 @@ advances (a :class:`~repro.session.DocumentSession` journal hook), so a
 crash between requests loses nothing that was acknowledged;
 ``compact()`` checkpoints the tree and trims the log behind it.
 
+A record is the script's record text
+(:meth:`~repro.editing.EditScript.to_record`): its edited region, each
+run of untouched children one skip token ``~k``, so it costs the edit,
+not the document. Every reader parses a record against the document as
+it stands before it (``EditScript.parse(text, base=…, skips=True)``).
+Whole-term records, as earlier builds journalled them, read through the
+same parser, so an upgraded store holds a mixed log and needs no
+migration. The change is one-way: an earlier build refuses a record with
+skips with :class:`~repro.errors.RecoveryError`, never silently.
+
 Recovery (:meth:`DocumentStore.recover`) is engine-free — it needs only
 tree algebra: load the newest usable snapshot, replay the log tail
 through edit-script application, truncate a torn final record, and
@@ -49,7 +59,6 @@ from ..errors import (
     RecoveryError,
     ScriptError,
     SnapshotCorruptError,
-    StaleSessionError,
     StoreError,
     StoreSchemaMismatchError,
     TreeError,
@@ -72,6 +81,7 @@ from .snapshot import Snapshot, list_snapshots, read_snapshot, write_snapshot
 from .wal import (
     FSYNC_POLICIES,
     GroupCommitCoordinator,
+    WalRecord,
     WalScan,
     WalWriter,
     create_wal,
@@ -90,6 +100,20 @@ __all__ = [
     "RecoveredDocument",
     "TimeTravelView",
 ]
+
+
+def _replayed(doc_id: str, record: WalRecord, base: Tree) -> EditScript:
+    """Log *record* parsed against *base*, the document as it stands
+    before the record: a script with ``In(S) = base``, or
+    :class:`~repro.errors.RecoveryError` naming the record."""
+    try:
+        return EditScript.parse(record.text, base=base, skips=True)
+    except (ScriptError, TreeError) as error:
+        raise RecoveryError(
+            f"document {doc_id!r}: log record {record.seq} does not apply to "
+            f"the recovered document state ({error})"
+        ) from error
+
 
 def _write_file(path: Path, text: str) -> None:
     """Atomic, fsynced small-file write (schema files, metadata): after a
@@ -419,15 +443,15 @@ class DocumentStore:
         return dtd, annotation
 
     def _recovery_plan(
-        self, doc_id: str, *, repair: bool = True, upto_seq: "int | None" = None
-    ) -> "tuple[Snapshot, list[EditScript], WalScan, bool]":
+        self, doc_id: str, *, upto_seq: "int | None" = None
+    ) -> "tuple[Snapshot, list[WalRecord], WalScan]":
         """The shared first half of recovery: scan the log, pick the
-        newest usable snapshot, parse the tail scripts past it, truncate
-        a torn final record when *repair* (default; pass ``False`` for a
-        read-only audit). With *upto_seq*, plan a point-in-time
-        reconstruction instead: the snapshot must sit at or before the
-        target and only records up to it are replayed. Returns
-        (snapshot, tail scripts, scan, truncated)."""
+        newest usable snapshot and the records past it. With *upto_seq*,
+        plan a point-in-time reconstruction instead: the snapshot must
+        sit at or before the target and only records up to it are
+        replayed. Returns (snapshot, tail records, scan); each record is
+        parsed against the document it edits as it is replayed
+        (:func:`_replayed`)."""
         directory = self._require_doc(doc_id)
         schema_hash = self.meta(doc_id)["schema"]
         scan = scan_wal(directory / _WAL_FILE)
@@ -450,23 +474,11 @@ class DocumentStore:
                 f"the log (last durable record is {scan.last_seq}) — records "
                 "the snapshot supposedly covers are missing"
             )
-        scripts: "list[EditScript]" = []
-        for record in scan.records:
-            if record.seq <= snapshot.seq:
-                continue
-            if upto_seq is not None and record.seq > upto_seq:
-                break
-            try:
-                scripts.append(EditScript.parse(record.text))
-            except (ScriptError, TreeError) as error:
-                raise RecoveryError(
-                    f"document {doc_id!r}: log record {record.seq} is not "
-                    f"an edit script ({error})"
-                ) from error
-        truncated = False
-        if repair and scan.torn_at is not None:
-            truncated = truncate_torn_tail(directory / _WAL_FILE, scan)
-        return snapshot, scripts, scan, truncated
+        last = scan.last_seq if upto_seq is None else upto_seq
+        records = [
+            record for record in scan.records if snapshot.seq < record.seq <= last
+        ]
+        return snapshot, records, scan
 
     def recover(
         self,
@@ -483,7 +495,10 @@ class DocumentStore:
         its caches warm). Interior log corruption raises
         :class:`~repro.errors.WALCorruptError`; an unusable snapshot
         chain, a log that does not reach the snapshot, or a record that
-        does not apply raises :class:`~repro.errors.RecoveryError`.
+        does not apply raises :class:`~repro.errors.RecoveryError`. Each
+        record is parsed against the tree the records before it built.
+        *repair* (default) then cuts a torn final record off the log;
+        pass ``False`` for a read-only audit.
 
         *upto_seq* is point-in-time recovery: reconstruct the document
         exactly as it stood after log record *upto_seq* was acknowledged
@@ -494,25 +509,18 @@ class DocumentStore:
         :class:`~repro.errors.RecoveryError`, because that history is
         genuinely gone.
         """
-        snapshot, scripts, scan, truncated = self._recovery_plan(
-            doc_id, repair=repair, upto_seq=upto_seq
-        )
+        snapshot, records, scan = self._recovery_plan(doc_id, upto_seq=upto_seq)
         tree = snapshot.tree
-        for script in scripts:
-            try:
-                tree = script.apply_to(tree)
-            except (ScriptError, TreeError) as error:
-                raise RecoveryError(
-                    f"document {doc_id!r}: log record does not apply to "
-                    f"the recovered document state ({error})"
-                ) from error
+        for record in records:
+            tree = _replayed(doc_id, record, tree).output_tree
         return RecoveredDocument(
             doc_id=doc_id,
             tree=tree,
             snapshot_seq=snapshot.seq,
             last_seq=scan.last_seq if upto_seq is None else upto_seq,
-            replayed=len(scripts),
-            truncated_tail=truncated,
+            replayed=len(records),
+            truncated_tail=repair
+            and truncate_torn_tail(self._doc_dir(doc_id) / _WAL_FILE, scan),
         )
 
     def time_travel(self, doc_id: str, seq: int) -> TimeTravelView:
@@ -608,10 +616,11 @@ class DocumentStore:
         validate_source: bool = False,
     ) -> "tuple[ViewEngine, DocumentSession, RecoveredDocument]":
         """Recover *doc_id* through a warm :class:`DocumentSession`: pin
-        the snapshot, advance it along each logged script — the session
-        arrives with its view, size-table, and identifier caches already
-        warm. Shared by :meth:`open_session` (which wraps the result in
-        a write-ahead-logged :class:`DurableSession`) and the replica
+        the snapshot, advance it along each logged script, parsed against
+        the session's source — the session arrives with its view,
+        size-table, and identifier caches already warm. Shared by
+        :meth:`open_session` (which wraps the result in a
+        write-ahead-logged :class:`DurableSession`) and the replica
         tier's read-only :class:`~repro.replication.ReplicaSession`."""
         recorded = self.meta(doc_id)["schema"]
         if engine is None:
@@ -623,23 +632,22 @@ class DocumentStore:
                 f"{recorded[:12]}… but the given engine is compiled for "
                 f"{engine.schema_hash[:12]}…"
             )
-        snapshot, scripts, scan, truncated = self._recovery_plan(doc_id)
-        session = engine.session(snapshot.tree, validate_source=validate_source)
-        for script in scripts:
-            try:
-                session.apply_source_script(script)
-            except StaleSessionError as error:
-                raise RecoveryError(
-                    f"document {doc_id!r}: log record does not apply to "
-                    f"the recovered document state ({error})"
-                ) from error
+        with _span("store.replay", doc=doc_id) as span:
+            snapshot, records, scan = self._recovery_plan(doc_id)
+            span.set(
+                records=len(records),
+                bytes=sum(len(record.text.encode("utf-8")) for record in records),
+            )
+            session = engine.session(snapshot.tree, validate_source=validate_source)
+            for record in records:
+                session.apply_source_script(_replayed(doc_id, record, session.source))
         recovered = RecoveredDocument(
             doc_id=doc_id,
             tree=session.source,
             snapshot_seq=snapshot.seq,
             last_seq=scan.last_seq,
-            replayed=len(scripts),
-            truncated_tail=truncated,
+            replayed=len(records),
+            truncated_tail=truncate_torn_tail(self._doc_dir(doc_id) / _WAL_FILE, scan),
         )
         return engine, session, recovered
 
@@ -836,7 +844,7 @@ class DurableSession:
             # lands, or the document's history forks.
             if self._lease is not None:
                 verify_lease(self._lease_path, self._lease)
-            text = script.to_term()
+            text = script.to_record()
             # Append only what replay can read back: a document whose node
             # identifiers fall outside term notation (spaces, commas — XML
             # attributes allow them) must fail *here*, before the update is

@@ -10,7 +10,17 @@ format is deliberately textual and self-checking:
 
     WALv1 <base_seq>\\n                    # file header, written once
     R <seq> <length> <crc32>\\n            # one record header per append
-    <length bytes of script term text>\\n  # e.g. Nop.r#n0(Del.a#n1, ...)
+    <length bytes of record text>\\n       # e.g. Nop.r#n0(~85, Del.a#n86, ~3)
+
+A record's text is the script's record text
+(:meth:`~repro.editing.EditScript.to_record`): its term text with each
+maximal run of untouched children — all-``Nop`` subtrees of the document
+the script edits — written as one skip token ``~k``, so a record costs
+the edit, not the document. It reads back only against that document
+(``EditScript.parse(text, base=…, skips=True)``), which is how the store
+and the replicas replay it. Whole-term records, as earlier builds wrote
+them, read through the same parser, so one log may mix the two. This
+module frames the text and never parses it.
 
 ``base_seq`` is the absolute sequence number the log starts *after*
 (compaction rewrites the log with a new base; sequence numbers never

@@ -1,6 +1,6 @@
 """Round-trip properties the durable store stands on.
 
-The write-ahead log persists edit scripts as term text, snapshots
+The write-ahead log persists edit scripts as record text, snapshots
 persist trees as XML, and schema files persist the ``(DTD, Annotation)``
 pair — so ``parse ∘ render`` must be the identity on all three, for
 *every* value the library can produce, or recovery reconstructs a
@@ -16,6 +16,7 @@ import pytest
 from repro.dtd import parse_dtd, serialize_dtd
 from repro.editing import EditScript
 from repro.editing.ops import EditLabel, Op, parse_edit_label
+from repro.editing.script import check_record_syntax
 from repro.errors import InvalidScriptError
 from repro.generators.dtds import random_annotation, random_dtd
 from repro.registry import schema_fingerprint
@@ -67,6 +68,19 @@ class TestScriptTermRoundTrip:
         assert EditScript.parse(rendered) == script
         # and rendering is stable under the round trip
         assert EditScript.parse(rendered).to_term() == rendered
+
+    @settings(max_examples=200, deadline=None)
+    @given(script=edit_scripts())
+    def test_record_text_reads_back_against_the_input(self, script):
+        """``parse(to_record(), base=In(S), skips=True) == S``, and the
+        script read back, sparse or whole, writes the same record text:
+        equal scripts journal equal bytes."""
+        record = script.to_record()
+        check_record_syntax(record)
+        back = EditScript.parse(record, base=script.input_tree, skips=True)
+        assert back == script
+        assert back.to_record() == record
+        assert EditScript.parse(script.to_term()).to_record() == record
 
     @settings(max_examples=200, deadline=None)
     @given(script=edit_scripts(), seq=st.integers(1, 2**31))

@@ -26,22 +26,38 @@ and the error's message. The property every target must keep
 Damage is a truncation at every byte and one flipped byte (three masks:
 a digit stays a digit under 0x01, ``1`` becomes ``9`` under 0x08, 0x80
 leaves ASCII) at every offset of every frame, headers included.
+
+The WAL case runs three times: over arbitrary payloads, over a
+document's log of record text (``EditScript.to_record``) and over a
+mixed log of record text and whole terms. The last two are also
+recovered: a torn tail recovers the document after the intact records
+(and recovery cuts just the tail), interior damage raises
+:class:`~repro.errors.WALCorruptError` and cuts nothing.
 """
 
+import pathlib
+import tempfile
+from functools import lru_cache
 from typing import NamedTuple
 
 import pytest
 
 from repro.cache.segments import read_payload, scan_segment, segment_cursor
-from repro.errors import ProtocolError, ReplicationError, WALCorruptError
+from repro.errors import ProtocolError, RecoveryError, ReplicationError, WALCorruptError
+from repro.generators.workloads import hospital
+from repro.replication import QueueTransport, StandbyStore, WalShipper
 from repro.replication.transport import (
     FileSpoolTransport,
+    Frame,
     SocketTransport,
     decode_frames,
     encode_frame,
 )
 from repro.server.protocol import decode_messages, encode_message, message_buffer
+from repro.store import DocumentStore
 from repro.store.wal import WalWriter, encode_record, scan_wal, wal_cursor
+
+from .test_wal_record_differential import _built, _discharge_admit, _reference
 
 MASKS = (0x01, 0x08, 0x80)
 
@@ -107,6 +123,53 @@ class Wal(Target):
             handle.write(rest)
         seen += cursor.read().records
         return [(record.seq, record.text) for record in seen]
+
+
+@lru_cache(maxsize=None)
+def _stream():
+    """Three propagations of a ``hospital(3)`` stream: the workload, the
+    scripts and the documents before and after each."""
+    workload = hospital(3)
+    with tempfile.TemporaryDirectory() as root:
+        scripts, _, _ = _reference(pathlib.Path(root), workload, _built(_discharge_admit), 3)
+    trees = [workload.source] + [script.output_tree for script in scripts[:3]]
+    return workload, scripts[:3], trees
+
+
+class RecordWal(Wal):
+    """A document's log of record text, read back by recovery too."""
+
+    kinds = ("record", "record", "record")
+
+    def __init__(self, tmp_path):
+        workload, scripts, self.trees = _stream()
+        self.store = DocumentStore.init(tmp_path / "store", fsync="off")
+        self.store.put("d", workload.source, workload.dtd, workload.annotation)
+        self.path = tmp_path / "store" / "docs" / "d" / "wal.log"
+        texts = [
+            script.to_record() if kind == "record" else script.to_term()
+            for script, kind in zip(scripts, self.kinds)
+        ]
+        self.frames = [encode_record(n, text) for n, text in enumerate(texts, 1)]
+        self.records = list(enumerate(texts, 1))
+
+    def read(self, data):
+        outcome = super().read(data)
+        if outcome.verdict == "error":
+            with pytest.raises(WALCorruptError):
+                self.store.recover("d")
+            assert self.path.read_bytes() == data  # nothing cut
+        else:
+            assert self.store.recover("d").tree == self.trees[len(outcome.records)]
+            assert self.path.read_bytes() == data[:outcome.end]  # just the tail
+            self.path.write_bytes(data)
+        return outcome
+
+
+class MixedWal(RecordWal):
+    """An upgraded document's log: whole terms among record text."""
+
+    kinds = ("whole", "record", "whole")
 
 
 class Segment(Target):
@@ -215,7 +278,7 @@ class WireStream(Target):
         return buffer.feed(first) + buffer.feed(rest)
 
 
-TARGETS = [Wal, Segment, Spool, ShipStream, WireStream]
+TARGETS = [Wal, RecordWal, MixedWal, Segment, Spool, ShipStream, WireStream]
 
 
 @pytest.fixture(params=TARGETS, ids=lambda cls: cls.__name__.lower())
@@ -285,3 +348,95 @@ def test_stream_fed_one_byte_at_a_time():
     for at in range(len(data)):
         messages += buffer.feed(data[at:at + 1])
     assert messages == _MESSAGES
+
+
+# ---------------------------------------------------------------------------
+# Records whose checksum holds but whose text is wrong
+# ---------------------------------------------------------------------------
+
+# record 2 of the stream, mutated so it no longer fits the document record
+# 1 leaves (the ward's children: name, q1 inserted, p1, p2, q0 deleted)
+_MISFITS = {
+    "skip run past the children": ("~2, Del.patient#q0", "~9, Del.patient#q0"),
+    "identifier out of position": (
+        "~2, Del.patient#q0(Del.name#q0n, Del.admission#q0a)",
+        "~1, Del.patient#q0(Del.name#q0n, Del.admission#q0a), ~1",
+    ),
+    "label differs": ("Nop.ward#w", "Nop.wing#w"),
+}
+
+
+def _primary(tmp_path, second: str) -> DocumentStore:
+    """A stored ``hospital(3)`` whose log holds records 1 and 3 of the
+    stream around *second*, all with valid checksums."""
+    workload, scripts, _ = _stream()
+    store = DocumentStore.init(tmp_path / "primary", fsync="off")
+    store.put("d", workload.source, workload.dtd, workload.annotation)
+    writer = WalWriter(store.root / "docs" / "d" / "wal.log", policy="off")
+    for text in (scripts[0].to_record(), second, scripts[2].to_record()):
+        writer.append(text)
+    writer.close()
+    return store
+
+
+def _misfits():
+    _, scripts, _ = _stream()
+    record = scripts[1].to_record()
+    for name, (old, new) in _MISFITS.items():
+        assert old in record
+        yield name, record.replace(old, new, 1)
+    # a whole term of another document state: parsed whole, In(S) differs
+    yield "whole term, other state", scripts[0].to_term()
+
+
+@pytest.mark.parametrize("name, second", list(_misfits()), ids=[n for n, _ in _misfits()])
+def test_a_record_that_does_not_fit_names_its_seq(tmp_path, name, second):
+    _, _, trees = _stream()
+    store = _primary(tmp_path, second)
+    for recover in (
+        lambda: store.recover("d"),
+        lambda: store.recover("d", upto_seq=2),
+        lambda: store.open_session("d"),
+    ):
+        with pytest.raises(RecoveryError, match="log record 2 does not apply"):
+            recover()
+    assert store.recover("d", upto_seq=1).tree == trees[1]
+    # a replica that served record 1 refuses record 2 at its refresh
+    standby = StandbyStore.init(tmp_path / "standby")
+    transport = QueueTransport()
+    shipper = WalShipper(store, transport)
+    shipper.ship_all()
+    frames = transport.drain()
+    standby.apply_frames(frames[:2])  # the bootstrap and record 1
+    replica = standby.replica_session("d")
+    assert replica.source == trees[1]
+    assert standby.apply_frames(frames[2:]) == {"applied": 2, "skipped": 0}
+    with pytest.raises(ReplicationError, match="log record 2 does not extend"):
+        replica.refresh()
+    assert replica.applied_seq == 1 and replica.source == trees[1]
+
+
+@pytest.mark.parametrize("text", [
+    "x",
+    "~3",
+    "Nop.hospital#h(~1",
+    "Nop.hospital#h(Nop.ward#w(~0))",
+    "Nop.hospital#h(Nop.ward#w(~1,~2))",
+    "Nop.hospital#h()",
+    "Nop.hospital h",
+    "Bad.hospital#h",
+    "Nop.hospital#h(Nop.ward#w), Nop.x#y",
+])
+def test_the_standby_refuses_text_in_neither_form_before_acknowledging(tmp_path, text):
+    _, scripts, _ = _stream()
+    store = _primary(tmp_path, scripts[1].to_record())
+    standby = StandbyStore.init(tmp_path / "standby")
+    transport = QueueTransport()
+    WalShipper(store, transport).ship_all()
+    standby.apply_frames(transport.drain()[:2])
+    wal = tmp_path / "standby" / "docs" / "d" / "wal.log"
+    before = wal.read_bytes()
+    with pytest.raises(ReplicationError, match="record 2 for 'd' is not an edit script"):
+        standby.apply_frame(Frame("record", {"doc_id": "d", "seq": 2, "text": text}))
+    assert standby.applied_seq("d") == 1
+    assert wal.read_bytes() == before

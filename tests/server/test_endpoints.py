@@ -206,6 +206,25 @@ class TestPropagateParseCounter:
         assert unknown.startswith("server answered unknown_document")
         assert server.propagate_parse == {"sparse": 0, "full": 0}
 
+    def test_record_text_is_not_a_request(self, store_root, workload):
+        """The log's skip tokens stay out of the wire: against a stale
+        client view they would apply silently instead of raising."""
+        from repro.editing import EditScript
+
+        server = ReproServer(store_root=store_root, fsync="off")
+        (term,) = sequential_updates(workload, 1, seed=5)
+        update = EditScript.parse(term, base=workload.annotation.view(workload.source))
+        assert "~" in update.to_record()
+
+        def client_work(host, port):
+            with ServeClient(host, port) as client:
+                with pytest.raises(RemoteServingError) as caught:
+                    client.propagate("doc0", update.to_record())
+                return caught.value
+
+        error = run_with_server(server, client_work)
+        assert error.remote_type == "TermSyntaxError"
+
 
 class TestBatchEndpoint:
     def test_stateless_batch_matches_library(self, workload):
@@ -347,6 +366,28 @@ class TestBatchRequestChecks:
         assert error.code == "server_failed"
         assert "'batch' entry 1" in error.payload["message"]
         assert "'source'" in error.payload["message"]
+
+    def test_malformed_source_is_named(self, workload):
+        (term,) = sequential_updates(workload, 1)
+        error = self._refusal(workload, [{"source": "<r id='n0'>", "update": term}])
+        assert (error.code, error.remote_type) == ("server_failed", "ServerError")
+        assert error.payload["message"].startswith(
+            "request op 'batch' entry 0: no element found"
+        )
+
+    def test_malformed_update_is_named(self, workload):
+        from repro.xmltree import tree_to_xml
+
+        (term,) = sequential_updates(workload, 1)
+        source = tree_to_xml(workload.source)
+        error = self._refusal(
+            workload,
+            [{"source": source, "update": term}, {"source": source, "update": term + ")"}],
+        )
+        assert (error.code, error.remote_type) == ("server_failed", "ServerError")
+        assert error.payload["message"].startswith(
+            "request op 'batch' entry 1: trailing input"
+        )
 
 
 def _sharded_book(root):

@@ -19,6 +19,11 @@ build a propagation graph (``build_propagation_graph``) or an optimal
 one (:class:`~repro.core.optimal.OptimalPropagationGraph`): the default
 chooser walks each affected node's cost sweep. Inversion graphs of the
 inserted fragments are still built and searched.
+
+The log keeps the same promise: every request after the first appends
+at most :data:`WAL_BOUND` bytes to the document's write-ahead log, and
+reopening the store after the stream parses at most ``BOUND`` nodes per
+replayed record and expands no sparse script.
 """
 
 from __future__ import annotations
@@ -47,6 +52,9 @@ _PROPAGATE = import_module("repro.core.propagate")
 BOUND = 64
 """Nodes (or edge objects) per request, per measure, at every document
 size."""
+
+WAL_BOUND = 1024
+"""Bytes one request appends to the log, frame header included."""
 
 REQUESTS = 6
 
@@ -115,7 +123,9 @@ def _install(monkeypatch, server, measured: Counter) -> None:
 
     def counted_parse(cls, text, *args, **kwargs):
         script = parse(cls, text, *args, **kwargs)
-        measured["parse"] += _held(script)
+        held = _held(script)
+        measured["parse"] += held
+        measured["parse_max"] = max(measured["parse_max"], held)
         return script
 
     build = PropagationGraphs.build_script
@@ -177,11 +187,14 @@ def _install(monkeypatch, server, measured: Counter) -> None:
     monkeypatch.setattr(EditScript, "tree", property(counted_tree))
 
 
-def _serve(tmp_path, monkeypatch, workload, terms) -> "list[Counter]":
-    """Serve *terms* unsharded; the per-request measures after the first."""
+def _serve(tmp_path, monkeypatch, workload, terms) -> "tuple[list[Counter], Counter]":
+    """Serve *terms* unsharded; the per-request measures after the first
+    (``wal`` the bytes each appended to the log), and the measures of
+    reopening the store after the stream."""
     store = DocumentStore.init(tmp_path / "store", fsync="off")
     store.put("d", workload.source, workload.dtd, workload.annotation)
     store.close()
+    wal = tmp_path / "store" / "docs" / "d" / "wal.log"
     server = ReproServer(store_root=tmp_path / "store", fsync="off")
     measured: Counter = Counter()
     _install(monkeypatch, server, measured)
@@ -191,11 +204,18 @@ def _serve(tmp_path, monkeypatch, workload, terms) -> "list[Counter]":
         with ServeClient(host, port) as client:
             for term in terms:
                 measured.clear()
+                size = wal.stat().st_size
                 assert client.propagate("d", term)["cost"] > 0
-                per_request.append(Counter(measured))
+                per_request.append(Counter(measured, wal=wal.stat().st_size - size))
         return per_request
 
-    return run_with_server(server, client_work)[1:]
+    per_request = run_with_server(server, client_work)[1:]
+    measured.clear()
+    with DocumentStore(tmp_path / "store", fsync="off") as store:
+        reopened = store.open_session("d")
+        assert reopened.recovered.replayed == len(terms)
+        reopened.close()
+    return per_request, Counter(measured)
 
 
 @pytest.mark.parametrize(
@@ -211,8 +231,13 @@ def test_one_edit_streams_cost_the_edit(tmp_path, monkeypatch, make, edit):
     for size in sizes:
         workload = make(size)
         terms = _stream(workload, edit, REQUESTS, seed=size)
-        for measures in _serve(tmp_path / str(size), monkeypatch, workload, terms):
+        served, reopened = _serve(tmp_path / str(size), monkeypatch, workload, terms)
+        for measures in served:
             assert measures["expanded"] == 0, (size, measures)
             assert measures["graphs"] == measures["optimal_graphs"] == 0, (size, measures)
             for name in ("parse", "projections", "build_script", "render", "edges"):
                 assert measures[name] <= BOUND, (size, name, measures)
+            assert 0 < measures["wal"] <= WAL_BOUND, (size, measures)
+        # the replay: one parse per record, each at the record's region
+        assert reopened["expanded"] == 0, (size, reopened)
+        assert 0 < reopened["parse_max"] <= BOUND, (size, reopened)

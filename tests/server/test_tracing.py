@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro import obs
+from repro.editing import EditScript
 from repro.engine import ViewEngine
 from repro.generators.updates import random_view_update
 from repro.replication import QueueTransport, StandbyStore, WalShipper
@@ -47,6 +48,12 @@ def span_names(span_dict, depth=0):
         yield from span_names(child, depth + 1)
 
 
+def _spans(span_dict):
+    yield span_dict
+    for child in span_dict.get("children", []):
+        yield from _spans(child)
+
+
 class TestServedTraces:
     def test_propagate_trace_tree_is_retrievable_by_trace_id(
         self, tracer, tmp_path, workload
@@ -85,6 +92,37 @@ class TestServedTraces:
         assert (journal_depth + 1, "wal.append") in tree
         assert (journal_depth + 1, "fsync") in tree
         assert "seq" not in names  # sanity: names, not attrs
+
+    def test_first_request_after_a_restart_shows_its_replay(
+        self, tracer, tmp_path, workload
+    ):
+        store = DocumentStore.init(tmp_path / "replayed", fsync="off")
+        store.put("doc0", workload.source, workload.dtd, workload.annotation)
+        terms = sequential_updates(workload, 4, seed=5)
+        with store.open_session("doc0") as session:  # the run before the restart
+            for term in terms[:3]:
+                session.propagate(EditScript.parse(term, base=session.view))
+        wal = (tmp_path / "replayed/docs/doc0/wal.log").read_bytes()
+        store.close()
+        tracer.reset()
+        server = ReproServer(store_root=tmp_path / "replayed", fsync="off")
+
+        def client_work(host, port):
+            with ServeClient(host, port) as client:
+                assert client.propagate("doc0", terms[3])["seq"] == 4
+                trace_id = client.last_trace_id
+            return json.loads(_scrape(host, port, f"/debug/traces?trace_id={trace_id}")[1])
+
+        payload = run_with_server(server, client_work)
+        (replay,) = [
+            span for span in _spans(payload["trace"]["root"])
+            if span["name"] == "store.replay"
+        ]
+        # the three records' bytes: the log minus its header and frame headers
+        body = sum(
+            int(line.split()[2]) for line in wal.splitlines() if line.startswith(b"R ")
+        )
+        assert replay["attrs"] == {"doc": "doc0", "records": 3, "bytes": body}
 
     def test_client_trace_id_round_trips_through_the_error_envelope(
         self, tracer, store_root
