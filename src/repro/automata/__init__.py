@@ -9,6 +9,8 @@ Public surface:
 * weighted shortest words: :func:`min_word`, :func:`min_word_cost`,
   :func:`min_completion_costs`.
 * :func:`nfa_to_regex` — state elimination, for displaying derived DTDs.
+* :class:`WordIndex` — a balanced positional index over one children
+  word, caching products of per-child summaries in a semiring.
 """
 
 from .dfa import determinize, minimize, run_deterministic
@@ -31,6 +33,7 @@ from .regex import (
     union,
 )
 from .shortest import SymbolCost, min_completion_costs, min_word, min_word_cost
+from .wordindex import WordIndex
 
 __all__ = [
     "NFA",
@@ -61,4 +64,5 @@ __all__ = [
     "min_word",
     "min_word_cost",
     "min_completion_costs",
+    "WordIndex",
 ]

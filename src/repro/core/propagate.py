@@ -35,14 +35,17 @@ from ..views import Annotation
 from ..xmltree import NodeId, NodeIds, Tree
 from .choosers import PathChooser, PreferenceChooser
 from .optimal import OptimalPropagationGraph
+from ..automata.wordindex import MemberLeaves, WordIndex
 from .propagation_graph import (
     INF,
+    RUN,
     CostSweep,
     EdgeKind,
     InsertMoves,
     PropagationGraph,
     build_propagation_graph,
     classify_positions,
+    classify_runs,
     label_moves,
 )
 
@@ -56,6 +59,21 @@ __all__ = [
     "verify_propagation",
 ]
 
+WIDE = 32
+"""The narrowest children word a session indexes (see
+:class:`~repro.automata.wordindex.WordIndex`)."""
+
+
+def _indexed(width: int, states: int) -> bool:
+    """Whether a word of *width* children over a content model of
+    *states* states is indexed: an index's products cost up to states³
+    per tree level and per edit, a cell-by-cell sweep ~states per child.
+    Measured on one-edit streams, a 3-state model gains from ~32
+    children, and a 5-state one with hidden children and (i)-moves
+    breaks even from ~100 and gains from ~250."""
+    return width >= WIDE and width >= states ** 3
+
+
 def validate_view_update(
     dtd: DTD,
     annotation: Annotation,
@@ -65,7 +83,8 @@ def validate_view_update(
     derived_view_dtd: DTD | None = None,
     source_view: Tree | None = None,
     view_known_valid: bool = False,
-) -> None:
+    _indices: "dict[NodeId, WordIndex] | None" = None,
+) -> int:
     """Raise :class:`InvalidViewUpdateError` unless *update* is a view update.
 
     The Section 4 definition: ``In(S) = A(t)`` (identifier-exact), the
@@ -90,6 +109,14 @@ def validate_view_update(
     ``In(S) = A(t)`` by construction, and its only identifiers outside
     the view are its inserted nodes: the first two checks then read the
     region only.
+
+    *_indices* is a session's Boolean
+    :class:`~repro.automata.wordindex.WordIndex` per wide children word
+    of the view (built here on first use). A changed kept node with one
+    is checked by folding the index over the runs of children the
+    update leaves untouched, stepping the automaton at its edited
+    positions only; the outcome, and the error raised, are those of
+    the whole word's check. Returns the automaton steps taken.
     """
     view = source_view if source_view is not None else annotation.view(source)
     if update.base is view:
@@ -108,14 +135,126 @@ def validate_view_update(
     if reused:
         raise hidden_reuse_error(reused, validate=True)
     vdtd = derived_view_dtd if derived_view_dtd is not None else view_dtd(dtd, annotation)
-    output = update.output_tree
     edits = _edits(update)
-    checked = _changed_nodes(update, edits) if view_known_valid else None
-    if output.is_empty or not vdtd.validates(output, nodes=checked):
+    if update.is_empty or update.op(update.root) is Op.DEL:  # Out(S) is empty
+        accepted, steps = False, 0
+    elif view_known_valid:
+        accepted, steps = _check_changed(
+            vdtd, view, update, _changed_nodes(update, edits), edits, _indices
+        )
+    else:
+        output = update.output_tree
+        accepted, steps = vdtd.validates(output), output.size - 1
+    if not accepted:
         raise InvalidViewUpdateError(
             "Out(S) is not in the view language A(L(D))"
         )
     _validate_renames(dtd, annotation, update, edits)
+    return steps
+
+
+def _check_changed(
+    vdtd: DTD,
+    view: Tree,
+    update: EditScript,
+    checked: "set[NodeId]",
+    edits: "list[NodeId]",
+    indices: "dict[NodeId, WordIndex] | None",
+) -> "tuple[bool, int]":
+    """Whether the children word of every *checked* node of ``Out(S)``
+    is accepted, and the automaton steps that took: by a fold over the
+    view's index where the node is kept with a wide word, else by
+    running the automaton over the whole word. Both read the update,
+    not ``Out(S)``, which is not built here."""
+    labels = update._labels
+    whole: "list[NodeId]" = []
+    steps = 0
+    by_parent: "dict[NodeId, list[NodeId]] | None" = None
+    for node in checked:
+        kids = view._children.get(node) if labels[node].op is Op.NOP else None
+        index = None
+        if indices is not None and kids is not None:
+            index = indices.get(node)
+            if index is None:
+                label = view._labels[node]
+                model = vdtd.automaton(label)
+                if _indexed(len(kids), len(model.states)):
+                    algebra = MemberLeaves(model)
+                    view_labels = view._labels
+                    index = indices[node] = WordIndex(
+                        [algebra.leaf(view_labels[kid]) for kid in kids], algebra, label
+                    )
+        if index is None:
+            whole.append(node)
+            continue
+        if by_parent is None:
+            by_parent = {}
+            parents = update._parents
+            for edit in edits:
+                by_parent.setdefault(parents.get(edit), []).append(edit)
+        accepted, taken = _fold_word(index, update, node, by_parent.get(node, ()))
+        steps += taken
+        if not accepted:
+            return False, steps
+    words = _OutputWords(update)
+    return vdtd.validates(words, nodes=whole), steps + words.steps
+
+
+class _OutputWords:
+    """The labels and children words of ``Out(S)``'s region nodes, read
+    from the update: what :meth:`DTD.validates` asks of a tree, without
+    building ``Out(S)``. Counts the symbols it hands out."""
+
+    is_empty = False
+
+    def __init__(self, update: EditScript) -> None:
+        self._update = update
+        self.steps = 0
+
+    def label(self, node: NodeId) -> str:
+        return self._update._labels[node].output_symbol
+
+    def child_labels(self, node: NodeId) -> "tuple[str, ...]":
+        update = self._update
+        labels = update._labels
+        base = update._base
+        word = []
+        for kid in update.children(node):
+            label = labels.get(kid)
+            if label is None:  # an implicit Nop of the base
+                word.append(base._labels[kid])
+            elif label.op is not Op.DEL:
+                word.append(label.output_symbol)
+        self.steps += len(word)
+        return tuple(word)
+
+
+def _fold_word(
+    index: WordIndex, update: EditScript, node: NodeId, edited: "Sequence[NodeId]"
+) -> "tuple[bool, int]":
+    """Membership of ``Out(S)``'s children word at a kept *node*: the
+    view's word (*index*) with the *edited* (non-``Nop``) children
+    applied, folded run by run."""
+    algebra = index.algebra
+    children = update.children(node)
+    labels = update._labels
+    states = algebra.initial
+    at = inserted = steps = 0  # the next untouched view child; inserts so far
+    for u in sorted(map(children.index, edited)):
+        label = labels[children[u]]
+        v = u - inserted
+        states = algebra.fold(index.cover(at, v), states)
+        if label.op is Op.INS:
+            inserted += 1
+            at = v
+        else:
+            at = v + 1
+            if label.op is Op.DEL:
+                continue
+        states = algebra.fold([algebra.leaf(label.output_symbol).value], states)
+        steps += 1
+    states = algebra.fold(index.cover(at, len(index)), states)
+    return bool(states & algebra.finals), steps
 
 
 def hidden_reuse_error(
@@ -240,6 +379,14 @@ class PropagationGraphs:
     without building a vertex or an edge object. Its value at the
     source vertex is the node's cost.
 
+    **Indexed words.** Given a session's min-plus
+    :class:`~repro.automata.wordindex.WordIndex` per wide children word
+    of the source, an affected node's positions are classified, swept
+    and walked at its edited positions only
+    (:func:`~repro.core.propagation_graph.classify_runs`), each run of
+    untouched children crossed with O(log width) products; :attr:`cells`
+    and :attr:`runs` count the cells swept and the runs crossed.
+
     **Materialized graphs.** ``G_n`` itself is built only on demand, for
     affected and pristine nodes alike, identical to an eager build:
     through :meth:`__getitem__`, :meth:`optimal`, :attr:`total_size`,
@@ -265,6 +412,8 @@ class PropagationGraphs:
         insert_costs: "Mapping[NodeId, int]",
         hidden_table: "Mapping[str, Sequence[str]] | None" = None,
         insert_moves: "Callable[[str], Mapping] | None" = None,
+        indices: "dict[NodeId, WordIndex] | None" = None,
+        edited: "Mapping[NodeId, set[NodeId]] | None" = None,
     ) -> None:
         self.dtd = dtd
         self.annotation = annotation
@@ -284,7 +433,11 @@ class PropagationGraphs:
         self._insert_costs = insert_costs
         self._hidden_table = hidden_table
         self._insert_moves = insert_moves
+        self._indices = indices
+        self._edited = edited
         self._optimal: dict[NodeId, OptimalPropagationGraph] = {}
+        self.cells = 0
+        self.runs = 0
 
     def _is_pristine(self, node: NodeId) -> bool:
         """A phantom node outside the affected region (class doc)."""
@@ -351,18 +504,37 @@ class PropagationGraphs:
             table = self._table(
                 effective if effective is not None else self.source.label(node)
             )
-            positions = classify_positions(
-                self.dtd,
-                self.annotation,
-                self.source,
-                self.update,
-                node,
-                subtree_sizes=self._subtree_sizes,
-                child_costs=self.costs,
-                insert_costs=self._insert_costs,
-                effective_label=effective,
-            )
+            positions = None
+            if self._indices is not None and effective is None and node in self._edited:
+                index = self._index(node, table)
+                if index is not None:
+                    positions = classify_runs(
+                        self.annotation,
+                        self.source,
+                        self.update,
+                        node,
+                        subtree_sizes=self._subtree_sizes,
+                        child_costs=self.costs,
+                        insert_costs=self._insert_costs,
+                        edited=self._edited[node],
+                        table=table,
+                        index=index,
+                    )
+            if positions is None:
+                positions = classify_positions(
+                    self.dtd,
+                    self.annotation,
+                    self.source,
+                    self.update,
+                    node,
+                    subtree_sizes=self._subtree_sizes,
+                    child_costs=self.costs,
+                    insert_costs=self._insert_costs,
+                    effective_label=effective,
+                )
             sweep = CostSweep(positions, table)
+            self.cells += sweep.cells
+            self.runs += sweep.runs
             if sweep.cost is INF:
                 raise NoPropagationError(
                     f"no propagation path in G_{node!r} (label {positions.label!r}); "
@@ -371,6 +543,28 @@ class PropagationGraphs:
                 )
             self._sweeps[node] = sweep
             costs[node] = sweep.cost
+
+    def _index(self, node: NodeId, table: InsertMoves) -> "WordIndex | None":
+        """The session's index over *node*'s source children, built now
+        if the word is wide and has none yet."""
+        index = self._indices.get(node)
+        if index is None:
+            children = self.source.children(node)
+            if not _indexed(len(children), len(table.states)):
+                return None
+            leaves = table.leaves()
+            labels = self.source._labels
+            sizes = self._subtree_sizes
+            hidden = table.hidden
+            index = self._indices[node] = WordIndex(
+                [
+                    leaves.leaf(y, sizes[child] if y in hidden else None)
+                    for child, y in zip(children, map(labels.__getitem__, children))
+                ],
+                leaves,
+                self.source._labels[node],
+            )
+        return index
 
     def __getitem__(self, node: NodeId) -> PropagationGraph:
         graph = self._graphs.get(node)
@@ -493,17 +687,21 @@ class PropagationGraphs:
         # keeps is pristine unless affected, a (vii)-edge's never is
         affected = self._affected
         walk = optimal_only and type(chooser) is PreferenceChooser
+        if walk:
+            rank = chooser._rank
+            nop_first = rank[Op.NOP] < rank[Op.DEL] and rank[Op.NOP] < rank[Op.INS]
 
         def open_node(node: NodeId) -> list:
             if walk:
-                path = self._sweeps[node].walk(chooser.preference)
+                path = self._sweeps[node].walk(chooser.preference, nop_first)
             else:
                 graph = self.optimal(node) if optimal_only else self[node]
                 path = [
                     (edge.kind, edge.symbol, edge.t_child, edge.s_child)
                     for edge in chooser.choose(graph)
                 ]
-            return [node, iter(path), []]
+            # the node, its path, its kids, and those of them in the region
+            return [node, iter(path), [], []]
 
         root = update.root
         if optimal_only and self._is_pristine(root):
@@ -514,21 +712,28 @@ class PropagationGraphs:
         else:
             frames = [open_node(root)]
             while frames:
-                node, path, kids = frames[-1]
+                node, path, kids, region = frames[-1]
                 for kind, symbol, t_child, s_child in path:
-                    if kind is EdgeKind.INVISIBLE_INSERT:
-                        kids.append(emit_fragment(self.factory.build(symbol, fresh)))
+                    if kind is RUN:  # untouched: a slice of the source's kids
+                        kids.extend(source_children[node][t_child:s_child])
+                    elif kind is EdgeKind.INVISIBLE_INSERT:
+                        kid = emit_fragment(self.factory.build(symbol, fresh))
+                        kids.append(kid)
+                        region.append(kid)
                     elif kind in (EdgeKind.INVISIBLE_DELETE, EdgeKind.VISIBLE_DELETE):
                         kids.append(emit_deleted(t_child))
+                        region.append(t_child)
                     elif kind is EdgeKind.INVISIBLE_NOP:
                         kids.append(t_child)  # implicit: the source subtree
                     elif kind is EdgeKind.VISIBLE_INSERT:
                         inversion = self.insertions[s_child]
-                        kids.append(emit_fragment(inversion.build_tree(
+                        kid = emit_fragment(inversion.build_tree(
                             lambda g: chooser.choose(g),
                             fresh,
                             optimal_only=optimal_only,
-                        )))
+                        ))
+                        kids.append(kid)
+                        region.append(kid)
                     elif optimal_only and t_child not in affected:  # pristine
                         kids.append(t_child)
                     else:  # VISIBLE_NOP / VISIBLE_RENAME: descend
@@ -540,12 +745,12 @@ class PropagationGraphs:
                     labels[node] = update.edit_label(node)
                     emitted += 1
                     if kids:
-                        children[node] = kids = tuple(kids)
-                        for kid in kids:
-                            if kid in labels:
-                                parents[kid] = node
+                        children[node] = tuple(kids)
+                        for kid in region:
+                            parents[kid] = node
                     if frames:
                         frames[-1][2].append(node)
+                        frames[-1][3].append(node)
         # every source node is in the script, so an inserted identifier
         # the source has repeats one, as does any emitted twice
         if len(labels) != emitted or any(nid in source_labels for nid in inserted):
@@ -601,6 +806,7 @@ def propagation_graphs(
     subtree_sizes: "Mapping[NodeId, int] | None" = None,
     insert_moves: "Callable[[str], Mapping] | None" = None,
     inversion_cache: "MutableMapping[str, InversionGraphs] | None" = None,
+    _indices: "dict[NodeId, WordIndex] | None" = None,
 ) -> PropagationGraphs:
     """Build ``G(D, A, t, S)`` with the paper's edge weights.
 
@@ -613,7 +819,15 @@ def propagation_graphs(
     inserted subtree on the way (their minimal sizes weigh the
     (iv)-edges). Polynomial in ``|D|``, ``|t|``, ``|S|``; apart from one
     pass over the update's label map, the work is proportional to the
-    edited region and the children lists of the nodes above it.
+    edited region and the children lists of the nodes above it, or,
+    where *_indices* holds an index over a node's children word, to
+    its edited positions × log width.
+
+    *_indices* is a session's min-plus
+    :class:`~repro.automata.wordindex.WordIndex` per wide children word
+    of *source*, keyed by node (missing ones are built on first use).
+    The caller guarantees ``In(S) = A(t)``: *update* was validated, or
+    parsed against the view.
 
     *derived_view_dtd*, *hidden_table*, and *insert_moves* accept a
     compiled engine's artifacts (see :class:`repro.engine.ViewEngine`)
@@ -641,8 +855,12 @@ def propagation_graphs(
     # until it meets a node already marked.
     labels = update._labels
     parents = update._parents
+    children = update._children
     affected: set[NodeId] = set()
     not_kept = 0
+    # with indices: per kept node with a wide word, the children an edit
+    # touches
+    edited: "dict[NodeId, set[NodeId]] | None" = {} if _indices is not None else None
     for node in _edits(update):
         label = labels[node]
         if label.op is Op.REN:
@@ -652,16 +870,21 @@ def propagation_graphs(
             current = parents.get(node)
             if current is None or not labels[current].is_kept:
                 continue  # the root, or inside an inserted or deleted subtree
+        parent = parents.get(node)
+        if edited is not None and len(children.get(parent, ())) >= WIDE:
+            edited.setdefault(parent, set()).add(node)
         while current is not None and current not in affected:
             affected.add(current)
-            current = parents.get(current)
+            parent = parents.get(current)
+            if edited is not None and len(children.get(parent, ())) >= WIDE:
+                edited.setdefault(parent, set()).add(current)
+            current = parent
 
     # the affected nodes in preorder (for the inversion collections, in
     # the order a full preorder meets them) and in postorder (children's
     # costs before their parents' graphs)
     preorder: list[NodeId] = []
     postorder: list[NodeId] = []
-    children = update._children
     stack: list[tuple[NodeId, bool]] = []
     if update._root in affected:
         stack.append((update._root, False))
@@ -680,7 +903,10 @@ def propagation_graphs(
     insertions: dict[NodeId, InversionGraphs] = {}
     insert_costs: dict[NodeId, int] = {}
     for node in preorder:
-        for child in children.get(node, ()):
+        kids = children.get(node, ())
+        if edited is not None and node in edited:  # the edited ones, in order
+            kids = sorted(edited[node], key=kids.index)
+        for child in kids:
             label = labels.get(child)  # None: an implicit Nop child
             if label is not None and label.op is Op.INS:
                 fragment = update.subscript(child).output_tree
@@ -716,6 +942,8 @@ def propagation_graphs(
         insert_costs=insert_costs,
         hidden_table=hidden_table,
         insert_moves=insert_moves,
+        indices=_indices,
+        edited=edited,
     )
     graphs._sweep_affected(postorder)
     return graphs

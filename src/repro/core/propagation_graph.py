@@ -36,6 +36,13 @@ that classification and the label's :class:`InsertMoves` table, and
 :meth:`CostSweep.walk` follows the optimal edges.
 :func:`build_propagation_graph` builds ``G_n`` from the same
 classification when a graph is asked for.
+
+Given a :class:`~repro.automata.wordindex.WordIndex` over the node's
+source children (a session keeps one per wide children word),
+:func:`classify_runs` classifies only the edited positions: each
+maximal run of untouched children between them is one ``RUN`` move,
+which the sweep crosses with the index's O(log width) products and the
+walk crosses in one step while its ``Nop`` diagonal stays optimal.
 """
 
 from __future__ import annotations
@@ -43,9 +50,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..automata import State
+from ..automata.wordindex import CostLeaves, WordIndex
 from ..dtd import DTD, TreeFactory
 from ..editing import EditScript, Op
 from ..errors import ReproError, ScriptError
@@ -64,7 +72,9 @@ __all__ = [
     "label_moves",
     "Positions",
     "classify_positions",
+    "classify_runs",
     "CostSweep",
+    "RUN",
 ]
 
 class InsertMoves(dict):
@@ -79,9 +89,14 @@ class InsertMoves(dict):
     per state index, the moves above with the successor as an index.
     :meth:`moves` indexes one symbol's transitions on first use, so a
     wide content model costs only the symbols its documents use.
+    :attr:`hidden` holds the symbols hidden under the label, and
+    :meth:`leaves` the min-plus leaves of its children words.
     """
 
-    __slots__ = ("states", "initial", "finals", "inserts", "_model", "_index", "_moves")
+    __slots__ = (
+        "states", "initial", "finals", "inserts", "hidden",
+        "_model", "_index", "_moves", "_leaves",
+    )
 
     def moves(self, symbol: str) -> "tuple[tuple[tuple[int, ...], ...], tuple]":
         """``(row, pairs)`` for *symbol*: ``row[q]`` holds the successor
@@ -97,6 +112,17 @@ class InsertMoves(dict):
             pairs = tuple((q, q2) for q, targets in enumerate(row) for q2 in targets)
             found = self._moves[symbol] = (row, pairs)
         return found
+
+    def leaves(self) -> CostLeaves:
+        """The label's :class:`~repro.automata.wordindex.CostLeaves`,
+        built on first use: one leaf per (child label, hidden size)."""
+        if self._leaves is None:
+            self._leaves = CostLeaves(
+                len(self.states),
+                [[(q2, w) for _, q2, w in moves] for moves in self.inserts],
+                lambda symbol: self.moves(symbol)[0],
+            )
+        return self._leaves
 
 
 def compile_insert_moves(
@@ -131,9 +157,11 @@ def compile_insert_moves(
         tuple((symbol, index[target], weight) for symbol, target, weight in table[state])
         for state in states
     )
+    table.hidden = frozenset(hidden_symbols)
     table._model = model
     table._index = index
     table._moves = {}
+    table._leaves = None
     return table
 
 
@@ -342,30 +370,87 @@ def _segment_indices(
     return tuple(seg)
 
 
+RUN = "run"
+"""The kind of a classified move, and of a walk step, that crosses a run
+of untouched children through the node's :class:`WordIndex`."""
+
+
+class Crossing(NamedTuple):
+    """What crossing a run of untouched children reads: the node's
+    source-children index, the source's label map, the symbols hidden
+    under the node's label, and the subtree sizes (a hidden child
+    deleted in place costs its size)."""
+
+    index: WordIndex
+    labels: "Mapping[NodeId, str]"
+    hidden: "frozenset[str]"
+    sizes: "Mapping[NodeId, int]"
+
+
 class Positions(NamedTuple):
     """The child positions of one kept node, classified once for both
     :func:`build_propagation_graph` and :class:`CostSweep`.
 
-    A vertex ``(i, q, j)`` exists iff ``seg_t[i] == seg_s[j]``; ``runs``
-    holds, per segment, its script positions (``seg_s`` never decreases,
-    so they form a contiguous range). ``consume[i]`` is the move over the
-    source child ``m_{i+1}`` (``None`` at ``i = k`` or when no edge
-    consumes it): ``(kind, child, symbol, weight, sync_j)`` with *kind*
-    ``INVISIBLE_NOP`` for a hidden child (the (ii) edge deletes it at
-    *weight*, the (iii) edges keep it at 0) and a visible kind for a
-    visible one, whose edges leave only script position *sync_j*.
-    ``inserts[j]`` is the (iv) move over the inserted script child
-    ``m′_{j+1}``: ``(child, symbol, weight)`` or ``None``.
+    ``order`` lists the source positions the sweep computes, descending;
+    ``cells[i]`` holds, for each, the script positions ``j`` of its
+    vertices ``(i, q, j)`` (those with ``seg_t[i] == seg_s[j]``: one
+    segment's script positions, a contiguous range). ``consume[i]`` is
+    the move over the source child ``m_{i+1}`` (``None`` at ``i = k`` or
+    when no edge consumes it): ``(kind, child, symbol, weight, sync_j)``
+    with *kind* ``INVISIBLE_NOP`` for a hidden child (the (ii) edge
+    deletes it at *weight*, the (iii) edges keep it at 0) and a visible
+    kind for a visible one, whose edges leave only script position
+    *sync_j*. ``inserts[j]`` is the (iv) move over the inserted script
+    child ``m′_{j+1}``, ``(child, symbol, weight)``, where there is one.
+
+    :func:`classify_positions` lists every position: ``order`` is
+    ``k … 0``, and ``seg_t``/``seg_s`` hold the segment indices.
+    :func:`classify_runs` lists the edited positions and the bounds of
+    the runs between them: ``consume[a]`` at a run's first position is
+    ``(RUN, b, None, None, sync_j)``, the untouched children
+    ``m_{a+1} … m_b`` crossed through ``crossing`` from script position
+    *sync_j* to the first of ``cells[b]``; its ``seg_t``/``seg_s`` are
+    ``None``.
     """
 
     label: str
     t_children: "tuple[NodeId, ...]"
     s_children: "tuple[NodeId, ...]"
-    seg_t: "tuple[int, ...]"
-    seg_s: "tuple[int, ...]"
-    runs: "list[range]"
-    consume: list
-    inserts: list
+    seg_t: "tuple[int, ...] | None"
+    seg_s: "tuple[int, ...] | None"
+    order: "Sequence[int]"
+    cells: "Sequence[range] | dict[int, range]"
+    consume: "list | dict"
+    inserts: dict
+    crossing: "Crossing | None" = None
+
+
+def _visible_move(edit, t_child, y, s_pos, subtree_sizes, child_costs):
+    """The move over a visible source child the script holds at *s_pos*
+    with label *edit* (``None``: an implicit ``Nop``)."""
+    s_op = Op.NOP if edit is None else edit.op
+    if s_op is Op.NOP:
+        return (EdgeKind.VISIBLE_NOP, t_child, y, child_costs[t_child], s_pos)
+    if s_op is Op.DEL:
+        return (EdgeKind.VISIBLE_DELETE, t_child, y, subtree_sizes[t_child], s_pos)
+    if s_op is Op.REN:
+        # the kept child's new label drives the automaton; cost 1 for the
+        # rename plus its own graph's cheapest path
+        return (
+            EdgeKind.VISIBLE_RENAME, t_child, edit.output_symbol,
+            1 + child_costs[t_child], s_pos,
+        )
+    return None
+
+
+def _insert_move(annotation, label, s_child, edit, insert_costs):
+    """The (iv) move over an inserted script child, if it is visible
+    (every child of an update node is explicit in its label map or an
+    implicit ``Nop`` of its base)."""
+    y = edit.symbol
+    if annotation.visible(label, y):
+        return (s_child, y, insert_costs[s_child])
+    return None
 
 
 def classify_positions(
@@ -380,8 +465,9 @@ def classify_positions(
     insert_costs: Mapping[NodeId, int],
     effective_label: str | None = None,
 ) -> Positions:
-    """Classify the children of a kept node (see :class:`Positions` and
-    :func:`build_propagation_graph` for the parameters)."""
+    """Classify every child position of a kept node (see
+    :class:`Positions` and :func:`build_propagation_graph` for the
+    parameters)."""
     label = effective_label if effective_label is not None else source_tree.label(node)
     dtd.automaton(label)  # an unknown label fails here, as the builder always has
     t_children = source_tree.children(node)
@@ -407,19 +493,15 @@ def classify_positions(
     runs.append(range(lo, len(s_children) + 1))
 
     # the (iv) move consuming an inserted child, if it stays inside the
-    # segment and the child is visible (every child of an update node is
-    # explicit in its label map or an implicit Nop of its base)
+    # segment
     edits = update._labels
-    inserts: list = []
+    inserts: dict = {}
     for j, s_child in enumerate(s_children):
-        move = None
         edit = edits.get(s_child)
         if edit is not None and edit.op is Op.INS and seg_s[j + 1] == seg_s[j]:
-            y = edit.symbol
-            if annotation.visible(label, y):
-                move = (s_child, y, insert_costs[s_child])
-        inserts.append(move)
-    inserts.append(None)  # j = ℓ consumes nothing
+            move = _insert_move(annotation, label, s_child, edit, insert_costs)
+            if move is not None:
+                inserts[j] = move
 
     source_labels = source_tree._labels
     hidden_under: "dict[str, bool]" = {}
@@ -440,26 +522,136 @@ def classify_positions(
             s_pos = s_index.get(t_child, -1)
             if s_pos >= 0 and seg_t[i + 1] == seg_s[s_pos + 1]:
                 edit = edits.get(t_child)
-                s_op = Op.NOP if edit is None else edit.op
-                if s_op is Op.NOP:
+                if edit is None or edit.op is Op.NOP:
                     move = (EdgeKind.VISIBLE_NOP, t_child, y, child_costs[t_child], s_pos)
-                elif s_op is Op.DEL:
-                    move = (
-                        EdgeKind.VISIBLE_DELETE, t_child, y, subtree_sizes[t_child], s_pos
-                    )
-                elif s_op is Op.REN:
-                    # the kept child's new label drives the automaton; cost
-                    # 1 for the rename plus its own graph's cheapest path
-                    move = (
-                        EdgeKind.VISIBLE_RENAME,
-                        t_child,
-                        edit.output_symbol,
-                        1 + child_costs[t_child],
-                        s_pos,
-                    )
+                else:
+                    move = _visible_move(edit, t_child, y, s_pos, subtree_sizes, child_costs)
         consume.append(move)
     consume.append(None)  # i = k consumes nothing
-    return Positions(label, t_children, s_children, seg_t, seg_s, runs, consume, inserts)
+    return Positions(
+        label, t_children, s_children, seg_t, seg_s,
+        range(len(t_children), -1, -1), [runs[segment] for segment in seg_t],
+        consume, inserts,
+    )
+
+
+def classify_runs(
+    annotation: Annotation,
+    source_tree: Tree,
+    update: EditScript,
+    node: NodeId,
+    *,
+    subtree_sizes: Mapping[NodeId, int],
+    child_costs: Mapping[NodeId, int],
+    insert_costs: Mapping[NodeId, int],
+    edited: "Iterable[NodeId]",
+    table: InsertMoves,
+    index: WordIndex,
+) -> "Positions | None":
+    """Classify the edited child positions of a kept node whose source
+    children *index* holds, the runs of untouched children between them
+    crossed through it (see :class:`Positions`).
+
+    The caller guarantees ``In(S) = A(t)``: the update was validated, or
+    parsed against this view. The script's children other than the
+    inserted ones are then the node's visible source children, in order.
+    *edited* holds the script children an edit touches: the non-``Nop``
+    ones and the affected kept ones. Their script positions come from
+    ``tuple.index``, and the source positions of the visible children
+    that bound them too; every other child is untouched. Returns
+    ``None`` for an update that inserts an identifier the source has,
+    which only the whole classification reports as the cold path does.
+    """
+    label = index.label
+    t_children = source_tree.children(node)
+    s_children = update.children(node)
+    k, ell = len(t_children), len(s_children)
+    edits = update._labels
+    source_labels = source_tree._labels
+    hidden = table.hidden
+    marks = sorted(map(s_children.index, edited))
+    inserted = set()
+    for u in marks:
+        child = s_children[u]
+        if edits[child].op is Op.INS:
+            if child in source_labels:
+                return None
+            inserted.add(u)
+    kept = set(marks).difference(inserted)
+    anchors = set(kept)
+    for u in inserted:
+        if u > 0 and u - 1 not in inserted:
+            anchors.add(u - 1)
+        if u + 1 < ell and u + 1 not in inserted:
+            anchors.add(u + 1)
+    # the visible children bounding the edits: (script, source) positions
+    bounds = [(-1, -1)]
+    at = 0
+    for u in sorted(anchors):
+        at = t_children.index(s_children[u], at)
+        bounds.append((u, at))
+        at += 1
+    bounds.append((ell, k))
+
+    order: "list[int]" = []
+    cells: "dict[int, range]" = {}
+    consume: dict = {}
+    inserts: dict = {}
+    start = sync = -1  # the open run of untouched children, if start >= 0
+
+    def close(stop: int) -> None:
+        nonlocal start
+        consume[start] = (RUN, stop, None, None, sync)
+        order.append(start)
+        start = -1
+
+    for (u1, t1), (u2, t2) in zip(bounds, bounds[1:]):
+        if u2 > u1 + 1 and u1 + 1 in inserted:
+            # a segment with inserted children: its hidden children are
+            # shuffled against them, cell by cell
+            span = range(u1 + 1, u2 + 1)
+            if start >= 0:
+                close(t1 + 1)
+            for i in range(t1 + 1, t2):
+                child = t_children[i]
+                y = source_labels[child]
+                consume[i] = (
+                    (EdgeKind.INVISIBLE_NOP, child, y, subtree_sizes[child], -1)
+                    if y in hidden else None
+                )
+                cells[i] = span
+                order.append(i)
+            for j in range(u1 + 1, u2):
+                child = s_children[j]
+                move = _insert_move(annotation, label, child, edits[child], insert_costs)
+                if move is not None:
+                    inserts[j] = move
+            cells[t2] = span
+        else:
+            if t2 > t1 + 1 and start < 0:
+                start, sync = t1 + 1, u1 + 1
+                cells[start] = range(sync, sync + 1)
+            cells[t2] = range(u2, u2 + 1)
+        if t2 == k:
+            if start >= 0:
+                close(k)
+            consume[k] = None
+            order.append(k)
+        elif u2 in kept:
+            if start >= 0:
+                close(t2)
+            child = t_children[t2]
+            consume[t2] = _visible_move(
+                edits.get(child), child, source_labels[child], u2, subtree_sizes, child_costs
+            )
+            order.append(t2)
+        elif start < 0:
+            start, sync = t2, u2
+    order.reverse()
+    return Positions(
+        label, t_children, s_children, None, None, order, cells, consume, inserts,
+        Crossing(index, source_labels, hidden, subtree_sizes),
+    )
 
 
 def build_propagation_graph(
@@ -495,6 +687,9 @@ def build_propagation_graph(
     model and child visibility are those of the *output* tree (the
     rename precondition guarantees the visibility profile matches the
     input side, so the source children classify identically).
+
+    The graph is always built from the whole classification
+    (:func:`classify_positions`), position by position.
     """
     positions = classify_positions(
         dtd,
@@ -507,7 +702,8 @@ def build_propagation_graph(
         insert_costs=insert_costs,
         effective_label=effective_label,
     )
-    label, t_children, s_children, seg_t, seg_s, runs, consume, inserts = positions
+    label, t_children, s_children, seg_t, seg_s = positions[:5]
+    cells, consume, inserts = positions.cells, positions.consume, positions.inserts
     model = dtd.automaton(label)
     k, ell = len(t_children), len(s_children)
     states = model.sorted_states()
@@ -527,8 +723,8 @@ def build_propagation_graph(
         move = consume[i]
         if move is not None:
             kind, t_child, y, weight, sync_j = move
-        for j in runs[seg_t[i]]:
-            inserted = inserts[j]
+        for j in cells[i]:
+            inserted = inserts.get(j)
             for state in states:
                 vertex = PVertex(i, state, j)
 
@@ -597,7 +793,9 @@ INF = math.inf
 """The distance of a vertex that reaches no target; never added to."""
 
 Step = tuple[EdgeKind, str, "NodeId | None", "NodeId | None"]
-"""One edge of a walk: ``(kind, symbol, t_child, s_child)``."""
+"""One edge of a walk: ``(kind, symbol, t_child, s_child)``; a run of
+untouched children crossed in one step is ``(RUN, None, a, b)``, the
+source children ``m_{a+1} … m_b`` kept as they are."""
 
 
 class CostSweep:
@@ -608,39 +806,59 @@ class CostSweep:
     cell ((i)-moves) or enters ``(i+1, j)``, ``(i+1, j+1)`` or
     ``(i, j+1)``, so one backward sweep over the cells, relaxing the
     (i)-moves of each cell to a fixpoint, is a min-plus shortest-path
-    computation over the whole graph. ``rows[i][j - runs[seg_t[i]].start]``
+    computation over the whole graph. ``rows[i][j - cells[i].start]``
     holds one distance per state index (:class:`InsertMoves`); a vertex
     that reaches no target holds :data:`INF`. :attr:`cost` is the
     cheapest propagation cost, ``INF`` if there is none.
+
+    Positions from :func:`classify_runs` are swept at their edited
+    positions only: a run ``[a, b)`` of untouched children takes
+    ``d_a = P[a:b] ⊗ d_b``, the product of the O(log width) index
+    subtrees covering it (each leaf already closes over the (i)-moves),
+    so the work is the edited positions × log width. :attr:`cells`
+    counts the cells computed and :attr:`runs` the runs crossed.
     """
 
-    __slots__ = ("positions", "table", "rows", "cost")
+    __slots__ = ("positions", "table", "rows", "cost", "cells", "runs")
 
     def __init__(self, positions: Positions, table: InsertMoves) -> None:
         self.positions = positions
         self.table = table
-        _, t_children, s_children, seg_t, _, runs, consume, inserts = positions
-        k, ell = len(t_children), len(s_children)
+        cells, consume, inserts = positions.cells, positions.consume, positions.inserts
+        k, ell = len(positions.t_children), len(positions.s_children)
         nq = len(table.states)
         states = range(nq)
         relax = table.inserts if any(table.inserts) else None
-        rows: list = [None] * (k + 1)
-        below: list = []
-        below_lo = 0
-        for i in range(k, -1, -1):
-            run = runs[seg_t[i]]
+        rows: "list | dict" = [None] * (k + 1) if positions.crossing is None else {}
+        computed = crossed = 0
+        for i in positions.order:
+            run = cells[i]
             lo = run.start
-            cells: list = [None] * len(run)
+            row: list = [None] * len(run)
+            computed += len(run)
             move = consume[i]
             if move is not None:
-                kind, _, y, weight, sync_j = move
-                pairs = table.moves(y)[1]
+                kind, stop, y, weight, sync_j = move
+                if kind is RUN:
+                    crossed += 1
+                    end = rows[stop][0]
+                else:
+                    pairs = table.moves(y)[1]
+                    below = rows[i + 1]
+                    below_lo = cells[i + 1].start
             for j in reversed(run):
+                if move is not None and kind is RUN and j == sync_j:
+                    # the run's leaves close over the (i)-moves already,
+                    # and no insert leaves its first cell
+                    row[j - lo] = CostLeaves.apply(
+                        positions.crossing.index.cover(i, stop), end
+                    )
+                    continue
                 if i == k and j == ell:
                     vec = [0 if final else INF for final in table.finals]
                 else:
                     vec = [INF] * nq
-                if move is None:
+                if move is None or kind is RUN:
                     pass
                 elif kind is EdgeKind.INVISIBLE_NOP:
                     # (ii) delete the hidden child, (iii) keep it at 0
@@ -664,10 +882,10 @@ class CostSweep:
                             d = nxt[q2]
                             if d is not INF and d + weight < vec[q]:
                                 vec[q] = d + weight
-                inserted = inserts[j]
+                inserted = inserts.get(j)
                 if inserted is not None:
                     _, y2, w = inserted
-                    nxt = cells[j + 1 - lo]
+                    nxt = row[j + 1 - lo]
                     for q, q2 in table.moves(y2)[1]:
                         d = nxt[q2]
                         if d is not INF and d + w < vec[q]:
@@ -686,13 +904,14 @@ class CostSweep:
                             if best < vec[q]:
                                 vec[q] = best
                                 changed = True
-                cells[j - lo] = vec
-            rows[i] = cells
-            below, below_lo = cells, lo
+                row[j - lo] = vec
+            rows[i] = row
         self.rows = rows
+        self.cells = computed
+        self.runs = crossed
         self.cost = rows[0][0][table.initial]
 
-    def walk(self, preference) -> "list[Step]":
+    def walk(self, preference, nop_first: bool = False) -> "list[Step]":
         """The path a greedy walk of ``G*_n`` under *preference* takes.
 
         At each vertex the candidates are the edges on a cheapest path:
@@ -702,28 +921,65 @@ class CostSweep:
         in the optimal subgraph. One candidate is taken as is; among
         several, the edge objects are built and the minimum under
         *preference* taken, as :func:`repro.graphutil.greedy_path` does.
+
+        A run of untouched children is walked child by child, its
+        distances swept from its end vector, unless *nop_first* says
+        the preference ranks ``Nop`` above ``Del`` and ``Ins`` and the
+        automaton reads every symbol of the run deterministically. Then
+        distances along the run's 0-weight ``Nop`` diagonal never
+        decrease, so where the diagonal's end has the distance its start
+        has, ``Nop`` is optimal, and preferred, at every cell of it: the
+        walk takes the whole run as one ``RUN`` step. Elsewhere it
+        bisects through the index to the last cell the diagonal stays
+        optimal at, and steps on from there child by child.
         """
-        _, t_children, s_children, seg_t, _, runs, consume, inserts = self.positions
+        positions = self.positions
+        cells, consume, inserts = positions.cells, positions.consume, positions.inserts
         table, rows, best = self.table, self.rows, self.cost
-        k, ell = len(t_children), len(s_children)
+        k, ell = len(positions.t_children), len(positions.s_children)
         finals = table.finals
         path: list = []
         i, q, j = 0, table.initial, 0
         running = 0
         cell_seen: "set[int] | None" = None
+        run: "_Run | None" = None
         while not (i == k and j == ell and finals[q]):
-            lo = runs[seg_t[i]].start
-            here = rows[i][j - lo]
+            if run is not None and i == run.stop:
+                run = None
+            if run is None:
+                lo = cells[i].start
+                here = rows[i][j - lo]
+                move = consume[i]
+                if move is not None and move[0] is RUN and j == move[4]:
+                    run = _Run(positions, i, move[1], here, rows, nop_first)
+            if run is None:
+                inserted = inserts.get(j)
+                if move is not None and move[0] is not RUN:
+                    below = rows[i + 1]
+                    below_lo = cells[i + 1].start
+            else:
+                if run.vectors is None:
+                    stop, q2, shift = run.diagonal(i, q, here)
+                    if stop > i:
+                        path.append((RUN, None, i, stop))
+                        i, q, j = stop, q2, j + shift
+                        cell_seen = None
+                        if i == run.stop:
+                            continue
+                        here = run.vector(i)
+                move = run.move(i, j)
+                inserted = None
+                below = (run.vector(i + 1),)
+                below_lo = j if move[0] is EdgeKind.INVISIBLE_NOP else j + 1
             found = []
             for symbol, q2, w in table.inserts[q]:
                 d = here[q2]
                 if d is not INF and running + w + d == best:
                     found.append((EdgeKind.INVISIBLE_INSERT, symbol, w, i, q2, j, None, None))
-            move = consume[i]
             if move is not None:
                 kind, t_child, y, weight, sync_j = move
                 if kind is EdgeKind.INVISIBLE_NOP:
-                    nxt = rows[i + 1][j - runs[seg_t[i + 1]].start]
+                    nxt = below[j - below_lo]
                     d = nxt[q]
                     if d is not INF and running + weight + d == best:
                         found.append(
@@ -733,8 +989,8 @@ class CostSweep:
                         d = nxt[q2]
                         if d is not INF and running + d == best:
                             found.append((kind, y, 0, i + 1, q2, j, t_child, None))
-                elif j == sync_j:
-                    nxt = rows[i + 1][j + 1 - runs[seg_t[i + 1]].start]
+                elif j == sync_j:  # never a RUN's first cell: crossed above
+                    nxt = below[j + 1 - below_lo]
                     targets = (
                         (q,) if kind is EdgeKind.VISIBLE_DELETE
                         else table.moves(y)[0][q]
@@ -743,7 +999,6 @@ class CostSweep:
                         d = nxt[q2]
                         if d is not INF and running + weight + d == best:
                             found.append((kind, y, weight, i + 1, q2, j + 1, t_child, t_child))
-            inserted = inserts[j]
             if inserted is not None:
                 s_child, y2, w = inserted
                 nxt = rows[i][j + 1 - lo]
@@ -777,6 +1032,8 @@ class CostSweep:
             path.append((kind, symbol, t_child, s_child))
             running += w
             i, q, j = i2, q2, j2
+            if run is not None and i < run.stop:
+                here = run.vector(i)
         return path
 
     def _edge(self, i: int, q: int, j: int, step: tuple) -> PEdge:
@@ -785,4 +1042,78 @@ class CostSweep:
         return PEdge(
             PVertex(i, states[q], j), PVertex(i2, states[q2], j2),
             kind, symbol, weight, t_child, s_child,
+        )
+
+
+class _Run:
+    """A run of untouched children ``[start, stop)`` the walk crosses:
+    its distances at a position come from the index (``vectors is
+    None``: the ``Nop`` diagonal may cross it) or from a sweep of its
+    cells from the end vector."""
+
+    __slots__ = ("start", "stop", "end", "vectors", "_crossing", "_children", "_first")
+
+    def __init__(self, positions, start, stop, first, rows, nop_first) -> None:
+        crossing = positions.crossing
+        self.start, self.stop = start, stop
+        self.end = rows[stop][0]
+        self._crossing = crossing
+        self._children = positions.t_children
+        self._first = first
+        self.vectors = None
+        if nop_first and all(
+            summary[2] is not None for summary in crossing.index.cover(start, stop)
+        ):
+            return
+        vector = self.end
+        vectors = [vector]
+        for summary in reversed(crossing.index.leaves(start, stop)):
+            vector = CostLeaves.apply([summary], vector)
+            vectors.append(vector)
+        vectors.reverse()
+        self.vectors = vectors
+
+    def vector(self, position: int) -> list:
+        """The distances at *position* (``start <= position <= stop``)."""
+        if self.vectors is not None:
+            return self.vectors[position - self.start]
+        if position == self.stop:
+            return self.end
+        if position == self.start:
+            return self._first
+        return CostLeaves.apply(self._crossing.index.cover(position, self.stop), self.end)
+
+    def move(self, position: int, j: int) -> tuple:
+        """The move over the untouched child at *position*, from script
+        position *j*: kept or deleted in place if hidden, kept if visible."""
+        crossing = self._crossing
+        child = self._children[position]
+        y = crossing.labels[child]
+        if y in crossing.hidden:
+            return (EdgeKind.INVISIBLE_NOP, child, y, crossing.sizes[child], -1)
+        return (EdgeKind.VISIBLE_NOP, child, y, 0, j)
+
+    def diagonal(self, position: int, state: int, here: list) -> "tuple[int, int, int]":
+        """How far the ``Nop`` diagonal from ``(position, state)`` stays
+        optimal: ``(cell, state there, visible children crossed)``."""
+        index, stop, end = self._crossing.index, self.stop, self.end
+        target = here[state]
+        summaries = index.cover(position, stop)
+        last = CostLeaves.diagonal(summaries, state)
+        if last >= 0 and end[last] == target:
+            return stop, last, sum(summary[1] for summary in summaries)
+        lo, hi = position, stop  # optimal at lo, not at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            at = CostLeaves.diagonal(index.cover(position, mid), state)
+            if at >= 0 and CostLeaves.apply(index.cover(mid, stop), end)[at] == target:
+                lo = mid
+            else:
+                hi = mid
+        if lo == position:
+            return position, state, 0
+        summaries = index.cover(position, lo)
+        return (
+            lo, CostLeaves.diagonal(summaries, state),
+            sum(summary[1] for summary in summaries),
         )

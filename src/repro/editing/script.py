@@ -38,7 +38,8 @@ and reads back only against the tree it edits
 from __future__ import annotations
 
 import re
-from itertools import filterfalse
+from itertools import accumulate, filterfalse, islice, repeat
+from operator import add
 from typing import Container, Iterator, Sequence
 
 from ..errors import InvalidScriptError, NodeNotFoundError
@@ -909,9 +910,10 @@ def _parse_region(text: str, base: Tree, skips: bool = False) -> "EditScript | N
     One pass over the text. Each child position of a kept region node
     first tries, with *skips*, a skip token ``~k``: the next *k* base
     children, untouched and implicit. Then the base's all-``Nop`` text
-    of the base child due there: an exact match (followed by ``", "`` or
-    ``")"``) is that child, untouched and implicit. Anything else is
-    read as a canonical node head. A non-inserted node must be the base
+    of the base children due there (:func:`_match_due`): every child of
+    the longest run whose text matches exactly (followed by ``", "`` or
+    ``")"``) is untouched and implicit. Anything else is read as a
+    canonical node head. A non-inserted node must be the base
     child due at its position, with the base's label, and every base
     child must be consumed, so ``In(S) = base`` and no identifier can
     repeat; an inserted node must be new to the base and to the region.
@@ -934,8 +936,6 @@ def _parse_region(text: str, base: Tree, skips: bool = False) -> "EditScript | N
     while True:
         skipped = False
         if frame is not None and frame[1] in _KEPT and frame[4] < len(frame[3]):
-            due = frame[3][frame[4]]
-            size = lengths[due]
             at = frame[5]
             if skips and text.startswith("~", pos):
                 match = _SKIP.match(text, pos)
@@ -951,15 +951,14 @@ def _parse_region(text: str, base: Tree, skips: bool = False) -> "EditScript | N
                 frame[5] = at + sum(map(lengths.__getitem__, run)) + 2 * len(run)
                 pos = match.end()
                 skipped = True
-            elif (
-                text.startswith(phantom[at:at + size], pos)
-                and text[pos + size:pos + size + 1] in (",", ")")
-            ):
-                frame[2].append(due)
-                frame[4] += 1
-                frame[5] = at + size + 2
-                pos += size
-                skipped = True
+            else:
+                count, size = _match_due(text, pos, phantom, at, lengths, frame[3], frame[4])
+                if count:
+                    frame[2].extend(frame[3][frame[4]:frame[4] + count])
+                    frame[4] += count
+                    frame[5] = at + size + 2
+                    pos += size
+                    skipped = True
         if not skipped:
             match = head(text, pos)
             if match is None:
@@ -1016,6 +1015,66 @@ def _parse_region(text: str, base: Tree, skips: bool = False) -> "EditScript | N
     if pos != len(text):
         return None
     return EditScript._sparse(base, base._root, labels, children, parents)
+
+
+_STEPPED = 8
+"""Due children compared one at a time before the run gallops: a short
+run costs no more than one comparison per child."""
+
+
+def _match_due(text, pos, phantom, at, lengths, kids, first) -> "tuple[int, int]":
+    """The longest run of the base children ``kids[first:]`` that *text*
+    writes untouched at *pos*, each exactly as the base's all-``Nop``
+    text at *at* writes it: ``(count, length of their text)``.
+
+    Each child's text is balanced and the run joins them with ``", "``,
+    so a run matches exactly when every child in it does. The first
+    children are compared one at a time; past :data:`_STEPPED`, the run
+    is found by galloping, then bisecting, over its length, each probe
+    comparing only text no earlier probe matched (:func:`_matches`).
+    """
+    total = len(kids) - first
+    starts = [0]  # starts[c]: the offset of due child c's text
+    done = 0
+    while done < total:
+        if done == _STEPPED:
+            break
+        end = starts[done] + lengths[kids[first + done]]
+        if not _matches(text, pos, phantom, at, starts[done] - 2 if done else 0, end):
+            return done, starts[done] - 2 if done else 0
+        starts.append(end + 2)
+        done += 1
+    else:
+        return done, starts[done] - 2
+    bad = block = done
+    while done < total:
+        bad = min(done + block, total)
+        starts.extend(islice(accumulate(
+            map(add, map(lengths.__getitem__, kids[first + done:first + bad]), repeat(2)),
+            initial=starts[-1],
+        ), 1, None))
+        if not _matches(text, pos, phantom, at, starts[done] - 2, starts[bad] - 2):
+            break
+        done = bad
+        block *= 2
+    else:
+        return done, starts[done] - 2
+    while bad - done > 1:
+        mid = (done + bad) // 2
+        if _matches(text, pos, phantom, at, starts[done] - 2, starts[mid] - 2):
+            done = mid
+        else:
+            bad = mid
+    return done, starts[done] - 2
+
+
+def _matches(text: str, pos: int, phantom: str, at: int, lo: int, hi: int) -> bool:
+    """Whether *text* at ``pos + lo`` writes ``phantom[at + lo:at + hi]``,
+    followed by ``", "`` or ``")"``: one phantom-text comparison."""
+    return (
+        text.startswith(phantom[at + lo:at + hi], pos + lo)
+        and text[pos + hi:pos + hi + 1] in (",", ")")
+    )
 
 
 def _close(text, pos, frame, stack, children):

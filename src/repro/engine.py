@@ -532,16 +532,19 @@ class ViewEngine:
         *,
         source_view: Tree | None = None,
         view_known_valid: bool = False,
-    ) -> None:
-        """Raise unless *update* is a valid view update of ``A(source)``.
+        _indices: "dict | None" = None,
+    ) -> int:
+        """Raise unless *update* is a valid view update of ``A(source)``;
+        return the automaton steps the check took.
 
         *source_view* lets batch callers reuse an already-extracted view;
         *view_known_valid* asserts that view satisfies the view DTD, so
         only the edited region of ``Out(update)`` is checked against it
-        (see :func:`~repro.core.propagate.validate_view_update`).
+        (see :func:`~repro.core.propagate.validate_view_update`, which
+        also reads a session's view indices from *_indices*).
         """
         self._counters["validations"] += 1
-        validate_view_update(
+        return validate_view_update(
             self._dtd,
             self._annotation,
             source,
@@ -549,6 +552,7 @@ class ViewEngine:
             derived_view_dtd=self.view_dtd,
             source_view=source_view,
             view_known_valid=view_known_valid,
+            _indices=_indices,
         )
 
     def inversion_graphs(self, view: Tree) -> InversionGraphs:
@@ -614,12 +618,15 @@ class ViewEngine:
         *,
         validate: bool = True,
         subtree_sizes: "Mapping[NodeId, int] | None" = None,
+        _indices: "dict | None" = None,
     ) -> PropagationGraphs:
         """The collection ``G(D, A, source, update)`` from compiled artifacts.
 
         *subtree_sizes* lets a per-document serving layer (a
         :class:`~repro.session.DocumentSession`) hand in its incrementally
-        maintained size table instead of re-deriving it from *source*.
+        maintained size table instead of re-deriving it from *source*,
+        and *_indices* its index per wide children word (see
+        :func:`~repro.core.propagate.propagation_graphs`).
         """
         return propagation_graphs(
             self._dtd,
@@ -633,6 +640,7 @@ class ViewEngine:
             subtree_sizes=subtree_sizes,
             insert_moves=self.insert_moves,
             inversion_cache=self._inversion_cache,
+            _indices=_indices,
         )
 
     def propagate(

@@ -24,7 +24,13 @@ three caches forward across propagations:
   added, ancestors re-summed) instead of a full postorder re-derivation;
 * the **fresh-identifier map** — a running index of the numeric
   ``f``-suffixes in use, so the safe starting point for fresh node
-  identifiers is known without re-scanning the document.
+  identifiers is known without re-scanning the document;
+* a **word index** per wide children word
+  (:class:`~repro.automata.wordindex.WordIndex`): min-plus over the
+  source's, Boolean over the view's. Each is built the first time its
+  node is affected and advanced at the edited positions, so an edit of
+  one child among thousands is swept, walked, assembled and validated
+  at its edited positions × log width, not across the whole word.
 
 Results are byte-identical to serving each step with a cold transient
 engine — the caches change where the inputs come from, never the
@@ -53,6 +59,7 @@ from .xmltree import NodeId, NodeIds, Tree
 from .xmltree.nodeid import numeric_suffix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .automata.wordindex import WordIndex
     from .engine import ViewEngine
 
 __all__ = ["DocumentSession", "SessionStats"]
@@ -152,6 +159,52 @@ def _insert_sizes(
     return sizes[root]
 
 
+def _advance_indices(
+    indices: "dict[NodeId, WordIndex]",
+    script: EditScript,
+    leaf: "Callable[[WordIndex, NodeId, str], object]",
+) -> None:
+    """Advance each index in *indices* along *script*, at its edited
+    positions only: deleted children are removed, inserted ones added
+    and renamed ones relabelled (``leaf(index, node, label)`` makes the
+    new leaves). The index of a renamed or deleted node is dropped."""
+    if not indices:
+        return
+    labels = script._labels
+    parents = script._parents
+    edited: "dict[NodeId, list[NodeId]]" = {}
+    for node, label in labels.items():
+        if label.op is Op.NOP:
+            continue
+        if node in indices:
+            del indices[node]
+        parent = parents.get(node)
+        if parent in indices:
+            edited.setdefault(parent, []).append(node)
+    for parent, nodes in edited.items():
+        index = indices.get(parent)
+        if index is None:  # the parent is renamed or deleted itself
+            continue
+        kids = script._children[parent]
+        # the old position of each edit (its script position less the
+        # inserts before it), applied right to left
+        moves = []
+        inserted = 0
+        for at in sorted(map(kids.index, nodes)):
+            node = kids[at]
+            label = labels[node]
+            moves.append((at - inserted, label, node))
+            if label.op is Op.INS:
+                inserted += 1
+        for at, label, node in reversed(moves):
+            if label.op is Op.DEL:
+                index.delete(at)
+            elif label.op is Op.INS:
+                index.insert(at, leaf(index, node, label.symbol))
+            else:
+                index.replace(at, leaf(index, node, label.output_symbol))
+
+
 class DocumentSession:
     """One pinned source document served by a compiled engine.
 
@@ -167,6 +220,16 @@ class DocumentSession:
     A session is **not** thread-safe: it advances mutable per-document
     state. Serve one document stream per session; engines and registries
     are the layers meant for sharing.
+
+    Its word indexes (module doc) reach the engine the way its size
+    table does: :meth:`propagate` hands the source's to
+    :meth:`ViewEngine.propagation_graphs` and the view's to
+    :meth:`ViewEngine.validate`, which build a missing one over a wide
+    word they are the first to touch. They advance only with
+    :meth:`_advance`, after the journal accepted the record, so a
+    preview, a failed verification or a journal that raises leaves them
+    matching the unchanged document; :meth:`rebase` and
+    :meth:`apply_source_script` drop them.
     """
 
     __slots__ = (
@@ -183,6 +246,8 @@ class DocumentSession:
         "_replayed",
         "_journal",
         "_view_valid",
+        "_indices",
+        "_view_indices",
     )
 
     def __init__(
@@ -214,6 +279,10 @@ class DocumentSession:
         self._view_valid = validate_source
         self._sizes: dict[NodeId, int] = dict(source.subtree_sizes())
         self._suffixes = _FreshSuffixIndex(_FRESH_PREFIX, source.nodes())
+        # per wide children word: built on first affected use, advanced
+        # with the document (see _advance_indices)
+        self._indices: "dict[NodeId, WordIndex]" = {}
+        self._view_indices: "dict[NodeId, WordIndex]" = {}
 
     # ------------------------------------------------------------------
     # State
@@ -343,18 +412,28 @@ class DocumentSession:
         fresh = self._fresh_ids(update, floor=fresh_floor)
         with _span("engine.propagate", kind="session"):
             if validate:
-                with _span("validate"):
-                    self._engine.validate(
+                with _span("validate") as sp:
+                    steps = self._engine.validate(
                         self._source,
                         update,
                         source_view=self.view,
                         view_known_valid=self._view_valid,
+                        _indices=self._view_indices,
                     )
-            with _span("graphs"):
+                    sp.set(steps=steps)
+            with _span("graphs") as sp:
+                # the source indices need In(S) = A(t): validated above,
+                # or a sparse parse against this view
                 collection = self._engine.propagation_graphs(
                     self._source, update, validate=False,
                     subtree_sizes=self._sizes,
+                    _indices=(
+                        self._indices
+                        if validate or (update.base is not None and update.base is self._view)
+                        else None
+                    ),
                 )
+                sp.set(cells=collection.cells, runs=collection.runs)
             if chooser is None:
                 chooser = PreferenceChooser() if optimal else CheapestPathChooser()
             with _span("script"):
@@ -415,6 +494,18 @@ class DocumentSession:
         ``A(Out(S′)) = Out(S)`` makes extraction unnecessary.
         """
         self._walk_caches(script)
+        tables = self._engine.insert_moves
+        sizes = self._sizes
+
+        def source_leaf(index: "WordIndex", node: NodeId, symbol: str):
+            hidden = tables(index.label).hidden
+            return index.algebra.leaf(symbol, sizes[node] if symbol in hidden else None)
+
+        _advance_indices(self._indices, script, source_leaf)
+        _advance_indices(
+            self._view_indices, update,
+            lambda index, node, symbol: index.algebra.leaf(symbol),
+        )
         self._source = script.output_tree
         self._view = update.output_tree
 
@@ -492,6 +583,8 @@ class DocumentSession:
         self._source = script.output_tree
         self._view = None
         self._view_valid = False
+        self._indices.clear()
+        self._view_indices.clear()
         self._replayed += 1
 
     def advance_script(self, update: EditScript, script: EditScript) -> None:

@@ -12,7 +12,11 @@ session, every request must stay under one node bound at both sizes:
   session's view or source);
 * the nodes ``build_script`` emits;
 * the nodes :meth:`Tree._render` renders;
-* the :class:`~repro.core.propagation_graph.PEdge` objects built.
+* the :class:`~repro.core.propagation_graph.PEdge` objects built;
+* the automaton steps (:meth:`NFA.step` calls);
+* the sweep cells computed and the walk steps taken (a run of untouched
+  children crossed through a word index counts one);
+* the phantom-text comparisons of the request's parse.
 
 No served request may expand a sparse script's :attr:`EditScript.tree`,
 build a propagation graph (``build_propagation_graph``) or an optimal
@@ -34,9 +38,10 @@ from importlib import import_module
 
 import pytest
 
+from repro.automata import NFA
 from repro.core.optimal import OptimalPropagationGraph
 from repro.core.propagate import PropagationGraphs
-from repro.core.propagation_graph import PEdge
+from repro.core.propagation_graph import CostSweep, PEdge
 from repro.editing import EditScript, UpdateBuilder
 from repro.engine import ViewEngine
 from repro.generators.workloads import hospital, huge_document
@@ -48,6 +53,7 @@ from .conftest import run_with_server
 
 # the module, which ``repro.core`` shadows with its ``propagate`` function
 _PROPAGATE = import_module("repro.core.propagate")
+_SCRIPT = import_module("repro.editing.script")
 
 BOUND = 64
 """Nodes (or edge objects) per request, per measure, at every document
@@ -177,6 +183,35 @@ def _install(monkeypatch, server, measured: Counter) -> None:
         measured["edges"] += 1
         edge(self, *args, **kwargs)
 
+    step = NFA.step
+
+    def counted_step(self, *args, **kwargs):
+        measured["steps"] += 1
+        return step(self, *args, **kwargs)
+
+    sweep = CostSweep.__init__
+
+    def counted_sweep(self, *args, **kwargs):
+        sweep(self, *args, **kwargs)
+        measured["cells"] += self.cells
+
+    walk = CostSweep.walk
+
+    def counted_walk(self, *args, **kwargs):
+        path = walk(self, *args, **kwargs)
+        measured["walk"] += len(path)
+        return path
+
+    matches = _SCRIPT._matches
+
+    def counted_matches(*args, **kwargs):
+        measured["phantom"] += 1
+        return matches(*args, **kwargs)
+
+    monkeypatch.setattr(NFA, "step", counted_step)
+    monkeypatch.setattr(CostSweep, "__init__", counted_sweep)
+    monkeypatch.setattr(CostSweep, "walk", counted_walk)
+    monkeypatch.setattr(_SCRIPT, "_matches", counted_matches)
     monkeypatch.setattr(_PROPAGATE, "build_propagation_graph", counted_build_graph)
     monkeypatch.setattr(OptimalPropagationGraph, "__init__", counted_optimal)
     monkeypatch.setattr(PEdge, "__init__", counted_edge)
@@ -235,7 +270,10 @@ def test_one_edit_streams_cost_the_edit(tmp_path, monkeypatch, make, edit):
         for measures in served:
             assert measures["expanded"] == 0, (size, measures)
             assert measures["graphs"] == measures["optimal_graphs"] == 0, (size, measures)
-            for name in ("parse", "projections", "build_script", "render", "edges"):
+            for name in (
+                "parse", "projections", "build_script", "render", "edges",
+                "steps", "cells", "walk", "phantom",
+            ):
                 assert measures[name] <= BOUND, (size, name, measures)
             assert 0 < measures["wal"] <= WAL_BOUND, (size, measures)
         # the replay: one parse per record, each at the record's region

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from repro import obs
+from repro import UpdateBuilder, obs, parse_term
 from repro.editing import EditScript
 from repro.engine import ViewEngine
 from repro.generators.updates import random_view_update
+from repro.generators.workloads import hospital
 from repro.replication import QueueTransport, StandbyStore, WalShipper
 from repro.server import RemoteServingError, ReproServer, ServeClient
 from repro.store import DocumentStore
@@ -92,6 +93,48 @@ class TestServedTraces:
         assert (journal_depth + 1, "wal.append") in tree
         assert (journal_depth + 1, "fsync") in tree
         assert "seq" not in names  # sanity: names, not attrs
+
+    def test_propagate_trace_counts_the_edit_not_the_width(self, tracer, tmp_path):
+        """The graphs span counts the sweep cells computed and the runs of
+        untouched children crossed through a word index; the validate
+        span the automaton steps. A one-patient edit of a 240-patient
+        ward computes a handful of cells and steps, not the ward."""
+        workload = hospital(240)
+        store = DocumentStore.init(tmp_path / "wide", fsync="off")
+        store.put("ward", workload.source, workload.dtd, workload.annotation)
+        store.close()
+        view = workload.annotation.view(workload.source)
+        terms = []
+        for step, victim in enumerate(("p1", "p2")):
+            builder = UpdateBuilder(view, forbidden_ids=workload.source.nodes())
+            builder.delete(victim)
+            builder.insert("w", parse_term(f"patient#q{step}(name#q{step}n, admission#q{step}a)"),
+                           index=100)
+            update = builder.script()
+            terms.append(update.to_term())
+            view = update.output_tree
+        server = ReproServer(store_root=tmp_path / "wide", fsync="off")
+
+        def client_work(host, port):
+            traces = []
+            with ServeClient(host, port) as client:
+                for term in terms:
+                    client.propagate("ward", term)
+                    trace_id = client.last_trace_id
+                    traces.append(json.loads(
+                        _scrape(host, port, f"/debug/traces?trace_id={trace_id}")[1]
+                    ))
+            return traces
+
+        first, second = run_with_server(server, client_work)
+        for payload in (first, second):
+            spans = {span["name"]: span for span in _spans(payload["trace"]["root"])}
+            graphs, validate = spans["graphs"]["attrs"], spans["validate"]["attrs"]
+            assert graphs["runs"] >= 2, graphs  # the ward's untouched patients
+            assert 0 < graphs["cells"] <= 32, graphs
+        # a reopened document's first update is validated in full, the
+        # next at its edit
+        assert 0 < validate["steps"] <= 16, validate
 
     def test_first_request_after_a_restart_shows_its_replay(
         self, tracer, tmp_path, workload
