@@ -7,14 +7,21 @@ thousands of times. The served benchmark's byte comparison cannot see
 an index that drifts from its document: its reference session runs the
 same index code. This check compares against engines that hold none.
 
-Two streams, each served through one session, every update parsed
+Three streams, each served through one session, every update parsed
 against the session's view as the server parses it:
 
 * ``hospital(240)``: discharge one patient, admit one at a random ward
   position (the first and the last included);
 * a 600-child word with hidden children, ``(v, x, y, z)*`` with
   ``x, y, z`` hidden: insert a ``v`` (its hidden ``x, y, z`` come from
-  (i)-moves) or delete one (and its hidden followers with it).
+  (i)-moves) or delete one (and its hidden followers with it);
+* a 60-item word whose items need hidden children from inversion:
+  delete one item, insert one of three shapes under fresh identifiers
+  (a hidden ``stamp`` on either side of its title, a hidden ``mark``
+  after each paragraph and a hidden ``cite`` or ``ref`` in each), served
+  once under each operation order. The engine's inversion memo replays
+  each shape's paths after its first insert; the cold engine's memo is
+  empty, so every check compares a replay with a fresh build.
 
 At every ``--check-every``-th update the session's script, cost and
 fresh identifiers must equal a fresh engine's
@@ -37,11 +44,27 @@ import time
 
 from repro import DTD, Annotation, UpdateBuilder, ViewEngine, parse_term
 from repro.automata.wordindex import CostLeaves, MemberLeaves, WordIndex
+from repro.core.choosers import (
+    DEL_OVER_NOP_OVER_INS,
+    INS_OVER_NOP_OVER_DEL,
+    NOP_OVER_DEL_OVER_INS,
+    PreferenceChooser,
+)
 from repro.editing import EditScript
 from repro.generators.workloads import hospital
 
 CHAINS = DTD({"r": "(v, x, y, z)*", "v": "", "x": "", "y": "", "z": ""})
 CHAINS_HIDDEN = Annotation.hiding(("r", "x"), ("r", "y"), ("r", "z"))
+
+ITEMS = DTD({
+    "r": "item*",
+    "item": "((stamp, title) | (title, stamp)), (para, mark)*",
+    "para": "text, (cite | ref)",
+    "title": "", "stamp": "", "mark": "", "text": "", "cite": "", "ref": "",
+})
+ITEMS_HIDDEN = Annotation.hiding(
+    ("item", "stamp"), ("item", "mark"), ("para", "cite"), ("para", "ref")
+)
 
 
 def _ward_edit(rng, session, step):
@@ -68,6 +91,27 @@ def _chain_edit(rng, session, step):
         at = rng.choice([0, len(kids), rng.randint(0, len(kids))])
         builder.insert(view.root, parse_term(f"v#u{step}"), index=at)
     return builder.script()
+
+
+def _item_edit(rng, session, step):
+    view = session.view
+    kids = view.children(view.root)
+    builder = UpdateBuilder(view, forbidden_ids=session.source.nodes())
+    builder.delete(kids[rng.choice([0, len(kids) - 1, rng.randrange(len(kids))])])
+    paras = ", ".join(f"para#u{step}p{k}(text#u{step}x{k})" for k in range(rng.randrange(3)))
+    item = f"item#u{step}(title#u{step}t{', ' + paras if paras else ''})"
+    at = rng.choice([0, len(kids) - 1, rng.randint(0, len(kids) - 1)])
+    builder.insert(view.root, parse_term(item), index=at)
+    return builder.script()
+
+
+def _items(count):
+    items = []
+    for i in range(count):
+        paras = "".join(f", para#p{i}_{k}(text#x{i}_{k}, ref#f{i}_{k}), mark#m{i}_{k}"
+                        for k in range(i % 3))
+        items.append(f"item#i{i}(stamp#s{i}, title#t{i}{paras})")
+    return parse_term(f"r#r({', '.join(items)})")
 
 
 def _summary(index):
@@ -115,8 +159,10 @@ def _check_indices(session) -> int:
     return checked
 
 
-def run(name, dtd, annotation, source, edit, updates, check_every, seed) -> None:
+def run(name, dtd, annotation, source, edit, updates, check_every, seed,
+        order=NOP_OVER_DEL_OVER_INS) -> None:
     rng = random.Random(seed)
+    chooser = PreferenceChooser(order)
     session = ViewEngine(dtd, annotation).session(source)
     started = time.perf_counter()
     checks = indices = 0
@@ -125,10 +171,12 @@ def run(name, dtd, annotation, source, edit, updates, check_every, seed) -> None
         term = edit(rng, session, step).to_term()
         update = EditScript.parse(term, base=view)
         before = session.source
-        script = session.propagate(update)
+        script = session.propagate(update, chooser=chooser)
         if (step + 1) % check_every and step + 1 != updates:
             continue
-        cold = ViewEngine(dtd, annotation).propagate(before, EditScript.parse(term), memo=False)
+        cold = ViewEngine(dtd, annotation).propagate(
+            before, EditScript.parse(term), chooser=chooser, memo=False
+        )
         if (script.to_term(), script.cost) != (cold.to_term(), cold.cost):
             raise AssertionError(f"{name}: update {step} differs from the cold propagation")
         if session.source != cold.output_tree:
@@ -157,6 +205,9 @@ def main(argv=None) -> int:
     groups = ", ".join(f"v#v{i}, x#x{i}, y#y{i}, z#z{i}" for i in range(150))
     run("(v, x, y, z)*", CHAINS, CHAINS_HIDDEN, parse_term(f"r#r({groups})"), _chain_edit,
         args.updates, args.check_every, args.seed)
+    for order in (NOP_OVER_DEL_OVER_INS, DEL_OVER_NOP_OVER_INS, INS_OVER_NOP_OVER_DEL):
+        run(f"item* ({' > '.join(op.value for op in order)})", ITEMS, ITEMS_HIDDEN, _items(60),
+            _item_edit, args.updates, args.check_every, args.seed, order)
     return 0
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "NOP_OVER_DEL_OVER_INS",
     "DEL_OVER_NOP_OVER_INS",
     "INS_OVER_NOP_OVER_DEL",
+    "cache_key_of",
 ]
 
 # Common operation orders (first = most preferred). The paper's Figure 10
@@ -77,6 +78,14 @@ class PathChooser(Protocol):
         ...
 
 
+def cache_key_of(chooser) -> "tuple | None":
+    """*chooser*'s ``cache_key()``, or ``None`` for a chooser without
+    one: results may be shared between choosers only through equal
+    keys."""
+    key = getattr(chooser, "cache_key", None)
+    return key() if callable(key) else None
+
+
 class PreferenceChooser:
     """Greedy edge-kind preference over optimal subgraphs.
 
@@ -108,7 +117,8 @@ class PreferenceChooser:
 
         Equal keys mean byte-identical path choices — the propagation
         memo of :class:`~repro.engine.ViewEngine` (in memory and on
-        disk) relies on it; a chooser without one bypasses the memo.
+        disk) and its inversion memo rely on it; a chooser without one
+        bypasses both.
         """
         order = sorted(self._rank, key=self._rank.get)
         return ("greedy", tuple(op.value for op in order))

@@ -24,16 +24,17 @@ Validation and verification helpers live here too:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, MutableMapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..dtd import DTD, MinimalTreeFactory, TreeFactory, view_dtd
 from ..editing import EditScript, EditLabel, Op
 from ..editing.ops import uniform_label
 from ..errors import DuplicateNodeError, InvalidViewUpdateError, NoPropagationError
-from ..inversion import InversionGraphs, inversion_graphs
+from ..inversion import InversionGraphs
+from ..inversion.memo import InversionMemo, SizedFragment
 from ..views import Annotation
 from ..xmltree import NodeId, NodeIds, Tree
-from .choosers import PathChooser, PreferenceChooser
+from .choosers import PathChooser, PreferenceChooser, cache_key_of
 from .optimal import OptimalPropagationGraph
 from ..automata.wordindex import MemberLeaves, WordIndex
 from .propagation_graph import (
@@ -353,8 +354,8 @@ def _rename_error(
 
 
 class PropagationGraphs:
-    """The collection ``G(D,A,t,S) = (G_n)_{n ∈ N_Δ}`` plus the inversion
-    collections of all visibly inserted subtrees.
+    """The collection ``G(D,A,t,S) = (G_n)_{n ∈ N_Δ}`` plus the sized
+    inversions of all visibly inserted subtrees.
 
     ``costs[n]`` is the cheapest propagation-path cost of ``G_n``;
     ``costs[root]`` is the cost of an optimal propagation. Optimal
@@ -395,6 +396,15 @@ class PropagationGraphs:
     graphs. Iteration, :attr:`pristine` and :attr:`total_size` cover
     every kept node and walk the whole update on first use; ``len()``
     does not.
+
+    **Inserted fragments.** Each visibly inserted fragment is sized
+    against an :class:`~repro.inversion.memo.InversionMemo` (its
+    minimal inverse weighs the (iv)-edge) and inverted by replaying the
+    memo's paths; :attr:`inverted` counts the fragment nodes sized and
+    :attr:`inversion_misses` the inversion graphs the sizing built. The
+    fragment's inversion-graph collection (:attr:`insertions`) is built
+    only when asked for: by the enumeration and counting machinery, and
+    by :meth:`build_script` for a chooser without a ``cache_key()``.
     """
 
     def __init__(
@@ -404,7 +414,8 @@ class PropagationGraphs:
         source: Tree,
         update: EditScript,
         factory: TreeFactory,
-        insertions: Mapping[NodeId, InversionGraphs],
+        inverted: "Mapping[NodeId, SizedFragment]",
+        memo: InversionMemo,
         *,
         affected: "frozenset[NodeId]",
         kept_count: int,
@@ -420,7 +431,11 @@ class PropagationGraphs:
         self.source = source
         self.update = update
         self.factory = factory
-        self.insertions = dict(insertions)
+        self._inverted = inverted
+        self._memo = memo
+        self._insertions: "dict[NodeId, InversionGraphs] | None" = None
+        self.inverted = sum(len(fragment.labels) for fragment in inverted.values())
+        self.inversion_misses = sum(len(fragment.graphs) for fragment in inverted.values())
         self.costs = _KeptCosts(self)
         self._graphs: dict[NodeId, PropagationGraph] = {}
         self._sweeps: dict[NodeId, CostSweep] = {}
@@ -726,12 +741,7 @@ class PropagationGraphs:
                     elif kind is EdgeKind.INVISIBLE_NOP:
                         kids.append(t_child)  # implicit: the source subtree
                     elif kind is EdgeKind.VISIBLE_INSERT:
-                        inversion = self.insertions[s_child]
-                        kid = emit_fragment(inversion.build_tree(
-                            lambda g: chooser.choose(g),
-                            fresh,
-                            optimal_only=optimal_only,
-                        ))
+                        kid = emit_fragment(self._inverse(s_child, chooser, fresh, optimal_only))
                         kids.append(kid)
                         region.append(kid)
                     elif optimal_only and t_child not in affected:  # pristine
@@ -756,6 +766,42 @@ class PropagationGraphs:
         if len(labels) != emitted or any(nid in source_labels for nid in inserted):
             raise hidden_reuse_error((), validate=False)
         return EditScript._sparse(self.source, root, labels, children, parents)
+
+    @property
+    def insertions(self) -> "Mapping[NodeId, InversionGraphs]":
+        """Per visibly inserted child, the inversion-graph collection
+        ``H(D, A, fragment)`` of its fragment: built for every fragment
+        on first access, and kept."""
+        if self._insertions is None:
+            update = self.update
+            self._insertions = {
+                child: self._memo.reference(update.subscript(child).output_tree)
+                for child in self._inverted
+            }
+        return self._insertions
+
+    def _inverse(
+        self,
+        child: NodeId,
+        chooser: PathChooser,
+        fresh: "Callable[[], NodeId]",
+        optimal_only: bool,
+    ) -> Tree:
+        """The inverse of the fragment inserted at *child* along the
+        paths *chooser* takes: replayed from the inversion memo under
+        the chooser's class and ``cache_key()`` (a subclass that
+        overrides the preference but inherits the key shares nothing),
+        or built on the fragment's inversion-graph collection for a
+        chooser without a key."""
+        key = cache_key_of(chooser)
+        if key is None:
+            return self.insertions[child].build_tree(
+                chooser.choose, fresh, optimal_only=optimal_only
+            )
+        return self._memo.build_tree(
+            self._inverted[child], (type(chooser), key, optimal_only), chooser.choose,
+            fresh, optimal_only=optimal_only,
+        )
 
     def __repr__(self) -> str:
         # deliberately cheap: total_size would materialize every
@@ -805,7 +851,7 @@ def propagation_graphs(
     hidden_table: "Mapping[str, Sequence[str]] | None" = None,
     subtree_sizes: "Mapping[NodeId, int] | None" = None,
     insert_moves: "Callable[[str], Mapping] | None" = None,
-    inversion_cache: "MutableMapping[str, InversionGraphs] | None" = None,
+    inversion_memo: "InversionMemo | None" = None,
     _indices: "dict[NodeId, WordIndex] | None" = None,
 ) -> PropagationGraphs:
     """Build ``G(D, A, t, S)`` with the paper's edge weights.
@@ -815,9 +861,11 @@ def propagation_graphs(
     computes each one's cost with a
     :class:`~repro.core.propagation_graph.CostSweep` over its child
     positions × automaton states; no graph is built until one is asked
-    for. Inversion-graph collections are built for every visibly
-    inserted subtree on the way (their minimal sizes weigh the
-    (iv)-edges). Polynomial in ``|D|``, ``|t|``, ``|S|``; apart from one
+    for. Every visibly inserted subtree is sized on the way (its
+    minimal inverse weighs the (iv)-edge) by one bottom-up pass of
+    *inversion_memo* lookups, each keyed by a node's label and its
+    children's labels and costs; no inversion-graph collection is
+    built. Polynomial in ``|D|``, ``|t|``, ``|S|``; apart from one
     pass over the update's label map, the work is proportional to the
     edited region and the children lists of the nodes above it, or,
     where *_indices* holds an index over a node's children word, to
@@ -834,11 +882,11 @@ def propagation_graphs(
     and *subtree_sizes* a per-source table maintained by a serving layer
     (see :class:`repro.session.DocumentSession`) so neither schema-level
     nor document-level work is redone per request; all are derived on
-    the fly when absent. *inversion_cache* is a (bounded) mutable
-    mapping from fragment content keys to inversion collections — an
-    engine hands in its cross-request cache so an identical inserted
-    fragment (a repeated update, a common template) reuses the graphs
-    built for it last time.
+    the fly when absent. *inversion_memo* is an engine's
+    :class:`~repro.inversion.memo.InversionMemo`, shared across
+    requests, so a fragment of a shape seen before (under any
+    identifiers) builds no inversion graph; without one, a memo is made
+    for this call.
     """
     if factory is None:
         factory = MinimalTreeFactory(dtd)
@@ -880,7 +928,7 @@ def propagation_graphs(
                 edited.setdefault(parent, set()).add(current)
             current = parent
 
-    # the affected nodes in preorder (for the inversion collections, in
+    # the affected nodes in preorder (for the inserted fragments, in
     # the order a full preorder meets them) and in postorder (children's
     # costs before their parents' graphs)
     preorder: list[NodeId] = []
@@ -899,8 +947,16 @@ def propagation_graphs(
             if kid in affected:
                 stack.append((kid, False))
 
-    # visibly inserted children of kept nodes: inversion collections
-    insertions: dict[NodeId, InversionGraphs] = {}
+    # visibly inserted children of kept nodes: each fragment sized
+    if inversion_memo is None:
+        inversion_memo = InversionMemo(
+            dtd, annotation, factory, hidden_table=hidden_table, insert_moves=insert_moves
+        )
+
+    def symbol(node: NodeId) -> str:
+        return labels[node].symbol
+
+    inverted: "dict[NodeId, SizedFragment]" = {}
     insert_costs: dict[NodeId, int] = {}
     for node in preorder:
         kids = children.get(node, ())
@@ -909,25 +965,11 @@ def propagation_graphs(
         for child in kids:
             label = labels.get(child)  # None: an implicit Nop child
             if label is not None and label.op is Op.INS:
-                fragment = update.subscript(child).output_tree
-                collection = None
-                fragment_key: "str | None" = None
-                if inversion_cache is not None:
-                    fragment_key = fragment.content_key()
-                    collection = inversion_cache.get(fragment_key)
-                if collection is None:
-                    collection = inversion_graphs(
-                        dtd,
-                        annotation,
-                        fragment,
-                        factory,
-                        hidden_table=hidden_table,
-                        insert_moves=insert_moves,
-                    )
-                    if fragment_key is not None:
-                        inversion_cache[fragment_key] = collection
-                insertions[child] = collection
-                insert_costs[child] = collection.min_inversion_size()
+                fragment = inverted[child] = inversion_memo.size(
+                    child, symbol, children,
+                    lambda child=child: update.subscript(child).output_tree,
+                )
+                insert_costs[child] = fragment.min_inversion_size()
 
     graphs = PropagationGraphs(
         dtd,
@@ -935,7 +977,8 @@ def propagation_graphs(
         source,
         update,
         factory,
-        insertions,
+        inverted,
+        inversion_memo,
         affected=frozenset(affected),
         kept_count=update.size - not_kept,
         subtree_sizes=subtree_sizes,

@@ -39,7 +39,12 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .core.choosers import CheapestPathChooser, PathChooser, PreferenceChooser
+from .core.choosers import (
+    CheapestPathChooser,
+    PathChooser,
+    PreferenceChooser,
+    cache_key_of,
+)
 from .core.propagate import (
     PropagationGraphs,
     propagation_graphs,
@@ -58,15 +63,39 @@ from .dtd import (
 from .editing import EditScript
 from .graphutil import cheapest_path
 from .obs import span as _span
-from .inversion import InversionGraphs, inversion_graphs
+from .inversion import InversionGraphs
 from .inversion.graph import InversionGraph, InversionPath
+from .inversion.memo import InversionMemo
 from .views import Annotation
-from .xmltree import NodeId, Tree
+from .xmltree import NodeId, NodeIds, Tree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .session import DocumentSession
 
-__all__ = ["ViewEngine", "EngineStats"]
+__all__ = ["ViewEngine", "EngineStats", "INVERSION_MEMO_CAPACITY"]
+
+INVERSION_MEMO_CAPACITY = 4096
+"""Entries an engine's inversion memo keeps (least recently used
+first out). An entry is one node shape's cost and a few short paths,
+and a workload's distinct shapes are few: the hospital streams insert
+six patient shapes."""
+
+
+_INVERT_PATHS = ("invert",)
+"""The inversion memo's path key for :meth:`ViewEngine.invert`'s paths."""
+
+
+def _cheapest(graph: InversionGraph) -> InversionPath:
+    """:meth:`ViewEngine.invert`'s path: Dijkstra, ties to the smaller
+    ``(kind, symbol)`` along the path."""
+    path = cheapest_path(
+        graph.source,
+        graph.targets,
+        graph.edges_from,
+        tie_break=lambda edge: (edge.kind, edge.symbol),
+    )
+    assert path is not None, "the sizing verified reachability"
+    return path
 
 
 class _LruCache:
@@ -205,7 +234,7 @@ class ViewEngine:
         "_counters",
         "_insert_moves",
         "_memo",
-        "_inversion_cache",
+        "_inversion_memo",
         "_disk",
         "_disk_token",
         "_artifact_persisted",
@@ -219,7 +248,6 @@ class ViewEngine:
         *,
         factory: TreeFactory | None = None,
         memo_capacity: int = 64,
-        inversion_cache_capacity: int = 256,
     ) -> None:
         self._dtd = dtd
         self._annotation = annotation
@@ -247,11 +275,7 @@ class ViewEngine:
         self._artifact_supplier = None
         self._insert_moves: "dict[str, InsertMoves]" = {}
         self._memo = _LruCache(memo_capacity) if memo_capacity > 0 else None
-        self._inversion_cache = (
-            _LruCache(inversion_cache_capacity)
-            if inversion_cache_capacity > 0
-            else None
-        )
+        self._inversion_memo: "InversionMemo | None" = None
 
     # ------------------------------------------------------------------
     # Compiled artifacts
@@ -404,20 +428,41 @@ class ViewEngine:
             self._insert_moves[label] = table
         return table
 
-    def invalidate_memo(self) -> None:
-        """Drop every memoized propagation result and inversion collection.
+    @property
+    def inversion_memo(self) -> InversionMemo:
+        """The engine's :class:`~repro.inversion.memo.InversionMemo`:
+        per node shape of an inserted view fragment (its label and its
+        children's labels and minimal inversion costs), the shape's
+        cost and each chooser's path, shared by every request and
+        thread and bounded by :data:`INVERSION_MEMO_CAPACITY`."""
+        memo = self._inversion_memo
+        if memo is None:
+            memo = self._inversion_memo = InversionMemo(
+                self._dtd,
+                self._annotation,
+                self.factory,
+                hidden_table=self.hidden_table,
+                insert_moves=self.insert_moves,
+                entries=_LruCache(INVERSION_MEMO_CAPACITY),
+            )
+        return memo
 
-        The memo is keyed by request *content* under this engine's
-        compiled artifacts, which are immutable — a schema change means
-        a different fingerprint and therefore a different engine, so
-        nothing ever invalidates implicitly. This is the explicit knob
-        (memory pressure, tests). An attached disk tier drops its memo
-        entries for this schema too, so the invalidation survives a
-        restart."""
+    def invalidate_memo(self) -> None:
+        """Drop every memoized propagation result and empty the
+        :attr:`inversion_memo`.
+
+        Both memos are keyed by content (a request's, a node shape's)
+        under this engine's compiled artifacts, which are immutable — a
+        schema change means a different fingerprint and therefore a
+        different engine, so nothing ever invalidates implicitly. This
+        is the explicit knob (memory pressure, tests). An attached disk
+        tier drops its memo entries for this schema too, so the
+        invalidation survives a restart; the inversion memo is never
+        persisted."""
         if self._memo is not None:
             self._memo.clear()
-        if self._inversion_cache is not None:
-            self._inversion_cache.clear()
+        if self._inversion_memo is not None:
+            self._inversion_memo.clear()
         if self._disk is not None and self._disk_token is not None:
             self._disk.drop_memos(self.schema_hash, self._disk_token)
 
@@ -556,29 +601,10 @@ class ViewEngine:
         )
 
     def inversion_graphs(self, view: Tree) -> InversionGraphs:
-        """The collection ``H(D, A, view)`` built from compiled artifacts.
-
-        Served through the engine's cross-request inversion cache: an
-        identical view (same identifiers) reuses the collection built
-        for it last time.
-        """
-        cache = self._inversion_cache
-        key = view.content_key() if cache is not None else None
-        if key is not None:
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-        collection = inversion_graphs(
-            self._dtd,
-            self._annotation,
-            view,
-            self.factory,
-            hidden_table=self.hidden_table,
-            insert_moves=self.insert_moves,
-        )
-        if key is not None:
-            cache[key] = collection
-        return collection
+        """The collection ``H(D, A, view)`` built from compiled artifacts,
+        every graph built anew: the inspection API (:meth:`invert`
+        reads the inversion memo instead)."""
+        return self.inversion_memo.reference(view)
 
     def invert(
         self,
@@ -590,22 +616,20 @@ class ViewEngine:
         """One inverse of *view* — a source ``t ∈ L(D)`` with ``A(t) = view``.
 
         Identical to :func:`repro.inversion.invert` (deterministic,
-        size-minimal by default), minus the per-call compilation.
+        size-minimal by default), minus the per-call compilation: each
+        node's shape is looked up in the :attr:`inversion_memo`, under
+        the path key of this method's tie-break, and its graph is built
+        only the first time the shape is met.
         """
         self._counters["inversions"] += 1
-        graphs = self.inversion_graphs(view)
-
-        def choose(graph: InversionGraph) -> InversionPath:
-            path = cheapest_path(
-                graph.source,
-                graph.targets,
-                graph.edges_from,
-                tie_break=lambda edge: (edge.kind, edge.symbol),
-            )
-            assert path is not None, "collection builder verified reachability"
-            return path
-
-        return graphs.build_tree(choose, fresh, optimal_only=minimal)
+        memo = self.inversion_memo
+        fragment = memo.size_tree(view)
+        if fresh is None:
+            # as InversionGraphs.build_tree numbers them
+            fresh = NodeIds("h", view.max_suffix("h") + 1).fresh
+        return memo.build_tree(
+            fragment, (_INVERT_PATHS, minimal), _cheapest, fresh, optimal_only=minimal
+        )
 
     def verify_inverse(self, view: Tree, candidate: Tree) -> bool:
         """``candidate ∈ L(D)`` and ``A(candidate) = view``."""
@@ -639,7 +663,7 @@ class ViewEngine:
             hidden_table=self.hidden_table,
             subtree_sizes=subtree_sizes,
             insert_moves=self.insert_moves,
-            inversion_cache=self._inversion_cache,
+            inversion_memo=self.inversion_memo,
             _indices=_indices,
         )
 
@@ -673,7 +697,7 @@ class ViewEngine:
         self._counters["propagations"] += 1
         if chooser is None:
             chooser = PreferenceChooser() if optimal else CheapestPathChooser()
-        chooser_key = self._chooser_key(chooser) if memo and fresh is None else None
+        chooser_key = cache_key_of(chooser) if memo and fresh is None else None
         if chooser_key is None or self._memo is None:
             self._counters["memo_bypass"] += 1
             with _span("engine.propagate", memo="bypass"):
@@ -688,11 +712,6 @@ class ViewEngine:
         return self._memo_propagate(
             source, update, chooser, chooser_key, optimal, validate, None
         )
-
-    @staticmethod
-    def _chooser_key(chooser: PathChooser) -> "tuple | None":
-        key = getattr(chooser, "cache_key", None)
-        return key() if callable(key) else None
 
     def _memo_propagate(
         self,
@@ -854,7 +873,7 @@ class ViewEngine:
         if chooser is None:
             chooser = PreferenceChooser() if optimal else CheapestPathChooser()
         self._counters["propagations"] += len(pairs)
-        chooser_key = self._chooser_key(chooser) if memo else None
+        chooser_key = cache_key_of(chooser) if memo else None
         use_memo = chooser_key is not None and self._memo is not None
         results: list[EditScript] = []
         cached_source: Tree | None = None

@@ -11,6 +11,9 @@ Public surface:
   :func:`enumerate_inversions` — Theorem 1/2 capture machinery.
 * :class:`InversionGraph`, :class:`IVertex`, :class:`IEdge` — the graph
   structure itself (Figure 6).
+
+:mod:`repro.inversion.memo` sizes and inverts fragments node shape by
+node shape, building each shape's graph once (the serving path).
 """
 
 from .enumerate import (

@@ -31,7 +31,7 @@ from ..automata import State
 from ..dtd import DTD, TreeFactory
 from ..errors import NoInversionError
 from ..views import Annotation
-from ..xmltree import NodeId, Tree
+from ..xmltree import NodeId
 
 __all__ = ["IVertex", "IEdge", "InversionGraph", "InversionPath"]
 
@@ -172,30 +172,33 @@ class InversionGraph:
 def build_inversion_graph(
     dtd: DTD,
     annotation: Annotation,
-    view: Tree,
     node: NodeId,
-    child_costs: dict[NodeId, int],
+    label: str,
+    children: tuple[NodeId, ...],
+    child_labels: Sequence[str],
+    child_costs: Sequence[int],
     factory: TreeFactory,
     hidden_table: "Mapping[str, Sequence[str]] | None" = None,
     insert_moves: "Mapping | None" = None,
 ) -> InversionGraph:
-    """Construct ``H_node`` given the (already computed) child costs.
+    """Construct ``H_node`` from the node's shape: its *label*, its
+    *children* with their labels, and their cheapest inversion-path
+    costs (the (ii)-edge weights, ``child_costs[i]`` that of
+    ``H_{children[i]}``).
 
-    ``child_costs[m]`` must hold the cheapest inversion-path cost of
-    ``H_m`` for every child ``m`` — the (ii)-edge weights. (i)-edge
-    weights come from ``factory.weight`` (minimal tree sizes by default,
-    insertlet sizes under a package). ``hidden_table`` optionally
-    supplies the sorted hidden symbols per parent label (a compiled
-    engine's table), saving the ``O(|Σ|)`` annotation scan per node;
-    ``insert_moves`` the label's precompiled (i)-edge move table (see
-    :func:`repro.core.propagation_graph.compile_insert_moves`), saving
-    the hidden-symbol × successor enumeration at every vertex.
+    Nothing else enters the graph: identifiers only name it
+    (:attr:`InversionGraph.node`, :meth:`InversionGraph.child_at`).
+    (i)-edge weights come from ``factory.weight`` (minimal tree sizes by
+    default, insertlet sizes under a package). ``hidden_table``
+    optionally supplies the sorted hidden symbols per parent label (a
+    compiled engine's table), saving the ``O(|Σ|)`` annotation scan per
+    node; ``insert_moves`` the label's precompiled (i)-edge move table
+    (see :func:`repro.core.propagation_graph.compile_insert_moves`),
+    saving the hidden-symbol × successor enumeration at every vertex.
 
     Raises :class:`NoInversionError` when a child's label is not visible
     under this node's label — such a tree cannot be any view.
     """
-    label = view.label(node)
-    children = view.children(node)
     model = dtd.automaton(label)
     if hidden_table is not None:
         hidden = hidden_table[label]
@@ -228,11 +231,10 @@ def build_inversion_graph(
                 )
             # (ii)-edges: consume the next visible child
             if pos < len(children):
-                child = children[pos]
-                child_label = view.label(child)
+                child_label = child_labels[pos]
                 if annotation.hides(label, child_label):
                     raise NoInversionError(
-                        f"view node {child!r} has label {child_label!r}, which is "
+                        f"view node {children[pos]!r} has label {child_label!r}, which is "
                         f"hidden under {label!r}: not a view of any document"
                     )
                 for target_state in model.sorted_successors(state, child_label):
@@ -243,7 +245,7 @@ def build_inversion_graph(
                             "rec",
                             child_label,
                             pos + 1,
-                            child_costs[child],
+                            child_costs[pos],
                         )
                     )
 

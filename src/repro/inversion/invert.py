@@ -8,12 +8,13 @@ Entry points:
   inverse (``|t′|`` plus the cheapest-path cost at the root);
 * :func:`invert` — one concrete inverse of ``t′`` (cheapest by default),
   the Theorem 1/2 construction: pick an inversion path per graph, emit a
-  factory tree per (i)-edge, recurse per (ii)-edge.
+  factory tree per (i)-edge, recurse per (ii)-edge (:func:`assemble`,
+  shared with the memoized replay of :mod:`repro.inversion.memo`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..dtd import DTD, MinimalTreeFactory, TreeFactory
 from ..errors import DuplicateNodeError, NoInversionError
@@ -23,7 +24,14 @@ from ..xmltree import NodeId, NodeIds, Tree
 from .graph import InversionGraph, InversionPath, build_inversion_graph
 from .optimal import OptimalInversionGraph
 
-__all__ = ["InversionGraphs", "inversion_graphs", "invert", "verify_inverse"]
+__all__ = [
+    "InversionGraphs",
+    "inversion_graphs",
+    "invert",
+    "verify_inverse",
+    "assemble",
+    "cheapest_cost",
+]
 
 
 class InversionGraphs:
@@ -93,13 +101,8 @@ class InversionGraphs:
 
         *choose* receives ``H_n`` (or ``H*_n`` with ``optimal_only``) and
         returns an inversion path in it; (i)-edges materialise
-        ``factory`` trees with *fresh* identifiers.
-
-        Iterative (an explicit stack of open nodes, each resuming its
-        path where a child's subtree interrupted it), so paths are chosen
-        and fresh identifiers drawn in preorder, as a recursive assembly
-        would, and the tree's maps are built once, in the order such an
-        assembly's per-level merges would leave them.
+        ``factory`` trees with *fresh* identifiers. Paths are chosen and
+        fresh identifiers drawn in preorder (see :func:`assemble`).
         """
         if fresh is None:
             # byte-compatible with NodeIds.avoiding(view.nodes(), "h"):
@@ -107,53 +110,84 @@ class InversionGraphs:
             # can collide — and the maximum is memoized on the tree.
             fresh = NodeIds("h", self.view.max_suffix("h") + 1).fresh
 
-        view_labels = self.view._labels
-        labels: "dict[NodeId, str]" = {}
-        children: "dict[NodeId, tuple[NodeId, ...]]" = {}
-        parents: "dict[NodeId, NodeId]" = {}
-
-        def clash(nodes) -> DuplicateNodeError:
-            nid = next(nid for nid in nodes if nid in labels)
-            return DuplicateNodeError(f"node {nid!r} occurs in more than one subtree")
-
-        def open_node(node: NodeId) -> list:
-            if node in labels:
-                raise clash((node,))
-            labels[node] = view_labels[node]
+        def path_of(node: NodeId) -> "list[Step]":
             graph = self.optimal(node) if optimal_only else self._graphs[node]
-            return [node, graph, iter(choose(graph)), []]  # type: ignore[arg-type]
+            return [(edge.symbol, edge.child_index) for edge in choose(graph)]
 
-        root = self.view.root
-        frames = [open_node(root)]
-        while frames:
-            node, graph, path, kids = frames[-1]
-            for edge in path:
-                if edge.is_insert:
-                    tree = self.factory.build(edge.symbol, fresh)
-                    if not labels.keys().isdisjoint(tree._labels):
-                        raise clash(tree._labels)
-                    labels.update(tree._labels)
-                    children.update(tree._children)
-                    parents.update(tree._parents)
-                    parents[tree.root] = node
-                    kids.append(tree.root)
-                else:
-                    frames.append(open_node(graph.child_at(edge.child_index)))
-                    break
-            else:
-                frames.pop()
-                if kids:
-                    children[node] = tuple(kids)
-                if frames:
-                    parents[node] = frames[-1][0]
-                    frames[-1][3].append(node)
-        return Tree._from_parts(root, labels, children, parents)
+        view = self.view
+        return assemble(view.root, view._labels, view._children, path_of, self.factory, fresh)
 
     def __repr__(self) -> str:
         return (
             f"InversionGraphs(|t'|={self.view.size}, total_size={self.total_size}, "
             f"min_inverse={self.min_inversion_size()})"
         )
+
+
+Step = tuple[str, int | None]
+"""One step of a chosen inversion path, as the tree assembly reads it:
+``(symbol, None)`` for an (i)-edge ``Ins(symbol)``, ``(label, i)`` for a
+(ii)-edge ``Rec(i)`` into the i-th child (1-based), which has *label*."""
+
+
+def assemble(
+    root: NodeId,
+    labels: "Mapping[NodeId, str]",
+    children: "Mapping[NodeId, tuple[NodeId, ...]]",
+    path_of: "Callable[[NodeId], Iterable[Step]]",
+    factory: TreeFactory,
+    fresh: "Callable[[], NodeId]",
+) -> Tree:
+    """The inverse of the view fragment at *root* (its *labels* and
+    *children* maps) that follows one chosen path per node: a
+    ``factory`` tree with *fresh* identifiers per ``Ins`` step, the
+    subtree of the i-th child per ``Rec(i)`` step (the Theorem 1/2
+    recipe).
+
+    Iterative (an explicit stack of open nodes, each resuming its path
+    where a child's subtree interrupted it), so ``path_of`` is asked and
+    fresh identifiers are drawn in preorder, as a recursive assembly
+    would, and the tree's maps are built once, in the order such an
+    assembly's per-level merges would leave them.
+    """
+    tree_labels: "dict[NodeId, str]" = {}
+    tree_children: "dict[NodeId, tuple[NodeId, ...]]" = {}
+    parents: "dict[NodeId, NodeId]" = {}
+
+    def clash(nodes) -> DuplicateNodeError:
+        nid = next(nid for nid in nodes if nid in tree_labels)
+        return DuplicateNodeError(f"node {nid!r} occurs in more than one subtree")
+
+    def open_node(node: NodeId) -> list:
+        if node in tree_labels:
+            raise clash((node,))
+        tree_labels[node] = labels[node]
+        return [node, iter(path_of(node)), []]
+
+    frames = [open_node(root)]
+    while frames:
+        node, path, kids = frames[-1]
+        for symbol, index in path:
+            if index is None:
+                tree = factory.build(symbol, fresh)
+                if not tree_labels.keys().isdisjoint(tree._labels):
+                    raise clash(tree._labels)
+                tree_labels.update(tree._labels)
+                tree_children.update(tree._children)
+                parents.update(tree._parents)
+                parents[tree.root] = node
+                kids.append(tree.root)
+            else:
+                frames.append(open_node(children[node][index - 1]))
+                break
+        else:
+            frames.pop()
+            if kids:
+                tree_children[node] = tuple(kids)
+            if frames:
+                parents[node] = frames[-1][0]
+                frames[-1][2].append(node)
+    return Tree._from_parts(root, tree_labels, tree_children, parents)
 
 
 def inversion_graphs(
@@ -184,22 +218,23 @@ def inversion_graphs(
         factory = MinimalTreeFactory(dtd)
     graphs: dict[NodeId, InversionGraph] = {}
     costs: dict[NodeId, int] = {}
+    labels = view._labels
     for node in view.postorder():
+        label = labels[node]
+        kids = view.children(node)
         graph = build_inversion_graph(
             dtd,
             annotation,
-            view,
             node,
-            costs,
+            label,
+            kids,
+            [labels[kid] for kid in kids],
+            [costs[kid] for kid in kids],
             factory,
             hidden_table,
-            insert_moves(view.label(node)) if insert_moves is not None else None,
+            insert_moves(label) if insert_moves is not None else None,
         )
-        dist = min_distances([graph.source], graph.edges_from)
-        best = min(
-            (dist[target] for target in graph.targets if target in dist),
-            default=None,
-        )
+        best = cheapest_cost(graph)
         if best is None:
             raise NoInversionError(
                 f"no inversion path in H_{node!r} (label {graph.label!r}): "
@@ -208,6 +243,16 @@ def inversion_graphs(
         graphs[node] = graph
         costs[node] = best
     return InversionGraphs(dtd, annotation, view, factory, graphs, costs)
+
+
+def cheapest_cost(graph: InversionGraph) -> "int | None":
+    """The cheapest inversion-path cost of *graph*, ``None`` if no
+    target is reachable."""
+    dist = min_distances([graph.source], graph.edges_from)
+    return min(
+        (dist[target] for target in graph.targets if target in dist),
+        default=None,
+    )
 
 
 def invert(

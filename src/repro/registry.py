@@ -218,7 +218,6 @@ class EngineRegistry:
         capacity: int = 128,
         *,
         memo_capacity: "int | None" = None,
-        inversion_cache_capacity: "int | None" = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
@@ -226,8 +225,6 @@ class EngineRegistry:
         self._engine_kwargs: dict = {}
         if memo_capacity is not None:
             self._engine_kwargs["memo_capacity"] = memo_capacity
-        if inversion_cache_capacity is not None:
-            self._engine_kwargs["inversion_cache_capacity"] = inversion_cache_capacity
         self._lock = threading.Lock()
         self._engines: "OrderedDict[tuple[str, str], ViewEngine]" = OrderedDict()
         self._inflight: "dict[tuple[str, str], _InFlight]" = {}
@@ -293,9 +290,8 @@ class EngineRegistry:
         :func:`_factory_key`). With ``warm=True`` a newly compiled
         engine's artifacts are forced eagerly (outside the lock — warming
         is idempotent). Engines are built with the registry's
-        ``memo_capacity`` / ``inversion_cache_capacity`` overrides, so a
-        multi-tenant server sizes every tenant's propagation memo in one
-        place.
+        ``memo_capacity`` override, so a multi-tenant server sizes every
+        tenant's propagation memo in one place.
 
         Concurrent misses on one key are **single-flight**: the first
         caller builds (hydrating from the attached disk tier when it has

@@ -300,10 +300,11 @@ class DocumentSession:
     @property
     def view(self) -> Tree:
         """``A(source)`` for the current source — cached, never stale:
-        every advance replaces it with the update's output (which
+        a validated advance replaces it with the update's output (which
         side-effect-freeness guarantees equals a fresh extraction), and
-        a pinned or replayed source's view is extracted on first read.
-        The same tree object is returned until the session moves."""
+        the view of a pinned or replayed source, or of one an
+        unvalidated update produced, is extracted on first read. The
+        same tree object is returned until the session moves."""
         if self._view is None:
             self._view = self._engine.annotation.view(self._source)
         return self._view
@@ -396,7 +397,9 @@ class DocumentSession:
         advancing propagation that validated. Otherwise (a source pinned
         with ``validate_source=False``, or after an unvalidated advance,
         :meth:`apply_source_script` or :meth:`advance_script`) the next
-        update is validated in full.
+        update is validated in full. An unvalidated update need not be a
+        view update, so an advance without validation also drops the
+        carried view: the next read extracts it from the new source.
         """
         if source is not None and source != self._source:
             raise StaleSessionError(
@@ -433,7 +436,12 @@ class DocumentSession:
                         else None
                     ),
                 )
-                sp.set(cells=collection.cells, runs=collection.runs)
+                sp.set(
+                    cells=collection.cells,
+                    runs=collection.runs,
+                    inverted=collection.inverted,
+                    inversion_misses=collection.inversion_misses,
+                )
             if chooser is None:
                 chooser = PreferenceChooser() if optimal else CheapestPathChooser()
             with _span("script"):
@@ -451,7 +459,9 @@ class DocumentSession:
         # persist it so a restarted process skips compilation entirely.
         self._engine._persist_artifact()
         if advance:
-            self._advance(update, script)
+            # unvalidated, the update need not be a view update, and then
+            # Out(update) is no view of the new source: drop it
+            self._advance(update, script, carry_view=validate)
             self._view_valid = validate
         return script
 
@@ -486,12 +496,16 @@ class DocumentSession:
     # Cache advancement
     # ------------------------------------------------------------------
 
-    def _advance(self, update: EditScript, script: EditScript) -> None:
+    def _advance(
+        self, update: EditScript, script: EditScript, *, carry_view: bool = True
+    ) -> None:
         """Move every cache to the propagated document.
 
         Only the script's edits are visited (see :meth:`_walk_caches`).
         The new view is ``Out(update)`` — the side-effect-free criterion
-        ``A(Out(S′)) = Out(S)`` makes extraction unnecessary.
+        ``A(Out(S′)) = Out(S)`` makes extraction unnecessary — unless
+        *carry_view* is false: the view and its indices are then dropped,
+        and the view is extracted from the new source when next read.
         """
         self._walk_caches(script)
         tables = self._engine.insert_moves
@@ -502,12 +516,16 @@ class DocumentSession:
             return index.algebra.leaf(symbol, sizes[node] if symbol in hidden else None)
 
         _advance_indices(self._indices, script, source_leaf)
-        _advance_indices(
-            self._view_indices, update,
-            lambda index, node, symbol: index.algebra.leaf(symbol),
-        )
         self._source = script.output_tree
-        self._view = update.output_tree
+        if carry_view:
+            _advance_indices(
+                self._view_indices, update,
+                lambda index, node, symbol: index.algebra.leaf(symbol),
+            )
+            self._view = update.output_tree
+        else:
+            self._view = None
+            self._view_indices.clear()
 
     def _walk_caches(self, script: EditScript) -> None:
         """Advance the size table and suffix index along a source script.

@@ -4,7 +4,7 @@ The memo must be invisible in results (byte-identical scripts — the
 property suite pins that against random workloads) and visible only in
 time and counters. These tests pin the cache mechanics: keying by exact
 request content, chooser keys, LRU eviction, the bypass conditions, and
-the inversion-fragment cache shared across different requests.
+the inversion memo shared across requests by fragment shape.
 """
 
 import pytest
@@ -17,6 +17,7 @@ from repro.core import (
 from repro.editing import EditScript
 from repro.engine import ViewEngine
 from repro.errors import InvalidViewUpdateError
+from repro.inversion import InversionGraph
 from repro.paperdata.figures import a0, d0
 from repro.xmltree import parse_term
 
@@ -160,21 +161,49 @@ class TestMemoLifecycle:
         assert "memo_evictions" in payload and "memo_bypass" in payload
 
 
-class TestInversionFragmentCache:
-    def test_identical_fragment_reuses_collection(self, engine, source):
-        """Two *different* requests inserting the same fragment share one
-        inversion-graph collection through the engine's fragment cache."""
-        first = EditScript.parse(
-            "Nop.r#n0(Nop.a#n1, Nop.d#n3(Nop.c#n8), Nop.a#n4, "
-            "Ins.d#u0(Ins.c#u1), Ins.a#u2, Nop.d#n6(Nop.c#n10))"
-        )
-        second = EditScript.parse(
-            "Nop.r#n0(Del.a#n1, Del.d#n3(Del.c#n8), Nop.a#n4, "
-            "Ins.d#u0(Ins.c#u1), Ins.a#u2, Nop.d#n6(Nop.c#n10))"
-        )
-        g1 = engine.propagation_graphs(source, first)
-        g2 = engine.propagation_graphs(source, second)
-        assert g1.insertions["u0"] is g2.insertions["u0"]
+class TestInversionMemo:
+    FIRST = (
+        "Nop.r#n0(Nop.a#n1, Nop.d#n3(Nop.c#n8), Nop.a#n4, "
+        "Ins.d#u0(Ins.c#u1), Ins.a#u2, Nop.d#n6(Nop.c#n10))"
+    )
+    # the same fragments under other identifiers, in another request
+    SECOND = (
+        "Nop.r#n0(Del.a#n1, Del.d#n3(Del.c#n8), Nop.a#n4, "
+        "Ins.d#v0(Ins.c#v1), Ins.a#v2, Nop.d#n6(Nop.c#n10))"
+    )
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The nodes each inversion graph was built for, in order."""
+        nodes = []
+        init = InversionGraph.__init__
+
+        def counted(graph, node, *args, **kwargs):
+            nodes.append(node)
+            init(graph, node, *args, **kwargs)
+
+        monkeypatch.setattr(InversionGraph, "__init__", counted)
+        return nodes
+
+    def test_same_shape_under_new_identifiers_builds_graphs_once(
+        self, engine, schema, source, built
+    ):
+        first = engine.propagate(source, EditScript.parse(self.FIRST))
+        # one graph per shape: c under d, d(c), and a under r
+        assert sorted(built) == ["u0", "u1", "u2"]
+        second = engine.propagate(source, EditScript.parse(self.SECOND))
+        assert len(built) == 3
+        assert len(engine.inversion_memo) == 3
+        for script, term in ((first, self.FIRST), (second, self.SECOND)):
+            cold = ViewEngine(*schema).propagate(source, EditScript.parse(term), memo=False)
+            assert script.to_term() == cold.to_term()
+
+    def test_invalidate_memo_empties_it(self, engine, source, built):
+        engine.propagate(source, EditScript.parse(self.FIRST))
+        engine.invalidate_memo()
+        assert len(engine.inversion_memo) == 0
+        engine.propagate(source, EditScript.parse(self.SECOND))
+        assert len(built) == 6 and len(engine.inversion_memo) == 3
 
 
 class TestChooserKeys:

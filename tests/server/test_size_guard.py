@@ -21,8 +21,12 @@ session, every request must stay under one node bound at both sizes:
 No served request may expand a sparse script's :attr:`EditScript.tree`,
 build a propagation graph (``build_propagation_graph``) or an optimal
 one (:class:`~repro.core.optimal.OptimalPropagationGraph`): the default
-chooser walks each affected node's cost sweep. Inversion graphs of the
-inserted fragments are still built and searched.
+chooser walks each affected node's cost sweep. Nor may it build an
+:class:`~repro.inversion.InversionGraph`: every request inserts a
+fragment of the shape the first one did, under new identifiers, and
+the engine's inversion memo replays that shape's paths. The memo stays
+within :data:`~repro.engine.INVERSION_MEMO_CAPACITY` entries however
+many shapes it meets.
 
 The log keeps the same promise: every request after the first appends
 at most :data:`WAL_BOUND` bytes to the document's write-ahead log, and
@@ -43,10 +47,13 @@ from repro.core.optimal import OptimalPropagationGraph
 from repro.core.propagate import PropagationGraphs
 from repro.core.propagation_graph import CostSweep, PEdge
 from repro.editing import EditScript, UpdateBuilder
-from repro.engine import ViewEngine
+from repro.engine import INVERSION_MEMO_CAPACITY, ViewEngine
+from repro.dtd import DTD
 from repro.generators.workloads import hospital, huge_document
+from repro.inversion import InversionGraph
 from repro.server import ReproServer, ServeClient
 from repro.store import DocumentStore
+from repro.views import Annotation
 from repro.xmltree import Tree, parse_term
 
 from .conftest import run_with_server
@@ -202,6 +209,12 @@ def _install(monkeypatch, server, measured: Counter) -> None:
         measured["walk"] += len(path)
         return path
 
+    inversion = InversionGraph.__init__
+
+    def counted_inversion(self, *args, **kwargs):
+        measured["inversion_graphs"] += 1
+        inversion(self, *args, **kwargs)
+
     matches = _SCRIPT._matches
 
     def counted_matches(*args, **kwargs):
@@ -214,6 +227,7 @@ def _install(monkeypatch, server, measured: Counter) -> None:
     monkeypatch.setattr(_SCRIPT, "_matches", counted_matches)
     monkeypatch.setattr(_PROPAGATE, "build_propagation_graph", counted_build_graph)
     monkeypatch.setattr(OptimalPropagationGraph, "__init__", counted_optimal)
+    monkeypatch.setattr(InversionGraph, "__init__", counted_inversion)
     monkeypatch.setattr(PEdge, "__init__", counted_edge)
     monkeypatch.setattr(EditScript, "parse", classmethod(counted_parse))
     monkeypatch.setattr(PropagationGraphs, "build_script", counted_build)
@@ -270,6 +284,7 @@ def test_one_edit_streams_cost_the_edit(tmp_path, monkeypatch, make, edit):
         for measures in served:
             assert measures["expanded"] == 0, (size, measures)
             assert measures["graphs"] == measures["optimal_graphs"] == 0, (size, measures)
+            assert measures["inversion_graphs"] == 0, (size, measures)
             for name in (
                 "parse", "projections", "build_script", "render", "edges",
                 "steps", "cells", "walk", "phantom",
@@ -279,3 +294,21 @@ def test_one_edit_streams_cost_the_edit(tmp_path, monkeypatch, make, edit):
         # the replay: one parse per record, each at the record's region
         assert reopened["expanded"] == 0, (size, reopened)
         assert 0 < reopened["parse_max"] <= BOUND, (size, reopened)
+
+
+def test_inversion_memo_stays_bounded():
+    """10,000 distinct children words of one label are 10,000 node
+    shapes; the memo keeps the most recent ones, up to its capacity,
+    and a shape evicted long ago still inverts as on a fresh engine."""
+    dtd = DTD({"r": "(a | b)*", "a": "", "b": ""})
+    annotation = Annotation.hiding()
+    engine = ViewEngine(dtd, annotation)
+    for shape in range(10_000):
+        word = ", ".join(
+            f"{'ab'[int(bit)]}#k{k}" for k, bit in enumerate(f"{shape:b}")
+        )
+        engine.invert(parse_term(f"r#v{shape}({word})"))
+        assert len(engine.inversion_memo) <= INVERSION_MEMO_CAPACITY
+    assert len(engine.inversion_memo) == INVERSION_MEMO_CAPACITY
+    first = parse_term("r#v(a#k0)")
+    assert engine.invert(first) == ViewEngine(dtd, annotation).invert(first)

@@ -11,6 +11,7 @@ from repro.editing import EditScript
 from repro.engine import ViewEngine
 from repro.generators.updates import random_view_update
 from repro.generators.workloads import hospital
+from repro.registry import EngineRegistry
 from repro.replication import QueueTransport, StandbyStore, WalShipper
 from repro.server import RemoteServingError, ReproServer, ServeClient
 from repro.store import DocumentStore
@@ -98,7 +99,11 @@ class TestServedTraces:
         """The graphs span counts the sweep cells computed and the runs of
         untouched children crossed through a word index; the validate
         span the automaton steps. A one-patient edit of a 240-patient
-        ward computes a handful of cells and steps, not the ward."""
+        ward computes a handful of cells and steps, not the ward. The
+        graphs span also counts the inserted fragment's nodes sized and
+        the inversion graphs built: the first admission builds one per
+        node shape, the second, of the same shape under new
+        identifiers, none."""
         workload = hospital(240)
         store = DocumentStore.init(tmp_path / "wide", fsync="off")
         store.put("ward", workload.source, workload.dtd, workload.annotation)
@@ -113,7 +118,10 @@ class TestServedTraces:
             update = builder.script()
             terms.append(update.to_term())
             view = update.output_tree
-        server = ReproServer(store_root=tmp_path / "wide", fsync="off")
+        # a registry of its own: an engine whose inversion memo is empty
+        server = ReproServer(
+            store_root=tmp_path / "wide", fsync="off", registry=EngineRegistry()
+        )
 
         def client_work(host, port):
             traces = []
@@ -127,11 +135,15 @@ class TestServedTraces:
             return traces
 
         first, second = run_with_server(server, client_work)
+        misses = []
         for payload in (first, second):
             spans = {span["name"]: span for span in _spans(payload["trace"]["root"])}
             graphs, validate = spans["graphs"]["attrs"], spans["validate"]["attrs"]
             assert graphs["runs"] >= 2, graphs  # the ward's untouched patients
             assert 0 < graphs["cells"] <= 32, graphs
+            assert graphs["inverted"] == 3, graphs  # patient, name, admission
+            misses.append(graphs["inversion_misses"])
+        assert misses == [3, 0]
         # a reopened document's first update is validated in full, the
         # next at its edit
         assert 0 < validate["steps"] <= 16, validate
