@@ -14,10 +14,10 @@ Run **as a script** to emit the machine-readable perf trajectory::
     python benchmarks/bench_end_to_end.py --json BENCH_PR10.json [--smoke]
 
 writing per-workload medians for the four serving modes (cold, warm,
-session, memoized) plus the WAL, replication, served,
-sharded and ``cold_start`` columns (the persistent disk-cache tier's
-restart win) — the checked-in ``BENCH_PR10.json`` is that output, and
-CI's ``bench-smoke`` job fails on regressions against it
+session, memoized) plus the WAL, replication, served and sharded
+columns — the checked-in ``BENCH_PR10.json`` is that output (its
+``cold_start`` section is no longer written or read), and CI's
+``bench-smoke`` job fails on regressions against it
 (``benchmarks/check_regression.py``).
 
 Note the free :func:`repro.propagate` is served by the default engine
@@ -615,67 +615,6 @@ def _repeated_update_modes(workload, repeats: int, rounds: int) -> dict:
     return per_request
 
 
-def _cold_start_modes(workload, rounds: int, tmp_root) -> dict:
-    """Cold-start-to-first-propagation: empty vs warmed disk cache.
-
-    Three first-request latencies for one known ``(source, update)``:
-
-    * ``cold`` — a fresh registry with no disk tier (full schema
-      compilation plus propagation-graph construction);
-    * ``disk_warm`` — a fresh registry attached to a populated
-      :class:`~repro.cache.DiskCache` (artifact hydration plus a disk
-      memo hit: no compile, no graphs — the restart/fleet story);
-    * ``memory_warm`` — a repeat on an already-hot engine (the
-      in-memory memo ceiling).
-
-    Every mode asserts byte-identity against the cache-free reference.
-    """
-    from pathlib import Path
-
-    from repro.cache import DiskCache
-    from repro.registry import EngineRegistry
-
-    dtd, annotation = workload.dtd, workload.annotation
-    source, update = workload.source, workload.update
-    reference = ViewEngine(dtd, annotation).propagate(source, update).to_term()
-
-    root = Path(tmp_root) / "cold-start-cache"
-    seed_registry = EngineRegistry()
-    seed_registry.attach_disk_tier(DiskCache(root))
-    seeded = seed_registry.get_or_compile(dtd, annotation).propagate(source, update)
-    assert seeded.to_term() == reference
-
-    def first_propagation_cold():
-        engine = EngineRegistry().get_or_compile(dtd, annotation)
-        assert engine.propagate(source, update).to_term() == reference
-
-    def first_propagation_disk_warm():
-        registry = EngineRegistry()
-        registry.attach_disk_tier(DiskCache(root))
-        engine = registry.get_or_compile(dtd, annotation)
-        script = engine.propagate(source, update)
-        assert engine.stats.disk_memo_hits == 1  # no graphs were built
-        assert script.to_term() == reference
-
-    cold = _median_seconds(first_propagation_cold, rounds)
-    disk_warm = _median_seconds(first_propagation_disk_warm, rounds)
-    hot_engine = ViewEngine(dtd, annotation).warm_up()
-    assert hot_engine.propagate(source, update).to_term() == reference
-
-    def repeat_on_hot_engine():
-        hot_engine.propagate(source, update)
-
-    memory_warm = _median_seconds(repeat_on_hot_engine, rounds)
-    return {
-        "cold_ms": cold * 1000,
-        "disk_warm_ms": disk_warm * 1000,
-        "memory_warm_ms": memory_warm * 1000,
-        "warm_speedup": cold / disk_warm,
-        "disk_hit_vs_memory_hit": disk_warm / memory_warm,
-        "cold_vs_memory_hit": cold / memory_warm,
-    }
-
-
 def _streaming_modes(workload, length: int, rounds: int) -> dict:
     """Median ms/update for transient-engine vs session streaming."""
     dtd, annotation = workload.dtd, workload.annotation
@@ -1012,10 +951,6 @@ def run_trajectory(smoke: bool) -> dict:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp_root:
-        print("[wide_schema] cold start", flush=True)
-        workloads["wide_schema"]["cold_start"] = _cold_start_modes(
-            families["wide_schema"], rounds, tmp_root
-        )
         workloads["wide_schema"]["wal"] = _wal_modes(
             families["wide_schema"], stream_length, tmp_root, rounds
         )
@@ -1089,15 +1024,6 @@ def main(argv=None) -> int:
                 f"streaming session {streaming['session_ms_per_update']:.2f} "
                 f"ms/update ({streaming['session_speedup_vs_transient']:.1f}x vs "
                 "transient)"
-            )
-        if "cold_start" in data:
-            cold_start = data["cold_start"]
-            print(
-                f"{name}: first propagation cold {cold_start['cold_ms']:.2f} / "
-                f"disk-warm {cold_start['disk_warm_ms']:.2f} / memory-warm "
-                f"{cold_start['memory_warm_ms']:.3f} ms (warm speedup "
-                f"{cold_start['warm_speedup']:.1f}x, disk hit within "
-                f"{cold_start['disk_hit_vs_memory_hit']:.1f}x of a memory hit)"
             )
         if "served_streaming" in data:
             served = data["served_streaming"]

@@ -55,9 +55,6 @@ RATIO_METRICS = (
         "served_streaming", "tracing_enabled_efficiency",
         "served_ms_per_update", "traced_ms_per_update",
     ),
-    # cold first-propagation time / disk-warm first-propagation time —
-    # the persistent cache tier's restart win (PR-9)
-    ("cold_start", "warm_speedup", "cold_ms", "disk_warm_ms"),
     # 1/(1 + steady-state lag) of a followed standby after the stream
     # stops — 1.0 iff the live feed converged to zero lag (PR-10)
     ("replication", "follow_lag_bounded", None, "follow_steady_lag"),
@@ -80,11 +77,6 @@ SMOKE_EXPECTATION_CAPS = {
     # tracing's per-span cost is nanoseconds against microsecond-noise
     # smoke rounds; only require traced serving within 2x of untraced
     "tracing_enabled_efficiency": 0.5,
-    # smoke schemas compile in single-digit milliseconds, so the disk
-    # tier's restart win shrinks toward its fixed read cost; only
-    # require hydration to beat recompilation by 2x in CI (full mode
-    # demands the real, uncapped ratio)
-    "warm_speedup": 2.0,
     # convergence is binary — a followed standby must reach zero lag in
     # smoke runs too, so the cap changes nothing and stays at 1.0
     "follow_lag_bounded": 1.0,

@@ -61,7 +61,7 @@ def main() -> None:
 
     # -- multi-tenant: a registry hands every caller the same engine ------
     registry = EngineRegistry(capacity=64)
-    first = registry.get_or_compile(dtd, annotation, warm=True)
+    first = registry.get_or_compile(dtd, annotation).warm_up()
     second = registry.get_or_compile(dtd, annotation)
     assert first is second, "one compiled engine per schema"
     print(f"\nregistry: {registry.stats}")

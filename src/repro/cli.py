@@ -24,11 +24,7 @@ Subcommands (``repro-xml <command> --help`` for details):
 * ``shard …``   — one huge document served as per-shard sessions
   (:mod:`repro.sharding`): ``init`` (partition into a durable
   per-shard store), ``status`` (per-shard metrics as JSON),
-  ``propagate`` (route view updates across the shard boundary);
-* ``cache …``   — the on-disk compiled-artifact and memo tier
-  (:mod:`repro.cache`): ``stats`` (occupancy and hit counters as
-  JSON), ``warm`` (preload the manifest's hot schemas), ``gc``
-  (rewrite live records, drop tombstones and quarantined segments).
+  ``propagate`` (route view updates across the shard boundary).
 
 File formats: documents are XML carrying node identifiers in an ``id``
 attribute; DTDs use classic ``<!ELEMENT …>`` declarations; annotations
@@ -694,39 +690,6 @@ def _cmd_replica_promote(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_cache(args: argparse.Namespace):
-    from .cache import DiskCache
-
-    return DiskCache(args.cache_root)
-
-
-def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    cache = _open_cache(args)
-    _emit(args, json.dumps(cache.stats_payload(), indent=2))
-    return 0
-
-
-def _cmd_cache_warm(args: argparse.Namespace) -> int:
-    """Preload the manifest's hot schemas into this process's registry.
-
-    One-shot invocations exercise the hydration path end to end (useful
-    as a smoke check that a tier survives restarts); long-lived drivers
-    calling :func:`main` in-process get genuinely warm engines.
-    """
-    cache = _open_cache(args)
-    warmed = cache.warm(default_registry(), limit=args.limit)
-    payload = {"warmed": warmed, "cache": cache.stats_payload()}
-    _emit(args, json.dumps(payload, indent=2))
-    return 0
-
-
-def _cmd_cache_gc(args: argparse.Namespace) -> int:
-    cache = _open_cache(args)
-    report = cache.gc()
-    _emit(args, json.dumps(report, indent=2))
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
@@ -753,7 +716,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             fsync=args.fsync,
             max_lag=args.max_lag,
-            cache_root=args.cache_root,
         )
         host, port = await server.start()
         # machine-parsable and flushed: launchers (tests, CI) wait on it
@@ -1107,62 +1069,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 256)",
     )
     serve.add_argument(
-        "--cache-root",
-        help="persistent compiled-artifact and memo cache directory; "
-        "the manifest's hot schemas are preloaded before the server "
-        "starts accepting connections",
-    )
-    serve.add_argument(
         "--log-json",
         action="store_true",
         help="structured one-line JSON logs on stderr, trace_id-"
         "correlated; with --trace also logs one line per span",
     )
     serve.set_defaults(handler=_cmd_serve)
-
-    cache = commands.add_parser(
-        "cache",
-        help="the on-disk compiled-artifact and memo cache tier: "
-        "stats, manifest-driven warm-up, segment garbage collection",
-    )
-    cache_commands = cache.add_subparsers(dest="cache_command", required=True)
-
-    def cache_common(sub):
-        sub.add_argument(
-            "--cache-root", required=True, help="cache tier directory"
-        )
-        sub.add_argument("--out", help="write the result here instead of stdout")
-
-    c_stats = cache_commands.add_parser(
-        "stats",
-        help="occupancy, hit/miss/eviction counters, per-tenant bytes, "
-        "and segment inventory as JSON",
-    )
-    cache_common(c_stats)
-    c_stats.set_defaults(handler=_cmd_cache_stats)
-
-    c_warm = cache_commands.add_parser(
-        "warm",
-        help="preload the warm-up manifest's hot schemas (hydrates "
-        "compiled engines from cached artifacts; reports how many)",
-    )
-    cache_common(c_warm)
-    c_warm.add_argument(
-        "--limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="warm at most the N most-used tenants (default: all)",
-    )
-    c_warm.set_defaults(handler=_cmd_cache_warm)
-
-    c_gc = cache_commands.add_parser(
-        "gc",
-        help="rewrite live records into a fresh segment, dropping "
-        "tombstones, stale duplicates, and quarantined segments",
-    )
-    cache_common(c_gc)
-    c_gc.set_defaults(handler=_cmd_cache_gc)
 
     replica = commands.add_parser(
         "replica",

@@ -79,11 +79,12 @@ class PathChooser(Protocol):
 
 
 def cache_key_of(chooser) -> "tuple | None":
-    """*chooser*'s ``cache_key()``, or ``None`` for a chooser without
-    one: results may be shared between choosers only through equal
-    keys."""
+    """*chooser*'s class and ``cache_key()``, or ``None`` for a chooser
+    without one: results may be shared between choosers only through
+    equal keys, so a subclass that overrides the preference but
+    inherits the key shares nothing with its base."""
     key = getattr(chooser, "cache_key", None)
-    return key() if callable(key) else None
+    return (type(chooser), key()) if callable(key) else None
 
 
 class PreferenceChooser:
@@ -115,10 +116,10 @@ class PreferenceChooser:
     def cache_key(self) -> tuple:
         """A hashable key determining this chooser's behaviour.
 
-        Equal keys mean byte-identical path choices — the propagation
-        memo of :class:`~repro.engine.ViewEngine` (in memory and on
-        disk) and its inversion memo rely on it; a chooser without one
-        bypasses both.
+        Equal keys mean byte-identical path choices for choosers of one
+        class — the propagation memo of :class:`~repro.engine.ViewEngine`
+        and its inversion memo rely on it (see :func:`cache_key_of`); a
+        chooser without one bypasses both.
         """
         order = sorted(self._rank, key=self._rank.get)
         return ("greedy", tuple(op.value for op in order))

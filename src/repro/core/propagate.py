@@ -789,17 +789,16 @@ class PropagationGraphs:
     ) -> Tree:
         """The inverse of the fragment inserted at *child* along the
         paths *chooser* takes: replayed from the inversion memo under
-        the chooser's class and ``cache_key()`` (a subclass that
-        overrides the preference but inherits the key shares nothing),
-        or built on the fragment's inversion-graph collection for a
-        chooser without a key."""
+        the chooser's :func:`~repro.core.choosers.cache_key_of`, or built
+        on the fragment's inversion-graph collection for a chooser
+        without a key."""
         key = cache_key_of(chooser)
         if key is None:
             return self.insertions[child].build_tree(
                 chooser.choose, fresh, optimal_only=optimal_only
             )
         return self._memo.build_tree(
-            self._inverted[child], (type(chooser), key, optimal_only), chooser.choose,
+            self._inverted[child], (key, optimal_only), chooser.choose,
             fresh, optimal_only=optimal_only,
         )
 

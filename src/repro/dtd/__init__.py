@@ -5,12 +5,13 @@ Public surface:
 * :class:`DTD` / :class:`RootedDTD` — the paper's schema model.
 * :func:`minimal_sizes`, :func:`minimal_tree`, :func:`minimal_shape`,
   :func:`count_minimal_shapes` — minimal trees satisfying a DTD.
-* :func:`view_dtd` — the derived DTD recognising ``A(L(D))``.
+* :func:`view_dtd` — the derived DTD recognising ``A(L(D))``, its rules
+  derived per symbol on first lookup (:class:`LabelTable`).
 * :func:`parse_dtd` / :func:`serialize_dtd` — ``<!ELEMENT ...>`` syntax.
 * :class:`EDTD` — single-type extended DTDs and tree typings.
 """
 
-from .dtd import DTD, RootedDTD, ValidationViolation
+from .dtd import DTD, LabelTable, RootedDTD, ValidationViolation
 from .dtdio import parse_dtd, serialize_dtd
 from .edtd import EDTD
 from .insertlets import InsertletPackage, MinimalTreeFactory, TreeFactory
@@ -27,6 +28,7 @@ from .viewdtd import erase_hidden, view_dtd
 
 __all__ = [
     "DTD",
+    "LabelTable",
     "RootedDTD",
     "ValidationViolation",
     "TreeFactory",

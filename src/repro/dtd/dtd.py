@@ -17,13 +17,53 @@ node. Following the paper:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from ..automata import NFA, Regex, glushkov, nfa_to_regex, parse_regex
 from ..errors import DTDError, UnknownLabelError, UnsatisfiableDTDError
 from ..xmltree import NodeId, Tree
 
-__all__ = ["DTD", "ValidationViolation"]
+__all__ = ["DTD", "LabelTable", "ValidationViolation"]
+
+Row = TypeVar("Row")
+
+
+class LabelTable(Mapping[str, Row]):
+    """A read-only table with one row per symbol of an alphabet, each
+    row derived by *derive* on its first lookup and kept.
+
+    Iteration (in sorted order) and ``len`` cover the whole alphabet, so
+    iterating derives every row; a symbol outside it raises
+    :class:`KeyError`. Two threads that race on a row may both derive
+    it, but the first to publish wins (``setdefault``): every reader
+    sees one object per symbol.
+    """
+
+    __slots__ = ("_alphabet", "_derive", "_rows")
+
+    def __init__(self, alphabet: frozenset[str], derive: Callable[[str], Row]) -> None:
+        self._alphabet = alphabet
+        self._derive = derive
+        self._rows: dict[str, Row] = {}
+
+    def __getitem__(self, symbol: str) -> Row:
+        row = self._rows.get(symbol)
+        if row is None:
+            if symbol not in self._alphabet:
+                raise KeyError(symbol)
+            row = self._rows.setdefault(symbol, self._derive(symbol))
+        return row
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(sorted(self._alphabet))
+
+    def __len__(self) -> int:
+        return len(self._alphabet)
+
+    @property
+    def held(self) -> frozenset[str]:
+        """The symbols whose row has been derived so far."""
+        return frozenset(self._rows)
 
 
 class ValidationViolation:
@@ -87,10 +127,38 @@ class DTD:
         if unknown:
             raise DTDError(f"content models mention unknown symbols {unknown}")
         epsilon = NFA.empty_word_automaton(self._alphabet)
-        self._models: dict[str, NFA] = {
-            symbol: models.get(symbol, epsilon).with_alphabet(self._alphabet)
-            for symbol in self._alphabet
-        }
+        self._init_models(
+            {
+                symbol: models.get(symbol, epsilon).with_alphabet(self._alphabet)
+                for symbol in self._alphabet
+            }
+        )
+        if check:
+            self.assert_satisfiable()
+
+    @classmethod
+    def derived(cls, alphabet: Iterable[str], rule: Callable[[str], NFA]) -> "DTD":
+        """The DTD over *alphabet* whose automaton for a symbol is
+        ``rule(symbol)``, derived on the symbol's first lookup (how
+        :func:`repro.dtd.view_dtd` builds the view DTD).
+
+        Every rule must read symbols of *alphabet* only, and the DTD
+        must be satisfiable: neither is checked, since checking would
+        derive every rule. Readers of the whole DTD (:attr:`size`,
+        :meth:`rules`, :meth:`describe`, :meth:`satisfiable_symbols`)
+        derive every rule.
+        """
+        symbols = frozenset(alphabet)
+        dtd = cls.__new__(cls)
+        dtd._regexes = {}
+        dtd._alphabet = symbols
+        dtd._init_models(
+            LabelTable(symbols, lambda symbol: rule(symbol).with_alphabet(symbols))
+        )
+        return dtd
+
+    def _init_models(self, models: Mapping[str, NFA]) -> None:
+        self._models = models
         # memo slots for derived artifacts (a DTD is immutable once built,
         # so these are filled at most once): the sorted alphabet, the
         # satisfiability fixpoint, the minimal-size table maintained by
@@ -100,8 +168,6 @@ class DTD:
         self._satisfiable: frozenset[str] | None = None
         self._minimal_sizes: dict[str, int] | None = None
         self._canonical_digest: str | None = None
-        if check:
-            self.assert_satisfiable()
 
     # ------------------------------------------------------------------
     # Accessors

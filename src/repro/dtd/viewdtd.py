@@ -69,23 +69,25 @@ def view_dtd(
 
     The result is automaton-backed; use :meth:`DTD.rule_regex` to display
     its rules as regular expressions (for the running example this
-    prints ``r -> (a,d)*`` and ``d -> c*``).
+    prints ``r -> (a,d)*`` and ``d -> c*``). Its rule for a symbol ``a``
+    is ``erase_hidden(D(a), visible under a)``, derived the first time
+    ``a`` is looked up (see :meth:`DTD.derived`), so a request pays for
+    the symbols it reads.
 
     *visible_table* (per parent label, the set of visible child labels)
     lets a compiled engine share its visibility tables instead of
-    re-querying the annotation ``|Σ|²`` times.
+    querying the annotation ``|Σ|`` times per symbol.
     """
-    rules: dict[str, NFA] = {}
-    for symbol in dtd.sorted_alphabet:
+
+    def visible(symbol: str) -> frozenset[str]:
         if visible_table is not None:
-            visible = visible_table[symbol]
-        else:
-            visible = frozenset(
-                child
-                for child in dtd.alphabet
-                if annotation.visible(symbol, child)
-            )
-        rules[symbol] = erase_hidden(dtd.automaton(symbol), visible)
+            return visible_table[symbol]
+        return frozenset(
+            child for child in dtd.alphabet if annotation.visible(symbol, child)
+        )
+
     # Satisfiability is inherited: every symbol's minimal source tree
     # projects to a (possibly smaller) valid view tree.
-    return DTD(rules, alphabet=dtd.alphabet, check=False)
+    return DTD.derived(
+        dtd.alphabet, lambda symbol: erase_hidden(dtd.automaton(symbol), visible(symbol))
+    )

@@ -17,10 +17,12 @@ owns all of those artifacts; its per-request methods (:meth:`view`,
 :meth:`validate`, :meth:`invert`, :meth:`propagate`,
 :meth:`propagate_many`) reuse them for every document and update served.
 Compilation is lazy and memoized — each artifact is built on first use
-and kept forever (engines are immutable) — so a transient engine costs
-no more than the old free-function path, while a long-lived engine
-amortises compilation across the whole workload. :meth:`warm_up` forces
-every artifact eagerly for latency-sensitive servers.
+and kept forever (engines are immutable), the per-label ones (the
+visibility rows, the view DTD's rules, the (i)-move tables) label by
+label — so a transient engine costs no more than the old free-function
+path, a first request pays only for the labels it reads, and a
+long-lived engine amortises compilation across the whole workload.
+:meth:`warm_up` forces every artifact eagerly.
 
 The free functions remain available and behave identically (they build a
 transient engine under the hood); results are byte-identical either way::
@@ -55,6 +57,7 @@ from .core.propagation_graph import InsertMoves, compile_insert_moves
 from .dtd import (
     DTD,
     InsertletPackage,
+    LabelTable,
     MinimalTreeFactory,
     TreeFactory,
     minimal_sizes,
@@ -186,10 +189,6 @@ class EngineStats:
     """Propagations not memoizable (caller-supplied ``fresh``, a chooser
     without a canonical key, or memoization disabled)."""
 
-    disk_memo_hits: int = 0
-    """Memo misses served from the attached disk tier instead of
-    rebuilding graphs (a subset of :attr:`memo_misses` avoided)."""
-
     def as_dict(self) -> "dict[str, int]":
         """A JSON-serializable snapshot (``repro-xml stats`` emits these)."""
         return dataclasses.asdict(self)
@@ -217,7 +216,10 @@ class ViewEngine:
     :attr:`factory`, :attr:`minimal_sizes`, :attr:`hidden_table`,
     :attr:`visible_table`) and are stable objects: accessing one twice
     returns the identical instance, which is what makes the per-request
-    methods cheap.
+    methods cheap. The per-label ones (the visibility tables, the view
+    DTD's rules, :meth:`insert_moves`) derive a label's entry the first
+    time a request reads it, so a request pays for the labels it
+    touches, not for the whole alphabet.
     """
 
     __slots__ = (
@@ -226,7 +228,6 @@ class ViewEngine:
         "_factory",
         "_minimal_factory",
         "_view_dtd",
-        "_view_supplier",
         "_sizes",
         "_hidden",
         "_visible",
@@ -235,10 +236,6 @@ class ViewEngine:
         "_insert_moves",
         "_memo",
         "_inversion_memo",
-        "_disk",
-        "_disk_token",
-        "_artifact_persisted",
-        "_artifact_supplier",
     )
 
     def __init__(
@@ -253,11 +250,14 @@ class ViewEngine:
         self._annotation = annotation
         self._factory = factory
         self._minimal_factory: MinimalTreeFactory | None = None
-        self._view_dtd: DTD | None = None
-        self._view_supplier = None
         self._sizes: Mapping[str, int] | None = None
-        self._hidden: Mapping[str, tuple[str, ...]] | None = None
-        self._visible: Mapping[str, frozenset[str]] | None = None
+        self._visible: LabelTable[frozenset[str]] = LabelTable(
+            dtd.alphabet, self._visible_row
+        )
+        self._hidden: LabelTable[tuple[str, ...]] = LabelTable(
+            dtd.alphabet, self._hidden_row
+        )
+        self._view_dtd: DTD | None = None
         self._schema_hash: str | None = None
         self._counters: dict[str, int] = {
             "views": 0,
@@ -267,12 +267,7 @@ class ViewEngine:
             "memo_hits": 0,
             "memo_misses": 0,
             "memo_bypass": 0,
-            "disk_memo_hits": 0,
         }
-        self._disk = None
-        self._disk_token: "str | None" = None
-        self._artifact_persisted = False
-        self._artifact_supplier = None
         self._insert_moves: "dict[str, InsertMoves]" = {}
         self._memo = _LruCache(memo_capacity) if memo_capacity > 0 else None
         self._inversion_memo: "InversionMemo | None" = None
@@ -347,18 +342,11 @@ class ViewEngine:
 
     @property
     def view_dtd(self) -> DTD:
-        """The derived DTD recognising exactly ``A(L(D))``."""
-        if self._view_dtd is None and self._view_supplier is None:
-            self._consume_artifact_supplier()
-        if self._view_dtd is None and self._view_supplier is not None:
-            supplier, self._view_supplier = self._view_supplier, None
-            try:
-                self._view_dtd = supplier()
-            except Exception:  # damaged hydration thunk: derive instead
-                self._view_dtd = None
+        """The derived DTD recognising exactly ``A(L(D))``, its rule for a
+        label derived on the label's first lookup."""
         if self._view_dtd is None:
             self._view_dtd = view_dtd(
-                self._dtd, self._annotation, visible_table=self.visible_table
+                self._dtd, self._annotation, visible_table=self._visible
             )
         return self._view_dtd
 
@@ -366,43 +354,26 @@ class ViewEngine:
     def minimal_sizes(self) -> Mapping[str, int]:
         """Per-symbol minimal-tree sizes — the (i)-edge distance table."""
         if self._sizes is None:
-            self._consume_artifact_supplier()
-        if self._sizes is None:
             self._sizes = MappingProxyType(minimal_sizes(self._dtd))
         return self._sizes
 
     @property
     def hidden_table(self) -> Mapping[str, tuple[str, ...]]:
         """Per parent label, the sorted symbols hidden under it."""
-        if self._hidden is None:
-            self._consume_artifact_supplier()
-        if self._hidden is None:
-            self._compile_visibility()
-        assert self._hidden is not None
         return self._hidden
 
     @property
     def visible_table(self) -> Mapping[str, frozenset[str]]:
         """Per parent label, the set of symbols visible under it."""
-        if self._visible is None:
-            self._consume_artifact_supplier()
-        if self._visible is None:
-            self._compile_visibility()
-        assert self._visible is not None
         return self._visible
 
-    def _compile_visibility(self) -> None:
-        hidden: dict[str, tuple[str, ...]] = {}
-        visible: dict[str, frozenset[str]] = {}
-        alphabet = self._dtd.sorted_alphabet
-        for parent in alphabet:
-            seen = [y for y in alphabet if self._annotation.visible(parent, y)]
-            visible[parent] = frozenset(seen)
-            hidden[parent] = tuple(
-                y for y in alphabet if y not in visible[parent]
-            )
-        self._hidden = MappingProxyType(hidden)
-        self._visible = MappingProxyType(visible)
+    def _visible_row(self, parent: str) -> frozenset[str]:
+        visible = self._annotation.visible
+        return frozenset(y for y in self._dtd.sorted_alphabet if visible(parent, y))
+
+    def _hidden_row(self, parent: str) -> tuple[str, ...]:
+        visible = self._visible[parent]
+        return tuple(y for y in self._dtd.sorted_alphabet if y not in visible)
 
     def insert_weight(self, label: str) -> int:
         """Size of the tree an invisible insertion of *label* will cost."""
@@ -455,110 +426,20 @@ class ViewEngine:
         under this engine's compiled artifacts, which are immutable — a
         schema change means a different fingerprint and therefore a
         different engine, so nothing ever invalidates implicitly. This
-        is the explicit knob (memory pressure, tests). An attached disk
-        tier drops its memo entries for this schema too, so the
-        invalidation survives a restart; the inversion memo is never
-        persisted."""
+        is the explicit knob (memory pressure, tests)."""
         if self._memo is not None:
             self._memo.clear()
         if self._inversion_memo is not None:
             self._inversion_memo.clear()
-        if self._disk is not None and self._disk_token is not None:
-            self._disk.drop_memos(self.schema_hash, self._disk_token)
-
-    # ------------------------------------------------------------------
-    # Disk cache tier
-    # ------------------------------------------------------------------
-
-    def attach_disk_tier(self, cache, factory_token: str) -> "ViewEngine":
-        """Attach a :class:`~repro.cache.DiskCache` beneath the memo.
-
-        *factory_token* is the registry's factory key component — the
-        disk tier addresses this engine's entries by
-        ``(schema fingerprint, factory token)``, mirroring the registry
-        key. Memo misses then consult disk before building graphs, and
-        newly built scripts (plus the compiled artifacts, once warm) are
-        persisted for other processes and future restarts.
-        """
-        self._disk = cache
-        self._disk_token = factory_token
-        return self
-
-    @property
-    def disk_tier(self):
-        """The attached :class:`~repro.cache.DiskCache`, or ``None``."""
-        return self._disk
-
-    def _install_artifacts(
-        self,
-        *,
-        sizes: "Mapping[str, int]",
-        hidden: "Mapping[str, tuple[str, ...]]",
-        visible: "Mapping[str, frozenset[str]]",
-        schema_hash: str,
-        view_dtd: "DTD | None" = None,
-        view_supplier=None,
-    ) -> None:
-        """Install precompiled artifacts (the disk tier's hydration path;
-        see :func:`repro.cache.hydrate_engine`).
-
-        The view DTD may arrive as a thunk instead of a value: a
-        validated disk memo hit never consults it, so hydration defers
-        the automata rebuild until something actually asks. A supplier
-        returning ``None`` (damaged description) falls back to normal
-        derivation in :attr:`view_dtd`.
-        """
-        self._view_dtd = view_dtd
-        self._view_supplier = view_supplier
-        self._sizes = MappingProxyType(dict(sizes))
-        self._hidden = MappingProxyType(dict(hidden))
-        self._visible = MappingProxyType(dict(visible))
-        self._schema_hash = schema_hash
-        self._artifact_persisted = True  # it came *from* the disk tier
-
-    def _consume_artifact_supplier(self) -> None:
-        """Fold in the disk tier's artifact, if the registry deferred one.
-
-        The registry does not read the artifact at build time — a fresh
-        process whose first request is a validated memo hit never needs
-        it. The first access to any compiled table lands here instead:
-        a hit installs the whole precompiled bundle, a miss (or damage)
-        leaves every table to derive normally. One attempt only.
-        """
-        if self._artifact_supplier is None:
-            return
-        supplier, self._artifact_supplier = self._artifact_supplier, None
-        try:
-            parts = supplier()
-        except Exception:
-            parts = None  # damaged tier: derive everything normally
-        if parts is not None:
-            self._install_artifacts(**parts)
-
-    def _persist_artifact(self) -> None:
-        """Best-effort artifact put; at most one attempt per engine."""
-        self._consume_artifact_supplier()  # a disk-held artifact counts as persisted
-        if self._disk is None or self._disk_token is None or self._artifact_persisted:
-            return
-        self._artifact_persisted = True
-        try:
-            from .cache import build_artifact_payload
-
-            payload = build_artifact_payload(self, self._disk_token)
-            if payload is not None:
-                self._disk.put_artifact(self.schema_hash, self._disk_token, payload)
-        except Exception:  # the cache tier must never break serving
-            pass
 
     def warm_up(self) -> "ViewEngine":
-        """Force every lazy artifact now; returns the engine (chainable)."""
+        """Force every lazy artifact now, every label's included; returns
+        the engine (chainable)."""
         self.minimal_sizes
         self.factory
-        self.visible_table
-        self.view_dtd
         for label in self._dtd.sorted_alphabet:
+            self.view_dtd.automaton(label)
             self.insert_moves(label)
-        self._persist_artifact()
         return self
 
     # ------------------------------------------------------------------
@@ -739,10 +620,6 @@ class ViewEngine:
         with _span("engine.propagate") as sp:
             script_key = (chooser_key, optimal)
             script = entry.scripts.get(script_key)
-            from_disk = False
-            if script is None and self._disk is not None:
-                script = self._disk_memo_get(key, chooser_key, optimal, entry)
-                from_disk = script is not None
             if validate and not entry.validated:
                 self._counters["validations"] += 1
                 with _span("validate"):
@@ -759,9 +636,7 @@ class ViewEngine:
                 entry.validated = True
             if script is not None:
                 self._counters["memo_hits"] += 1
-                if from_disk:
-                    self._counters["disk_memo_hits"] += 1
-                sp.set(memo="disk" if from_disk else "hit")
+                sp.set(memo="hit")
                 return script
             self._counters["memo_misses"] += 1
             sp.set(memo="miss")
@@ -774,70 +649,7 @@ class ViewEngine:
             with _span("script"):
                 script = graphs.build_script(chooser, None, optimal_only=optimal)
             entry.scripts[script_key] = script
-            self._disk_memo_put(key, chooser_key, optimal, script, entry.validated)
-            self._persist_artifact()
             return script
-
-    def _disk_memo_get(
-        self,
-        key: "tuple[str, str]",
-        chooser_key: tuple,
-        optimal: bool,
-        entry: _MemoEntry,
-    ) -> "EditScript | None":
-        """Consult the disk tier for one memo entry (``None`` on a miss
-        or any damage — disk failures never surface to the caller)."""
-        assert self._disk is not None and self._disk_token is not None
-        try:
-            from .cache import memo_script_key
-
-            payload = self._disk.get_memo(
-                self.schema_hash,
-                self._disk_token,
-                key[0],
-                key[1],
-                memo_script_key(chooser_key, optimal),
-            )
-            if payload is None:
-                return None
-            script = EditScript.parse(payload["script"])
-            entry.scripts[(chooser_key, optimal)] = script
-            if payload.get("validated"):
-                entry.validated = True
-            return script
-        except Exception:
-            return None
-
-    def _disk_memo_put(
-        self,
-        key: "tuple[str, str]",
-        chooser_key: tuple,
-        optimal: bool,
-        script: EditScript,
-        validated: bool,
-    ) -> None:
-        """Best-effort persist of one freshly built script. The term text
-        must survive an exact parse round trip (the same contract the
-        durable store enforces on its journal, checked the same way) or
-        the entry is skipped."""
-        if self._disk is None or self._disk_token is None:
-            return
-        try:
-            from .cache import memo_script_key
-
-            term = script.to_term()
-            script.check_round_trip()
-            self._disk.put_memo(
-                self.schema_hash,
-                self._disk_token,
-                key[0],
-                key[1],
-                memo_script_key(chooser_key, optimal),
-                term,
-                validated=validated,
-            )
-        except Exception:
-            pass
 
     def propagate_many(
         self,
@@ -944,10 +756,12 @@ class ViewEngine:
                 ("sizes", self._sizes),
                 ("factory", self._factory),
                 ("view_dtd", self._view_dtd),
-                ("visibility", self._visible),
             )
             if value is not None
         ]
+        held = len(self._visible.held)
+        if held:
+            compiled.append(f"visibility {held}/{len(self._dtd.alphabet)}")
         return (
             f"ViewEngine(|Σ|={len(self._dtd.alphabet)}, "
             f"compiled=[{', '.join(compiled) or 'nothing yet'}])"

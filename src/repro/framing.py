@@ -1,7 +1,7 @@
 """One framing for every log and stream: CRC-checked, length-prefixed frames.
 
-The WAL, the cache's segment files, replication ship frames and wire
-messages all carry their payloads in one self-checking frame::
+The WAL, replication ship frames and wire messages all carry their
+payloads in one self-checking frame::
 
     <tag> <length> <crc32>\\n
     <length bytes of payload>\\n
@@ -10,9 +10,9 @@ A :class:`Grammar` states what differs per format: the tag (``R <seq>``,
 ``F <kind>``, ``M``), a file's header line, sequence numbers, a length
 limit. This module is the only code that knows the frame: :func:`encode`
 writes one, :func:`scan` reads a run of them and classifies where it
-stops, :func:`check` and :func:`read_at` verify one body,
-:class:`StreamBuffer` decodes a stream and :class:`TailCursor` reads
-what was appended to a file since its last read.
+stops, :func:`check` verifies one body, :class:`StreamBuffer` decodes
+a stream and :class:`TailCursor` reads what was appended to a file
+since its last read.
 
 A scan stops at the first frame that is not intact. The frame is
 **torn** when it is unfinished (its header line has no newline yet,
@@ -44,7 +44,6 @@ __all__ = [
     "TailState",
     "encode",
     "check",
-    "read_at",
     "fsync_dir",
     "scan",
     "StreamBuffer",
@@ -61,17 +60,16 @@ class Grammar:
     """One format. *tag* is the regex before ``<length> <crc32>`` on a
     header line, with one group (empty for a bare tag); *magic* the
     regex of a file's first line, with one integer group. *seq* makes
-    the tag a sequence number counting up by one, from the file
-    header's value (``"head"``) or from the given number. *text* makes
-    a payload intact only if it is UTF-8 (returned as ``str``); *limit*
-    bounds the declared length."""
+    the tag a sequence number counting up by one from the file
+    header's value. *text* makes a payload intact only if it is UTF-8
+    (returned as ``str``); *limit* bounds the declared length."""
 
     def __init__(
         self,
         tag: bytes,
         *,
         magic: "bytes | None" = None,
-        seq: "str | int | None" = None,
+        seq: bool = False,
         text: bool = False,
         limit: "int | None" = None,
     ) -> None:
@@ -87,7 +85,7 @@ class Grammar:
         if match is None:
             return None
         tag, length, crc = match.groups()
-        return (int(tag) if self.seq is not None else tag), int(length), int(crc)
+        return (int(tag) if self.seq else tag), int(length), int(crc)
 
 
 class RawFrame(NamedTuple):
@@ -139,18 +137,6 @@ def check(chunk: bytes, crc: int) -> "bytes | None":
     return payload
 
 
-def read_at(path: "Path | str", offset: int, length: int, crc: int) -> "bytes | None":
-    """Point-read and verify the payload at *offset*; ``None`` on a short
-    read, a failed check or an unreadable file."""
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            chunk = handle.read(length + 1)
-    except OSError:
-        return None
-    return check(chunk, crc) if len(chunk) == length + 1 else None
-
-
 def fsync_dir(path: "Path | str") -> None:
     """Make renames and creates in directory *path* durable (where the
     platform can open a directory)."""
@@ -194,8 +180,8 @@ def scan(
         if match is None:
             return Scan([], 0, Damage(newline < 0, MAGIC), None, seq, size + 1)
         head, pos = int(match.group(1)), newline + 1
-        if seq is None and grammar.seq is not None:
-            seq = head if grammar.seq == "head" else grammar.seq
+        if seq is None and grammar.seq:
+            seq = head
     frames: "list[RawFrame]" = []
     damage, need = None, size + 1
     while pos < size:
@@ -226,7 +212,7 @@ def scan(
             torn = end + 1 == size and (stream or not _successor(data, grammar, pos))
             damage = Damage(torn, CHECKSUM, tag, length)
             break
-        if grammar.seq is not None:
+        if grammar.seq:
             if tag != seq + 1:
                 damage = Damage(False, SEQ, tag, length)
                 break

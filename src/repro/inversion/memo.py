@@ -10,7 +10,8 @@ long as the chooser breaks ties by operation, symbol and
 
 An :class:`InversionMemo` therefore keeps one entry per key
 ``(label, child labels, child costs)``: the node's cheapest cost and,
-per *path key* (a chooser's ``cache_key()`` and the ``optimal_only``
+per *path key* (a chooser's class and ``cache_key()``, see
+:func:`~repro.core.choosers.cache_key_of`, and the ``optimal_only``
 flag), the path taken, as :data:`~repro.inversion.invert.Step`\\ s. A
 fragment is sized by one bottom-up pass of lookups (:meth:`InversionMemo.size`)
 and inverted by replaying the paths in preorder

@@ -228,7 +228,6 @@ class EngineRegistry:
         self._lock = threading.Lock()
         self._engines: "OrderedDict[tuple[str, str], ViewEngine]" = OrderedDict()
         self._inflight: "dict[tuple[str, str], _InFlight]" = {}
-        self._disk = None
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -257,45 +256,25 @@ class EngineRegistry:
                 coalesced=self._coalesced,
             )
 
-    def attach_disk_tier(self, cache) -> "EngineRegistry":
-        """Attach a :class:`~repro.cache.DiskCache` beneath the registry.
-
-        Misses then consult the disk tier for a compiled-engine artifact
-        before compiling from scratch, every cached engine gets the tier
-        attached beneath its memo, and LRU eviction drops the evicted
-        schema's disk entries too (the tier mirrors the registry, it is
-        not a shadow copy of schemas the registry gave up on).
-        """
-        with self._lock:
-            self._disk = cache
-        return self
-
-    @property
-    def disk_tier(self):
-        """The attached :class:`~repro.cache.DiskCache`, or ``None``."""
-        return self._disk
-
     def get_or_compile(
         self,
         dtd: DTD,
         annotation: Annotation,
         *,
         factory: "TreeFactory | None" = None,
-        warm: bool = False,
     ) -> ViewEngine:
         """The shared engine for ``(dtd, annotation, factory)``.
 
         Compiles and caches one on first request; factories without a
         stable key yield a fresh uncached engine (see
-        :func:`_factory_key`). With ``warm=True`` a newly compiled
-        engine's artifacts are forced eagerly (outside the lock — warming
-        is idempotent). Engines are built with the registry's
-        ``memo_capacity`` override, so a multi-tenant server sizes every
-        tenant's propagation memo in one place.
+        :func:`_factory_key`). The engine compiles each artifact on first
+        use (:meth:`ViewEngine.warm_up` forces them all). Engines are
+        built with the registry's ``memo_capacity`` override, so a
+        multi-tenant server sizes every tenant's propagation memo in one
+        place.
 
         Concurrent misses on one key are **single-flight**: the first
-        caller builds (hydrating from the attached disk tier when it has
-        the artifact), every racer blocks on the same in-flight build and
+        caller builds, every racer blocks on the same in-flight build and
         shares its engine — N threads racing on a cold schema compile it
         once, not N times (observable as :attr:`RegistryStats.coalesced`).
         """
@@ -303,10 +282,7 @@ class EngineRegistry:
         if token is None:
             with self._lock:
                 self._uncacheable += 1
-            engine = ViewEngine(
-                dtd, annotation, factory=factory, **self._engine_kwargs
-            )
-            return engine.warm_up() if warm else engine
+            return self._build_engine(dtd, annotation, factory)
         key = (schema_fingerprint(dtd, annotation), token)
         while True:
             with self._lock:
@@ -327,19 +303,15 @@ class EngineRegistry:
                 with self._lock:
                     self._hits += 1
                     self._coalesced += 1
-                engine = flight.engine
-                if warm:
-                    engine.warm_up()
-                return engine
+                return flight.engine
             # leader vanished without a result (shouldn't happen): retry
-        evicted: "list[tuple[tuple[str, str], ViewEngine]]" = []
         try:
-            engine = self._build_engine(dtd, annotation, factory, key)
+            engine = self._build_engine(dtd, annotation, factory)
             with self._lock:
                 self._misses += 1
                 self._engines[key] = engine
                 while len(self._engines) > self._capacity:
-                    evicted.append(self._engines.popitem(last=False))
+                    self._engines.popitem(last=False)
                     self._evictions += 1
             flight.engine = engine
         except BaseException as error:
@@ -349,10 +321,6 @@ class EngineRegistry:
             with self._lock:
                 self._inflight.pop(key, None)
             flight.done.set()
-        for (schema_hash, factory_token), _ in evicted:
-            self._drop_disk_entries(schema_hash, factory_token)
-        if warm:
-            engine.warm_up()
         return engine
 
     def _build_engine(
@@ -360,42 +328,13 @@ class EngineRegistry:
         dtd: DTD,
         annotation: Annotation,
         factory: "TreeFactory | None",
-        key: "tuple[str, str]",
     ) -> ViewEngine:
-        """Build one engine for *key*, deferring the disk tier's artifact.
-
-        With a tier attached the engine gets a lazy artifact supplier
-        instead of an eager read: the artifact is only fetched, decoded
-        and validated when a request first needs a compiled table — a
-        fresh process answering a validated memo hit skips it entirely.
-        A supplier miss (no artifact, damage, mismatch) falls back to a
-        normal compile, also lazily.
+        """Build one engine with the registry's engine settings.
 
         Runs outside the registry lock (the single-flight entry protects
         the key); separated out so tests can interpose slow builds.
         """
-        schema_hash, token = key
-        disk = self._disk
-        engine = ViewEngine(dtd, annotation, factory=factory, **self._engine_kwargs)
-        if disk is not None:
-            from .cache import lazy_artifact_supplier
-
-            engine.attach_disk_tier(disk, token)
-            engine._schema_hash = schema_hash  # already fingerprinted for the key
-            engine._artifact_supplier = lazy_artifact_supplier(
-                disk, schema_hash, token, dtd
-            )
-        return engine
-
-    def _drop_disk_entries(self, schema_hash: str, factory_token: str) -> None:
-        """Mirror one LRU eviction into the disk tier (best effort)."""
-        disk = self._disk
-        if disk is None:
-            return
-        try:
-            disk.drop_tenant(schema_hash, factory_token)
-        except Exception:
-            pass
+        return ViewEngine(dtd, annotation, factory=factory, **self._engine_kwargs)
 
     def cached_keys(self) -> "list[tuple[str, str]]":
         """Cache keys from least- to most-recently used (for diagnostics)."""
@@ -416,10 +355,9 @@ class EngineRegistry:
         report — what ``repro-xml stats`` prints.
 
         Engine entries carry the schema fingerprint (the cache key), the
-        factory token, and the engine's request counters. With a disk
-        tier attached, its counters ride along as ``disk_cache``.
+        factory token, and the engine's request counters.
         """
-        payload = {
+        return {
             "registry": self.stats.as_dict(),
             "engines": [
                 {
@@ -430,9 +368,6 @@ class EngineRegistry:
                 for (schema_hash, factory_token), engine in self.cached_engines()
             ],
         }
-        if self._disk is not None:
-            payload["disk_cache"] = self._disk.stats_payload()
-        return payload
 
     def clear(self) -> None:
         """Drop every cached engine and reset the counters."""

@@ -69,7 +69,6 @@ class ReproServer:
         max_lag: "int | None" = None,
         registry: "EngineRegistry | None" = None,
         tracer: "Tracer | None" = None,
-        cache_root=None,
     ) -> None:
         self._store_root = store_root
         if standby_root is None:
@@ -84,14 +83,6 @@ class ReproServer:
         self._fsync = fsync
         self.max_lag = max_lag
         self.registry = registry if registry is not None else default_registry()
-        self._cache_root = cache_root
-        self.disk_cache = None
-        self.warmed_engines = 0
-        if cache_root is not None:
-            from ..cache import DiskCache
-
-            self.disk_cache = DiskCache(cache_root)
-            self.registry.attach_disk_tier(self.disk_cache)
         self.tracer = tracer if tracer is not None else default_tracer()
         self.endpoint_metrics = EndpointMetrics()
         self._shippers: list = []
@@ -301,10 +292,6 @@ class ReproServer:
             "replicas": self._replica_stats(),
             "tracing": self.tracer.stats_payload(),
         }
-        if self.disk_cache is not None:
-            cache_payload = self.disk_cache.stats_payload()
-            cache_payload["warmed_engines"] = self.warmed_engines
-            payload["disk_cache"] = cache_payload
         if self._shippers:
             payload["shippers"] = [shipper.stats for shipper in self._shippers]
         if self._shard is not None:
@@ -324,11 +311,6 @@ class ReproServer:
             draining=self._draining,
             tracer=self.tracer,
             shippers=self._shippers,
-            disk_cache=(
-                self.disk_cache.stats_payload()
-                if self.disk_cache is not None
-                else None
-            ),
         )
 
     # ------------------------------------------------------------------
@@ -340,10 +322,6 @@ class ReproServer:
         resolved when 0 was requested)."""
         if self._server is not None:
             raise ServerError("server already started")
-        if self.disk_cache is not None:
-            # preload the manifest's hot schemas before accepting traffic
-            # so the first request of every warm tenant skips compilation
-            self.warmed_engines = self.disk_cache.warm(self.registry)
         self._idle = asyncio.Event()
         self._idle.set()
         self._drained = asyncio.Event()

@@ -181,7 +181,7 @@ async def _batch(server: "ReproServer", request: dict) -> dict:
             raise ServerError(f"{where}: {error}") from error
 
     def run():
-        engine = server.registry.get_or_compile(dtd, annotation, warm=True)
+        engine = server.registry.get_or_compile(dtd, annotation)
         return engine.propagate_many(pairs)
 
     scripts = await server.run_blocking(run)

@@ -258,7 +258,6 @@ def _registry_lines(registry_payload: dict) -> "list[str]":
                 "memo_misses",
                 "memo_evictions",
                 "memo_bypass",
-                "disk_memo_hits",
             ):
                 lines.append(
                     "repro_engine_counter"
@@ -266,32 +265,6 @@ def _registry_lines(registry_payload: dict) -> "list[str]":
                     f"{engine.get(counter, 0)}"
                 )
     return lines
-
-
-def _disk_cache_lines(disk_cache: "dict | None") -> "list[str]":
-    """Disk-tier counters (DiskCache.stats_payload)."""
-    if not disk_cache:
-        return []
-    return [
-        "# HELP repro_disk_cache_hits_total Disk cache hits (artifact + memo).",
-        "# TYPE repro_disk_cache_hits_total counter",
-        f"repro_disk_cache_hits_total {disk_cache.get('hits', 0)}",
-        "# HELP repro_disk_cache_misses_total Disk cache misses.",
-        "# TYPE repro_disk_cache_misses_total counter",
-        f"repro_disk_cache_misses_total {disk_cache.get('misses', 0)}",
-        "# HELP repro_disk_cache_evictions_total Entries evicted by quota pressure.",
-        "# TYPE repro_disk_cache_evictions_total counter",
-        f"repro_disk_cache_evictions_total {disk_cache.get('evictions', 0)}",
-        "# HELP repro_disk_cache_bytes Live payload bytes in the disk cache.",
-        "# TYPE repro_disk_cache_bytes gauge",
-        f"repro_disk_cache_bytes {disk_cache.get('bytes', 0)}",
-        "# HELP repro_disk_cache_quarantines_total Segments quarantined on corruption.",
-        "# TYPE repro_disk_cache_quarantines_total counter",
-        f"repro_disk_cache_quarantines_total {disk_cache.get('quarantines', 0)}",
-        "# HELP repro_disk_cache_entries Live entries in the disk cache.",
-        "# TYPE repro_disk_cache_entries gauge",
-        f"repro_disk_cache_entries {disk_cache.get('entries', 0)}",
-    ]
 
 
 def _document_lines(documents: "dict[str, dict]") -> "list[str]":
@@ -484,7 +457,6 @@ def render_metrics(
     draining: bool = False,
     tracer=None,
     shippers=None,
-    disk_cache: "dict | None" = None,
 ) -> str:
     """Assemble the full ``/metrics`` document from live counters."""
     lines = [
@@ -501,7 +473,6 @@ def render_metrics(
     lines += _propagate_parse_lines(propagate_parse)
     if registry is not None:
         lines += _registry_lines(registry)
-    lines += _disk_cache_lines(disk_cache)
     lines += _document_lines(documents or {})
     lines += _replica_lines(replicas or {})
     lines += _shard_lines(shards)

@@ -454,10 +454,6 @@ class DocumentSession:
             self._journal(update, script)
         self._served += 1
         self._total_cost += script.cost
-        # Sessions bypass the engine memo (incremental caches advance with
-        # the document), but the compiled artifact is still worth sharing:
-        # persist it so a restarted process skips compilation entirely.
-        self._engine._persist_artifact()
         if advance:
             # unvalidated, the update need not be a view update, and then
             # Out(update) is no view of the new source: drop it

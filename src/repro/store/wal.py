@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 _MAGIC = b"WALv1"
-_GRAMMAR = framing.Grammar(rb"R (\d+)", magic=rb"WALv1 (\d+)", seq="head", text=True)
+_GRAMMAR = framing.Grammar(rb"R (\d+)", magic=rb"WALv1 (\d+)", seq=True, text=True)
 
 FSYNC_POLICIES = ("always", "batch", "off")
 """When appends reach the platter: every record, every N records, never."""

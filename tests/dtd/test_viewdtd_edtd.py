@@ -1,9 +1,12 @@
 """Tests for view-DTD derivation and EDTD typing."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.automata import glushkov, parse_regex
-from repro.dtd import DTD, EDTD, erase_hidden, view_dtd
+from repro.dtd import DTD, EDTD, LabelTable, erase_hidden, view_dtd
 from repro.errors import EDTDError
 from repro.views import Annotation
 from repro.xmltree import parse_term
@@ -38,6 +41,61 @@ class TestEraseHidden:
         assert erased.equivalent(model)
 
 
+class TestLabelTable:
+    def test_rows_are_derived_on_first_lookup_and_kept(self):
+        calls = []
+
+        def derive(symbol):
+            calls.append(symbol)
+            return [symbol]
+
+        table = LabelTable(frozenset("cab"), derive)
+        assert table.held == frozenset() and len(table) == 3
+        assert table["b"] is table["b"] and calls == ["b"]
+        assert "x" not in table and table.get("x") is None
+        with pytest.raises(KeyError):
+            table["x"]
+        assert list(table) == ["a", "b", "c"] and calls == ["b"]
+        assert dict(table) == {"a": ["a"], "b": ["b"], "c": ["c"]}
+        assert table.held == frozenset("abc") and calls == ["b", "a", "c"]
+
+    def test_the_first_published_row_wins_a_race(self):
+        raced: list = []
+
+        def derive(symbol):
+            if not raced:  # a racing lookup derives and publishes first
+                raced.append(symbol)
+                raced.append(table[symbol])
+            return [symbol]
+
+        table = LabelTable(frozenset("a"), derive)
+        assert table["a"] is raced[1] and table["a"] is raced[1]
+
+    def test_threads_racing_on_every_row_see_one_object_per_symbol(self):
+        symbols = frozenset(f"s{i}" for i in range(50))
+        table = LabelTable(symbols, lambda symbol: [symbol] * 20)
+        seen: "list[dict]" = [{} for _ in range(8)]
+
+        def read(mine):
+            for symbol in sorted(symbols):
+                mine[symbol] = table[symbol]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(mine,)) for mine in seen]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert table.held == symbols
+        for mine in seen:
+            assert all(mine[symbol] is table[symbol] for symbol in symbols)
+
+
 class TestViewDTD:
     def test_paper_example(self, d0: DTD, a0: Annotation):
         """Section 2: 'the view DTD for D0 and A0 is r → (a·d)*, d → c*'."""
@@ -69,6 +127,59 @@ class TestViewDTD:
         derived = view_dtd(d0, Annotation.identity())
         for symbol in d0.alphabet:
             assert derived.automaton(symbol).equivalent(d0.automaton(symbol))
+
+
+def _eager_view(dtd: DTD, annotation: Annotation) -> DTD:
+    """The view DTD with every rule derived up front."""
+    return DTD(
+        {
+            symbol: erase_hidden(
+                dtd.automaton(symbol),
+                frozenset(y for y in dtd.alphabet if annotation.visible(symbol, y)),
+            )
+            for symbol in dtd.alphabet
+        },
+        alphabet=dtd.alphabet,
+        check=False,
+    )
+
+
+class TestLazyViewDTD:
+    """``view_dtd`` derives a symbol's rule on the symbol's first lookup;
+    the readers of the whole DTD see (and so derive) every rule."""
+
+    def test_a_lookup_derives_the_rules_it_reads(self, d0: DTD, a0: Annotation):
+        derived = view_dtd(d0, a0)
+        assert derived._models.held == frozenset()
+        assert derived.automaton("d") is derived.automaton("d")
+        assert derived._models.held == {"d"}
+        assert derived.allows("r", ("a", "d"))
+        assert derived._models.held == {"d", "r"}
+
+    def test_validating_a_view_derives_the_rules_of_its_labels(
+        self, d0: DTD, a0: Annotation
+    ):
+        derived = view_dtd(d0, a0)
+        view = a0.view(parse_term("r#n0(a#n1, b#n2, d#n3(a#n7, c#n8))"))
+        assert derived.validates(view)
+        # b is hidden under r: its rule is never read
+        assert derived._models.held == {"a", "c", "d", "r"}
+
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            lambda dtd: dtd.size,
+            lambda dtd: [(symbol, model.size) for symbol, model in dtd.rules()],
+            lambda dtd: dtd.describe(),
+            lambda dtd: dtd.satisfiable_symbols(),
+            repr,
+        ],
+        ids=["size", "rules", "describe", "satisfiable_symbols", "repr"],
+    )
+    def test_whole_dtd_readers_see_every_rule(self, d0: DTD, a0: Annotation, reader):
+        derived = view_dtd(d0, a0)
+        assert reader(derived) == reader(_eager_view(d0, a0))
+        assert derived._models.held == d0.alphabet
 
 
 class TestEDTD:

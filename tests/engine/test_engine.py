@@ -18,7 +18,10 @@ from repro import (
     validate_view_update,
     verify_propagation,
 )
+from repro.editing import Op
 from repro.errors import InvalidViewUpdateError
+from repro.generators import workloads
+from repro.generators.workloads import wide_schema
 
 
 @pytest.fixture
@@ -144,6 +147,90 @@ class TestCompileOnce:
         assert engine.view_dtd.allows("r", ("a", "d", "a", "d"))
         assert not engine.view_dtd.allows("r", ("a", "b", "d"))
         assert engine.view_dtd.allows("d", ("c", "c", "c"))
+
+
+def _held(rows) -> frozenset:
+    """The labels *rows* holds an entry for: the rows a
+    :class:`~repro.dtd.LabelTable` has derived so far, every key of a
+    plain mapping."""
+    return frozenset(getattr(rows, "held", rows))
+
+
+_FAMILIES = {
+    "running_example": lambda: workloads.running_example(2),
+    "wide_schema(24, sections=8)": lambda: wide_schema(24, sections=8),
+    "wide_schema(40)": lambda: wide_schema(40),
+    "hospital": lambda: workloads.hospital(4),
+    "catalog": lambda: workloads.catalog(4),
+    "positional": lambda: workloads.positional(4),
+    "huge_document": lambda: workloads.huge_document(200),
+    "deep_document": lambda: workloads.deep_document(4),
+}
+
+# one request of each kind, served against the workload's source
+_REQUESTS = {
+    "session": lambda engine, w: engine.session(w.source).propagate(w.update),
+    "propagate": lambda engine, w: engine.propagate(w.source, w.update),
+    "validate": lambda engine, w: engine.validate(w.source, w.update),
+}
+
+
+class TestPerLabelCompile:
+    """The visibility tables and the view DTD's rules are derived per
+    label, on the first request that reads the label."""
+
+    def test_the_first_request_compiles_only_the_labels_it_touches(self):
+        workload = wide_schema(40)
+        engine = ViewEngine(workload.dtd, workload.annotation)
+        update = workload.update
+        engine.session(workload.source).propagate(update)
+        # the root's children word changed; the inserted section was
+        # checked against the view DTD and inverted
+        touched = {update.symbol(update.root)} | {
+            update.output_symbol(node)
+            for node in update.nodes()
+            if update.op(node) is Op.INS
+        }
+        assert len(touched) == 4 and len(workload.dtd.alphabet) == 161
+        tables = (engine.visible_table, engine.hidden_table, engine.view_dtd._models)
+        for rows in tables:
+            assert _held(rows) <= touched
+        engine.warm_up()
+        for rows in tables:
+            assert _held(rows) == workload.dtd.alphabet
+
+    @pytest.mark.parametrize("kind", _REQUESTS)
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_a_request_holds_rows_only_for_labels_it_reads(self, family, kind):
+        workload = _FAMILIES[family]()
+        engine = ViewEngine(workload.dtd, workload.annotation)
+        _REQUESTS[kind](engine, workload)
+        update = workload.update
+        edited = {update.symbol(node) for node in update.nodes()} | {
+            update.output_symbol(node) for node in update.nodes()
+        }
+        read = edited | {workload.source.label(node) for node in workload.source.nodes()}
+        # the view DTD checks children words of Out(update) only
+        assert _held(engine.view_dtd._models) <= edited
+        assert _held(engine.visible_table) <= read
+        assert _held(engine.hidden_table) <= read
+        if kind == "validate":
+            assert _held(engine.hidden_table) == frozenset()
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_a_lazy_engine_serves_what_a_warmed_engine_serves(self, family):
+        workload = _FAMILIES[family]()
+        lazy = ViewEngine(workload.dtd, workload.annotation)
+        warm = ViewEngine(workload.dtd, workload.annotation).warm_up()
+        served = [
+            [
+                _REQUESTS["session"](engine, workload).to_term(),
+                _REQUESTS["propagate"](engine, workload).to_term(),
+                _REQUESTS["validate"](engine, workload),
+            ]
+            for engine in (lazy, warm)
+        ]
+        assert served[0] == served[1]
 
 
 class TestBatchEquivalence:

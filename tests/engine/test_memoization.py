@@ -14,9 +14,11 @@ from repro.core import (
     DEL_OVER_NOP_OVER_INS,
     PreferenceChooser,
 )
+from repro.core.choosers import cache_key_of
 from repro.editing import EditScript
 from repro.engine import ViewEngine
 from repro.errors import InvalidViewUpdateError
+from repro.generators.workloads import positional, running_example
 from repro.inversion import InversionGraph
 from repro.paperdata.figures import a0, d0
 from repro.xmltree import parse_term
@@ -206,6 +208,14 @@ class TestInversionMemo:
         assert len(built) == 6 and len(engine.inversion_memo) == 3
 
 
+class InsertsFirst(PreferenceChooser):
+    """The default chooser's ``cache_key()``, the reverse ranking."""
+
+    def preference(self, edge):
+        rank, symbol, target = super().preference(edge)
+        return (-rank, symbol, target)
+
+
 class TestChooserKeys:
     def test_keys_are_stable_and_tell_choosers_apart(self):
         choosers = (
@@ -222,3 +232,54 @@ class TestChooserKeys:
         assert (
             CheapestPathChooser(DEL_OVER_NOP_OVER_INS).cache_key() == keys[3]
         )
+
+    def test_cache_key_of_pairs_the_class_with_the_key(self):
+        base, sub = PreferenceChooser(), InsertsFirst()
+        assert sub.cache_key() == base.cache_key()
+        assert cache_key_of(base) == (PreferenceChooser, base.cache_key())
+        assert cache_key_of(sub) == (InsertsFirst, base.cache_key())
+        assert cache_key_of(PreferenceChooser()) == cache_key_of(base)
+
+    def test_a_chooser_without_a_callable_key_has_none(self):
+        class Keyless:
+            def choose(self, edges):
+                return edges[0]
+
+        class KeyField(Keyless):
+            cache_key = ("greedy",)
+
+        assert cache_key_of(Keyless()) is None
+        assert cache_key_of(KeyField()) is None
+
+    @pytest.mark.parametrize(
+        "workload", [running_example(2), positional(4)], ids=["running_example", "positional"]
+    )
+    def test_a_subclass_with_its_own_preference_shares_nothing(self, workload):
+        source, update = workload.source, workload.update
+        engine = ViewEngine(workload.dtd, workload.annotation)
+        default = engine.propagate(source, update)
+        served = engine.propagate(source, update, chooser=InsertsFirst())
+        cold = ViewEngine(workload.dtd, workload.annotation).propagate(
+            source, update, chooser=InsertsFirst(), memo=False
+        )
+        assert cold.to_term() != default.to_term()  # the case tells them apart
+        assert served.to_term() == cold.to_term()
+
+    @pytest.mark.parametrize(
+        "workload", [running_example(2), positional(4)], ids=["running_example", "positional"]
+    )
+    def test_graphs_replay_a_subclass_apart_from_its_base(self, workload):
+        """The inversion memo's path key is :func:`cache_key_of` alone."""
+        source, update = workload.source, workload.update
+        graphs = ViewEngine(workload.dtd, workload.annotation).propagation_graphs(
+            source, update
+        )
+        default = graphs.build_script(PreferenceChooser())
+        replayed = graphs.build_script(InsertsFirst())
+        cold = (
+            ViewEngine(workload.dtd, workload.annotation)
+            .propagation_graphs(source, update)
+            .build_script(InsertsFirst())
+        )
+        assert cold.to_term() != default.to_term()
+        assert replayed.to_term() == cold.to_term()

@@ -4,10 +4,9 @@ Each target writes three frames (to a file, or as a byte stream),
 damages them, reads them back through the format's own reader and
 reports what came back as an :class:`Outcome`: the decoded records; a
 verdict, ``clean``, ``torn`` (at rest a torn tail; on a stream bytes
-still in flight) or ``error`` (the format's typed error, or quarantine
-for a cache segment); the offset where the reader stops (at rest where
-appends resume and a torn tail is cut, on a stream the bytes consumed);
-and the error's message. The property every target must keep
+still in flight) or ``error`` (the format's typed error); the offset
+where the reader stops (at rest where appends resume and a torn tail
+is cut, on a stream the bytes consumed); and the error's message. The property every target must keep
 (``repro.framing``'s damage model):
 
 * what comes back is exactly the intact prefix: the frames before the
@@ -42,7 +41,6 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.cache.segments import read_payload, scan_segment, segment_cursor
 from repro.errors import ProtocolError, RecoveryError, ReplicationError, WALCorruptError
 from repro.generators.workloads import hospital
 from repro.replication import QueueTransport, StandbyStore, WalShipper
@@ -65,11 +63,6 @@ MASKS = (0x01, 0x08, 0x80)
 # declares 900-odd bytes, running past the end of three frames
 _TERM = "Nop.r#n0(" + ", ".join(f"Ins.a#u{i}" for i in range(12)) + ", Ins.ä#x{n})"
 _TEXTS = [_TERM.format(n=n) for n in (1, 2, 3)]
-_SEGMENT_TEXTS = [
-    '{"k":"a|h%d|minimal","op":"put","t":"h%d","f":"minimal","kind":"artifact"}\n'
-    '{"v":"%s"}' % (n, n, "x" * 40)
-    for n in (1, 2, 3)
-]
 _PAYLOADS = [{"doc_id": "d", "seq": n, "text": text} for n, text in enumerate(_TEXTS, 1)]
 _MESSAGES = [{"op": "propagate", "doc": "d", "id": n, "update": text}
              for n, text in enumerate(_TEXTS, 1)]
@@ -172,32 +165,6 @@ class MixedWal(RecordWal):
     kinds = ("whole", "record", "whole")
 
 
-class Segment(Target):
-    prefix = b"CSEGv1 1\n"
-    frames = [encode_record(n, text) for n, text in enumerate(_SEGMENT_TEXTS, 1)]
-    records = list(enumerate(_SEGMENT_TEXTS, 1))
-
-    def read(self, data):
-        self.path.write_bytes(data)
-        scan = scan_segment(self.path)
-        if scan.corrupt or (scan.records and scan.number != 1):
-            # the tier quarantines the segment
-            return Outcome([], "error", error=scan.reason or f"segment {scan.number}")
-        for record in scan.records:  # point reads agree with the scan
-            assert read_payload(self.path, record.offset, record.length, record.crc) == record.text
-        records = [(r.seq, r.text) for r in scan.records]
-        return Outcome(records, "torn" if scan.torn else "clean", scan.intact_end)
-
-    def tail(self, first, rest):
-        self.path.write_bytes(first)
-        cursor = segment_cursor(self.path)
-        seen = list(cursor.read().records)
-        with open(self.path, "ab") as handle:
-            handle.write(rest)
-        seen += cursor.read().records
-        return [(r.seq, r.text) for r in seen]
-
-
 class Spool(Target):
     frames = [encode_frame("record", payload) for payload in _PAYLOADS]
     records = [("record", payload) for payload in _PAYLOADS]
@@ -278,7 +245,7 @@ class WireStream(Target):
         return buffer.feed(first) + buffer.feed(rest)
 
 
-TARGETS = [Wal, RecordWal, MixedWal, Segment, Spool, ShipStream, WireStream]
+TARGETS = [Wal, RecordWal, MixedWal, Spool, ShipStream, WireStream]
 
 
 @pytest.fixture(params=TARGETS, ids=lambda cls: cls.__name__.lower())

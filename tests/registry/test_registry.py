@@ -165,7 +165,7 @@ class TestRegistryCache:
     def test_warm_engine_precompiled(self):
         registry = EngineRegistry()
         dtd, annotation = _schema()
-        engine = registry.get_or_compile(dtd, annotation, warm=True)
+        engine = registry.get_or_compile(dtd, annotation).warm_up()
         assert "view_dtd" in repr(engine)
 
 

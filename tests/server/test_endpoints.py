@@ -280,6 +280,36 @@ class TestBatchEndpoint:
         result = run_with_server(server, client_work)
         assert result == {"count": 0, "scripts": [], "costs": []}
 
+    def test_batch_compiles_only_the_labels_it_reads(self):
+        """The engine compiled for a client-shipped schema is not warmed:
+        its view DTD holds rules for the labels of the edited views only."""
+        from repro.editing import EditScript
+        from repro.generators.workloads import wide_schema
+        from repro.registry import EngineRegistry
+        from repro.xmltree import tree_to_xml
+
+        workload = wide_schema(24, sections=8)
+        terms = [sequential_updates(workload, 1, seed=s)[0] for s in (1, 2)]
+        server = ReproServer(registry=EngineRegistry())
+
+        def client_work(host, port):
+            with ServeClient(host, port) as client:
+                return _batch_request(
+                    workload,
+                    client,
+                    [{"source": tree_to_xml(workload.source), "update": term} for term in terms],
+                )
+
+        result = run_with_server(server, client_work)
+        assert result["count"] == 2
+        ((_, engine),) = server.registry.cached_engines()
+        edited = set()
+        for term in terms:
+            update = EditScript.parse(term)
+            edited |= {update.output_symbol(node) for node in update.nodes()}
+        assert len(edited) < len(workload.dtd.alphabet)
+        assert engine.view_dtd._models.held <= edited
+
 
 def _batch_request(workload, client, entries, **fields):
     from repro.dtd import serialize_dtd

@@ -6,12 +6,11 @@ import os
 import pytest
 
 from repro import framing
-from repro.cache.segments import append_records, create_segment
 from repro.replication.transport import encode_frame
 from repro.server.protocol import encode_message
 from repro.store.wal import create_wal, encode_record, wal_cursor
 
-WAL = framing.Grammar(rb"R (\d+)", magic=rb"WALv1 (\d+)", seq="head", text=True)
+WAL = framing.Grammar(rb"R (\d+)", magic=rb"WALv1 (\d+)", seq=True, text=True)
 
 
 class TestGoldenBytes:
@@ -24,20 +23,6 @@ class TestGoldenBytes:
         )
         create_wal(tmp_path / "wal.log", base_seq=41)
         assert (tmp_path / "wal.log").read_bytes() == b"WALv1 41\n"
-
-    def test_segment(self, tmp_path):
-        path = tmp_path / "seg-3.log"
-        assert create_segment(path, 3) == 9
-        records, end = append_records(path, ['{"k":"a","op":"put"}\n{"v":1}', "x"], 1, number=3)
-        assert path.read_bytes() == (
-            b'CSEGv1 3\nR 1 28 1380521112\n{"k":"a","op":"put"}\n{"v":1}\n'
-            b"R 2 1 2363233923\nx\n"
-        )
-        assert [(r.offset, r.length, r.crc) for r in records] == [
-            (27, 28, 1380521112),
-            (73, 1, 2363233923),
-        ]
-        assert end == 75
 
     def test_ship_frames(self):
         assert encode_frame(
