@@ -1,4 +1,5 @@
-"""Zero-dependency observability: tracing spans and structured logs.
+"""Zero-dependency observability: tracing spans, metric families
+(:mod:`repro.obs.metrics`) and structured logs.
 
 The package has no imports from the rest of :mod:`repro` so every
 layer — engine, store, replication, sharding, server — can hook into

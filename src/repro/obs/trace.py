@@ -37,6 +37,8 @@ import uuid
 from collections import deque
 from typing import Optional
 
+from .metrics import STAGE_BUCKETS, Family
+
 __all__ = [
     "NOOP_SPAN",
     "Span",
@@ -215,7 +217,8 @@ class Span:
 
 
 class Tracer:
-    """Owns sampling policy, the trace ring buffers and stage totals."""
+    """Owns sampling policy, the trace ring buffers and the per-stage
+    duration histogram (:attr:`stages`, one series per span name)."""
 
     def __init__(
         self,
@@ -228,6 +231,11 @@ class Tracer:
         log_spans: bool = False,
     ) -> None:
         self._lock = threading.Lock()
+        self.stages = Family(
+            "repro_trace_stage_seconds",
+            "Time spent per pipeline stage, across all kept-or-not spans.",
+            "histogram", "stage", buckets=STAGE_BUCKETS,
+        )
         self.configure(
             enabled=enabled,
             sample_rate=sample_rate,
@@ -275,7 +283,7 @@ class Tracer:
             self.traces_error = 0
             self.traces_slow = 0
             self.spans_finished = 0
-            self.stage_totals: dict = {}
+        self.stages.clear()
 
     # -- span factories ----------------------------------------------------
 
@@ -332,14 +340,9 @@ class Tracer:
             root = span.root
             if root.error is None:
                 root.error = span.error
+        self.stages.observe(duration, span.name)
         with self._lock:
             self.spans_finished += 1
-            bucket = self.stage_totals.get(span.name)
-            if bucket is None:
-                self.stage_totals[span.name] = [1, duration]
-            else:
-                bucket[0] += 1
-                bucket[1] += duration
             if span.parent is None:
                 self._finish_trace(span, duration)
         if self.log_spans:
@@ -417,11 +420,6 @@ class Tracer:
                 "recent_size": len(self._recent),
                 "slow_log_size": len(self._slow),
             }
-
-    def stage_seconds(self) -> dict:
-        """``{stage: (count, total_seconds)}`` across every finished span."""
-        with self._lock:
-            return {name: (c, t) for name, (c, t) in self.stage_totals.items()}
 
 
 _DEFAULT = Tracer()

@@ -8,11 +8,11 @@ in front of the stack:
   message protocol reusing the WAL's framing discipline;
 * :mod:`repro.server.app` — the asyncio TCP+HTTP server
   (:class:`ReproServer`): framed request/response on the same port as a
-  minimal HTTP endpoint for ``/metrics``, ``/healthz``, ``/stats``;
+  minimal HTTP endpoint for ``/metrics``, ``/healthz``, ``/stats``,
+  with every ``/metrics`` family declared once in a
+  :class:`repro.obs.metrics.MetricsRegistry`;
 * :mod:`repro.server.handlers` — per-document session endpoints
   (``propagate``, ``batch``, ``view``, ``shard_propagate``, …);
-* :mod:`repro.server.metrics` — the Prometheus-text exporter
-  aggregating the counters the stack already collects;
 * :mod:`repro.server.client` — a small blocking client for tests,
   benchmarks, and scripting.
 """

@@ -34,12 +34,18 @@ from urllib.parse import parse_qs
 
 from ..errors import ProtocolError, ServerError, UnknownDocumentError
 from ..obs import Tracer, default_tracer
+from ..obs.metrics import LATENCY_BUCKETS, Family, MetricsRegistry
 from ..registry import EngineRegistry, default_registry
 from . import handlers
-from .metrics import EndpointMetrics, render_metrics
 from .protocol import read_message, write_message
 
 __all__ = ["ReproServer"]
+
+#: ``repro_traces_total{outcome=}`` values and the tracer stats they read.
+TRACE_OUTCOMES = (
+    ("started", "started"), ("kept", "kept"), ("dropped", "dropped"),
+    ("error", "errors"), ("slow", "slow"),
+)
 
 
 class ReproServer:
@@ -84,7 +90,6 @@ class ReproServer:
         self.max_lag = max_lag
         self.registry = registry if registry is not None else default_registry()
         self.tracer = tracer if tracer is not None else default_tracer()
-        self.endpoint_metrics = EndpointMetrics()
         self._shippers: list = []
         self._store = None
         self._standbys: "list | None" = None
@@ -100,10 +105,8 @@ class ReproServer:
         self._drained = None  # asyncio.Event set once drain completed
         self._conn_tasks: "set[asyncio.Task]" = set()
         self.replica_fallbacks: "dict[str, int]" = {}
-        self.view_reads: "dict[str, int]" = {"cached": 0, "rendered": 0}
-        self.propagate_parse: "dict[str, int]" = {"sparse": 0, "full": 0}
-        self._parse_count_lock = threading.Lock()  # counted in executor threads
         self.drain_log: "list[str]" = []
+        self.metrics = self._declare_metrics()
 
     # ------------------------------------------------------------------
     # Backing resources (opened lazily, closed by drain)
@@ -219,18 +222,6 @@ class ReproServer:
         unmeasurable) that the primary served instead."""
         self.replica_fallbacks[doc_id] = self.replica_fallbacks.get(doc_id, 0) + 1
 
-    def note_view_read(self, *, cached: bool) -> None:
-        """Count one served view read: *cached* when its XML was already
-        rendered for that view version, else rendered by this read."""
-        self.view_reads["cached" if cached else "rendered"] += 1
-
-    def note_propagate_parse(self, *, sparse: bool) -> None:
-        """Count one parsed ``propagate`` request: *sparse* when only its
-        edited region was parsed against the view, else parsed whole.
-        Called from the executor threads that serve documents."""
-        with self._parse_count_lock:
-            self.propagate_parse["sparse" if sparse else "full"] += 1
-
     def doc_lock(self, doc_id: str) -> "asyncio.Lock":
         lock = self._locks.get(doc_id)
         if lock is None:
@@ -249,17 +240,239 @@ class ReproServer:
     # Observability
     # ------------------------------------------------------------------
 
-    def _document_stats(self) -> "dict[str, dict]":
-        return {doc_id: session.stats for doc_id, session in self._sessions.items()}
+    def _declare_metrics(self) -> MetricsRegistry:
+        """Every ``/metrics`` family, once, in exposition order.
 
-    def _replica_stats(self) -> "dict[str, dict]":
-        # single standby keeps the bare doc label (dashboard compat);
-        # several get doc@index so per-standby series stay distinct
+        The server holds its own request, error, latency, view-read and
+        parse-path series; every other family is collected at scrape
+        time from the object that owns the number, read by field name
+        with no default, so a renamed field fails the metrics tests
+        instead of exporting 0.
+        """
+        self.latency_seconds = Family(
+            "repro_server_latency_seconds",
+            "Request latency histogram per endpoint (stable buckets).",
+            "histogram", "endpoint", buckets=LATENCY_BUCKETS,
+        )
+        self.errors_total = Family(
+            "repro_server_errors_total", "Failed requests per endpoint and error code.",
+            "counter", "endpoint", "code",
+        )
+        self.view_reads_total = Family(
+            "repro_view_reads_total",
+            "View reads served, by render path (cached: the view version's "
+            "XML was rendered by an earlier read).",
+            "counter", "render",
+        )
+        self.propagate_requests_total = Family(
+            "repro_propagate_requests_total",
+            "Propagate requests by parse path (sparse: only the edited region "
+            "parsed against the view; full: the whole term parsed).",
+            "counter", "parse",
+        )
+        for render in ("cached", "rendered"):
+            self.view_reads_total.inc(render, by=0)
+        for parse in ("sparse", "full"):
+            self.propagate_requests_total.inc(parse, by=0)
+        latency = self.latency_seconds.samples
+
+        def one(name, help, kind, read):
+            return Family(name, help, kind, collect=lambda: [((), read())])
+
+        def per_endpoint(name, help, kind, read):
+            return Family(
+                name, help, kind, "endpoint",
+                collect=lambda: [(key, read(series)) for key, series in latency()],
+            )
+
+        def per_doc(name, help, kind, read):
+            return Family(name, help, kind, "doc", collect=lambda: [
+                ((doc_id,), read(session.stats))
+                for doc_id, session in sorted(self._sessions.items())
+            ])
+
+        def per_replica(name, help, kind, read):
+            # a value of None (a lag with no reachable primary) is left
+            # out, not exported as 0: absence is the honest value
+            return Family(name, help, kind, "doc", collect=lambda: [
+                ((label,), value)
+                for label, replica in self._labelled_replicas()
+                if (value := read(replica)) is not None
+            ])
+
+        def shard(name, help, kind, *labels, read):
+            return Family(name, help, kind, *labels, collect=lambda: (
+                read(self._shard.stats_payload()) if self._shard is not None else ()
+            ))
+
+        def per_shard(field):
+            return lambda payload: [
+                ((shard_id,), stats[field])
+                for shard_id, stats in sorted(payload["per_shard"].items())
+            ]
+
+        def engines():
+            for (schema_hash, _), engine in self.registry.cached_engines():
+                for counter, value in engine.stats.as_dict().items():
+                    yield (schema_hash[:12], counter), value
+
+        def shipped_lag():
+            for shipper in list(self._shippers):
+                for doc_id, lag in sorted(shipper.lag().items()):
+                    yield (shipper.label, doc_id), lag
+
+        def traces():
+            stats = self.tracer.stats_payload()
+            return [((outcome,), stats[key]) for outcome, key in TRACE_OUTCOMES]
+
+        return MetricsRegistry(
+            one(
+                "repro_server_inflight_requests", "Requests currently being served.",
+                "gauge", lambda: self._inflight,
+            ),
+            one(
+                "repro_server_draining", "Whether the server is draining for shutdown.",
+                "gauge", lambda: self._draining,
+            ),
+            per_endpoint(
+                "repro_server_requests_total", "Requests served per endpoint.",
+                "counter", lambda series: series.count,
+            ),
+            self.errors_total,
+            per_endpoint(
+                "repro_server_request_seconds", "Request latency per endpoint.",
+                "summary", lambda series: series,
+            ),
+            self.latency_seconds,
+            per_endpoint(
+                "repro_server_request_seconds_max", "Slowest request per endpoint.",
+                "gauge", lambda series: series.max,
+            ),
+            self.view_reads_total,
+            self.propagate_requests_total,
+            one(
+                "repro_registry_hits_total", "Engine cache hits.",
+                "counter", lambda: self.registry.stats.hits,
+            ),
+            one(
+                "repro_registry_misses_total", "Engine cache misses (compiles).",
+                "counter", lambda: self.registry.stats.misses,
+            ),
+            one(
+                "repro_registry_evictions_total", "Engines evicted from the LRU.",
+                "counter", lambda: self.registry.stats.evictions,
+            ),
+            one(
+                "repro_registry_hit_rate", "Engine cache hit rate.",
+                "gauge", lambda: self.registry.stats.hit_rate,
+            ),
+            Family(
+                "repro_engine_counter", "EngineStats counters per compiled engine.",
+                "counter", "schema", "counter", collect=engines,
+            ),
+            per_doc(
+                "repro_wal_appends_total", "Records appended to the document's WAL.",
+                "counter", lambda stats: stats["wal_appends"],
+            ),
+            per_doc(
+                "repro_wal_syncs_total", "fsync batches issued for the document's WAL.",
+                "counter", lambda stats: stats["wal_syncs"],
+            ),
+            per_doc(
+                "repro_wal_pending_records", "Appended records not yet fsynced.",
+                "gauge", lambda stats: stats["wal_pending"],
+            ),
+            per_doc(
+                "repro_wal_last_seq", "The document's last journalled sequence number.",
+                "gauge", lambda stats: stats["last_seq"],
+            ),
+            per_doc(
+                "repro_session_propagations_total", "Updates served by the pinned session.",
+                "counter", lambda stats: stats["session"]["updates_served"],
+            ),
+            per_replica(
+                "repro_replica_applied_seq", "Records this replica session has applied.",
+                "gauge", lambda replica: replica.applied_seq,
+            ),
+            per_replica(
+                "repro_replica_lag", "Records the replica is behind the primary.",
+                "gauge", lambda replica: replica.lag(),
+            ),
+            per_replica(
+                "repro_replica_refreshes_total", "Refresh passes run by the replica session.",
+                "counter", lambda replica: replica.stats["refreshes"],
+            ),
+            shard(
+                "repro_shard_edits_total", "Routed edits by path (fast/boundary/identity).",
+                "counter", "path",
+                read=lambda payload: [((path,), n) for path, n in sorted(payload["edits"].items())],
+            ),
+            shard(
+                "repro_shard_requests_total",
+                "Term-text requests by parse path (local: only the changed shard "
+                "parsed; full: the whole update).",
+                "counter", "parse",
+                read=lambda payload: [((p,), n) for p, n in sorted(payload["parse"].items())],
+            ),
+            shard(
+                "repro_shard_count", "Shards the router currently serves.",
+                "gauge", read=lambda payload: [((), payload["shards"])],
+            ),
+            shard(
+                "repro_shard_wal_appends_total", "WAL appends per shard.",
+                "counter", "shard", read=per_shard("wal_appends"),
+            ),
+            shard(
+                "repro_shard_last_seq", "Last journalled sequence per shard.",
+                "gauge", "shard", read=per_shard("last_seq"),
+            ),
+            Family(
+                "repro_shipper_lag", "Primary WAL records not yet shipped to the standby.",
+                "gauge", "standby", "doc", collect=shipped_lag,
+            ),
+            Family(
+                "repro_shipper_records_total", "WAL records shipped to the standby.",
+                "counter", "standby", collect=lambda: [
+                    ((shipper.label,), shipper.stats["records_shipped"])
+                    for shipper in list(self._shippers)
+                ],
+            ),
+            Family(
+                "repro_follower_connected",
+                "Whether the follow daemon's live feed to the standby is up.",
+                "gauge", "standby", collect=lambda: [
+                    ((shipper.label,), shipper.connected)
+                    for shipper in list(self._shippers)
+                    if shipper.connected is not None
+                ],
+            ),
+            one(
+                "repro_tracing_enabled", "Whether request tracing is on.",
+                "gauge", lambda: self.tracer.enabled,
+            ),
+            Family(
+                "repro_traces_total", "Traces by retention outcome.",
+                "counter", "outcome", collect=traces,
+            ),
+            one(
+                "repro_trace_slow_log_size", "Over-threshold traces currently buffered.",
+                "gauge", lambda: self.tracer.stats_payload()["slow_log_size"],
+            ),
+            self.tracer.stages,
+        )
+
+    def _labelled_replicas(self) -> list:
+        """``(doc label, replica session)`` pairs, by label: a single
+        standby keeps the bare doc label (dashboard compat), several get
+        ``doc@index`` so per-standby series stay distinct."""
         single = len(self._standby_roots) <= 1
-        return {
-            (doc_id if single else f"{doc_id}@{index}"): replica.stats
-            for (index, doc_id), replica in self._replicas.items()
-        }
+        return sorted(
+            (
+                ((doc_id if single else f"{doc_id}@{index}"), replica)
+                for (index, doc_id), replica in list(self._replicas.items())
+            ),
+            key=lambda pair: pair[0],
+        )
 
     def attach_shipper(self, shipper) -> None:
         """Register a :class:`~repro.replication.WalShipper` so its
@@ -276,20 +489,36 @@ class ReproServer:
 
     def stats_payload(self) -> dict:
         """Everything the server knows, as one JSON object."""
+        latency = self.latency_seconds.samples()
         payload = {
             "server": {
                 "host": self.host,
                 "port": self.port,
                 "inflight": self._inflight,
                 "draining": self._draining,
-                "endpoints": self.endpoint_metrics.snapshot(),
+                "endpoints": {
+                    "requests": {endpoint: h.count for (endpoint,), h in latency},
+                    "errors": {
+                        f"{endpoint}:{code}": count
+                        for (endpoint, code), count in self.errors_total.samples()
+                    },
+                    "latency_seconds_sum": {endpoint: h.sum for (endpoint,), h in latency},
+                    "latency_seconds_max": {endpoint: h.max for (endpoint,), h in latency},
+                },
                 "replica_fallbacks": dict(self.replica_fallbacks),
-                "view_reads": dict(self.view_reads),
-                "propagate_parse": dict(self.propagate_parse),
+                "view_reads": {
+                    render: count for (render,), count in self.view_reads_total.samples()
+                },
+                "propagate_parse": {
+                    parse: count
+                    for (parse,), count in self.propagate_requests_total.samples()
+                },
             },
             "registry": self.registry.stats_payload(),
-            "documents": self._document_stats(),
-            "replicas": self._replica_stats(),
+            "documents": {
+                doc_id: session.stats for doc_id, session in list(self._sessions.items())
+            },
+            "replicas": {label: replica.stats for label, replica in self._labelled_replicas()},
             "tracing": self.tracer.stats_payload(),
         }
         if self._shippers:
@@ -297,21 +526,6 @@ class ReproServer:
         if self._shard is not None:
             payload["shard"] = self._shard.stats_payload()
         return payload
-
-    def metrics_text(self) -> str:
-        return render_metrics(
-            endpoints=self.endpoint_metrics,
-            view_reads=self.view_reads,
-            propagate_parse=self.propagate_parse,
-            registry=self.registry.stats_payload(),
-            documents=self._document_stats(),
-            replicas=self._replica_stats(),
-            shards=self._shard.stats_payload() if self._shard is not None else None,
-            inflight=self._inflight,
-            draining=self._draining,
-            tracer=self.tracer,
-            shippers=self._shippers,
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -490,7 +704,7 @@ class ReproServer:
             return (
                 "200 OK",
                 "text/plain; version=0.0.4; charset=utf-8",
-                self.metrics_text(),
+                self.metrics.render(),
             )
         if path == "/healthz":
             status = "draining" if self._draining else "ok"

@@ -61,7 +61,7 @@ async def _propagate(server: "ReproServer", request: dict) -> dict:
             EditScript.parse(text)  # a bad term is reported first, as ever
             raise
         update = EditScript.parse(text, base=session.view)
-        server.note_propagate_parse(sparse=update.base is not None)
+        server.propagate_requests_total.inc("full" if update.base is None else "sparse")
         return session.propagate(update), getattr(session, "last_seq", None)
 
     async with server.doc_lock(doc_id):
@@ -103,7 +103,7 @@ def _read_freshest(replicas: list, max_lag) -> "tuple":
 def _view_text(server: "ReproServer", view) -> str:
     """The view as served XML, counted by render path: a view version
     read before is answered from the text its first read stored."""
-    server.note_view_read(cached=has_cached_xml(view))
+    server.view_reads_total.inc("cached" if has_cached_xml(view) else "rendered")
     return tree_to_xml(view)
 
 
@@ -231,7 +231,7 @@ async def _stats(server: "ReproServer", request: dict) -> dict:
 
 
 async def _metrics(server: "ReproServer", request: dict) -> dict:
-    return {"content_type": "text/plain; version=0.0.4", "text": server.metrics_text()}
+    return {"content_type": "text/plain; version=0.0.4", "text": server.metrics.render()}
 
 
 HANDLERS = {
@@ -279,16 +279,14 @@ async def handle(server: "ReproServer", request: dict) -> dict:
                 raise ServerError("server is draining; no new requests")
             result = await handler(server, request)
             response = {"ok": True, "result": result}
-            server.endpoint_metrics.observe(endpoint, time.perf_counter() - start)
         except Exception as error:  # typed payloads for library errors too
             payload = error_payload(error)
             if trace_id is not None:
                 payload["trace_id"] = trace_id
             root.mark_error(payload["code"])
             response = {"ok": False, "error": payload}
-            server.endpoint_metrics.observe(
-                endpoint, time.perf_counter() - start, error_code=payload["code"]
-            )
+            server.errors_total.inc(endpoint, payload["code"])
+        server.latency_seconds.observe(time.perf_counter() - start, endpoint)
     if trace_id is not None:
         response["trace_id"] = trace_id
     if "id" in request:

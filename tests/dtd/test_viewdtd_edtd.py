@@ -115,6 +115,8 @@ class TestViewDTD:
         # round-trip the derived display regex back to the same language
         regex = derived.rule_regex("r")
         assert glushkov(regex).equivalent(glushkov(parse_regex("(a,d)*")))
+        # the paper's view DTD for D0 and A0: r → (a·d)*, d → c*
+        assert derived.describe() == "d -> c*\nr -> (a,d)*"
 
     def test_d3_example(self):
         """Section 6.2: D3 = r → b·(c+ε)·(a·c)* with b, a hidden gives r → c*."""
@@ -129,12 +131,14 @@ class TestViewDTD:
             assert derived.automaton(symbol).equivalent(d0.automaton(symbol))
 
 
-def _eager_view(dtd: DTD, annotation: Annotation) -> DTD:
-    """The view DTD with every rule derived up front."""
+def _eager_view(dtd: DTD, annotation: Annotation, rule=DTD.automaton) -> DTD:
+    """The view DTD with every rule derived up front from the source
+    rule's automaton (or, given ``rule=DTD.rule_regex``, from its regex,
+    as ``describe()`` prints a view rule)."""
     return DTD(
         {
             symbol: erase_hidden(
-                dtd.automaton(symbol),
+                rule(dtd, symbol),
                 frozenset(y for y in dtd.alphabet if annotation.visible(symbol, y)),
             )
             for symbol in dtd.alphabet
@@ -166,19 +170,19 @@ class TestLazyViewDTD:
         assert derived._models.held == {"a", "c", "d", "r"}
 
     @pytest.mark.parametrize(
-        "reader",
+        "reader, rule",
         [
-            lambda dtd: dtd.size,
-            lambda dtd: [(symbol, model.size) for symbol, model in dtd.rules()],
-            lambda dtd: dtd.describe(),
-            lambda dtd: dtd.satisfiable_symbols(),
-            repr,
+            (lambda dtd: dtd.size, DTD.automaton),
+            (lambda dtd: [(symbol, model.size) for symbol, model in dtd.rules()], DTD.automaton),
+            (lambda dtd: dtd.describe(), DTD.rule_regex),
+            (lambda dtd: dtd.satisfiable_symbols(), DTD.automaton),
+            (repr, DTD.automaton),
         ],
         ids=["size", "rules", "describe", "satisfiable_symbols", "repr"],
     )
-    def test_whole_dtd_readers_see_every_rule(self, d0: DTD, a0: Annotation, reader):
+    def test_whole_dtd_readers_see_every_rule(self, d0: DTD, a0: Annotation, reader, rule):
         derived = view_dtd(d0, a0)
-        assert reader(derived) == reader(_eager_view(d0, a0))
+        assert reader(derived) == reader(_eager_view(d0, a0, rule))
         assert derived._models.held == d0.alphabet
 
 

@@ -186,7 +186,7 @@ class TestSamplingPolicy:
             with obs.trace("r"):
                 with obs.span("stage.a"):
                     pass
-        stages = tracer.stage_seconds()
+        stages = {stage: (h.count, h.sum) for (stage,), h in tracer.stages.samples()}
         assert stages["stage.a"][0] == 3
         assert stages["r"][0] == 3
         assert stages["stage.a"][1] >= 0.0

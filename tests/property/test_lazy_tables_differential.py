@@ -5,10 +5,13 @@ rule on the label's first lookup (``ViewEngine.hidden_table``,
 ``visible_table``, ``view_dtd``). The reference here builds every row up
 front, from ``Annotation.visible`` and ``erase_hidden``, and the view
 DTD as an eager ``DTD(rules, check=False)``. For every label the rows
-and the rule's automaton must be equal, looked up in a random order;
-the whole-DTD readers (``describe()``, ``size``, ``repr``, ``rules()``,
+and the rule's automaton must be equal, looked up in a random order,
+and the rule's printed regex must have the automaton's language; the
+whole-DTD readers (``describe()``, ``size``, ``repr``, ``rules()``,
 ``satisfiable_symbols()``) of a view DTD nothing was looked up in must
-equal the eager DTD's; an unknown label raises as the eager tables do.
+equal the eager DTD's, whose ``describe()`` prints each source regex
+with its hidden symbols erased; an unknown label raises as the eager
+tables do.
 Inputs: the random schemas of the sweep differential (a third of them
 the renaming schema) and every workload family.
 """
@@ -22,6 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import ViewEngine
+from repro.automata import glushkov
 from repro.dtd import DTD, erase_hidden, view_dtd
 from repro.errors import UnknownLabelError
 from repro.generators.workloads import (
@@ -58,7 +62,7 @@ def _automaton(nfa):
     )
 
 
-def _check(dtd, annotation, rng, *, describe=True):
+def _check(dtd, annotation, rng):
     alphabet = dtd.sorted_alphabet
     visible = {
         parent: frozenset(y for y in alphabet if annotation.visible(parent, y))
@@ -73,6 +77,11 @@ def _check(dtd, annotation, rng, *, describe=True):
         alphabet=dtd.alphabet,
         check=False,
     )
+    printed = DTD(
+        {symbol: erase_hidden(dtd.rule_regex(symbol), visible[symbol]) for symbol in alphabet},
+        alphabet=dtd.alphabet,
+        check=False,
+    )
 
     engine = ViewEngine(dtd, annotation)
     order = list(alphabet)
@@ -81,12 +90,13 @@ def _check(dtd, annotation, rng, *, describe=True):
         assert engine.hidden_table[label] == hidden[label]
         assert engine.visible_table[label] == visible[label]
         assert _automaton(engine.view_dtd.automaton(label)) == _automaton(eager.automaton(label))
+        rule = glushkov(engine.view_dtd.rule_regex(label), dtd.alphabet)
+        assert rule.equivalent(eager.automaton(label))
     assert dict(engine.hidden_table) == hidden
     assert dict(engine.visible_table) == visible
 
     for lazy in (lambda: ViewEngine(dtd, annotation).view_dtd, lambda: view_dtd(dtd, annotation)):
-        if describe:
-            assert lazy().describe() == eager.describe()
+        assert lazy().describe() == printed.describe()
         assert lazy().size == eager.size
         assert repr(lazy()) == repr(eager)
         assert lazy().satisfiable_symbols() == eager.satisfiable_symbols()
@@ -116,7 +126,4 @@ def test_random_schemas_match_the_eager_tables(seed):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_workload_families_match_the_eager_tables(family):
     workload = FAMILIES[family]()
-    # describe() writes each rule as a regex by state elimination: too
-    # slow for a test on wide_schema(40)'s view of its 161-symbol root
-    describe = family != "wide_schema(40)"
-    _check(workload.dtd, workload.annotation, random.Random(family), describe=describe)
+    _check(workload.dtd, workload.annotation, random.Random(family))

@@ -3,8 +3,10 @@
 plus the in-process server harness."""
 
 import asyncio
+import math
 import pathlib
 import random
+import re
 import threading
 
 import pytest
@@ -92,3 +94,60 @@ def in_thread(fn, *args):
     thread = threading.Thread(target=target)
     thread.start()
     return thread, box
+
+
+_SAMPLE = re.compile(r"([a-zA-Z_:][a-zA-Z0-9_:]*)(\{.*\})? (\S+)")
+_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+
+
+def assert_exposition(text):
+    """Parse a whole ``/metrics`` text and assert its shape: every
+    sample follows its family's ``# TYPE`` line, inside that family's
+    one group of lines; no (name, labels) pair appears twice; and each
+    histogram series' ``le`` bounds ascend with cumulative counts, the
+    last ``+Inf`` and equal to the series' ``_count``."""
+    types, closed, seen = {}, set(), set()
+    current = None
+    buckets, counts = {}, {}
+    for line in text.splitlines():
+        if line.startswith("# HELP ") or line.startswith("# TYPE "):
+            family = line.split(" ", 3)[2]
+            if family != current:
+                assert family not in closed, f"{family} split into two groups"
+                closed.add(current)
+                current = family
+            if line.startswith("# TYPE "):
+                kind = line.split(" ", 3)[3]
+                assert family not in types, f"second TYPE line for {family}"
+                assert kind in ("counter", "gauge", "summary", "histogram"), line
+                types[family] = kind
+            continue
+        match = _SAMPLE.fullmatch(line)
+        assert match, f"not a sample line: {line!r}"
+        name, label_text, value = match.groups()
+        family = name
+        if name not in types:
+            stem, _, suffix = name.rpartition("_")
+            if suffix in ("bucket", "sum", "count") and types.get(stem) in ("histogram", "summary"):
+                family = stem
+        assert family in types, f"{name} has no # TYPE line before it"
+        assert family == current, f"{name} outside its family's group"
+        labels = dict(_LABEL.findall(label_text or ""))
+        key = (name, tuple(sorted(labels.items())))
+        assert key not in seen, f"{key} appears twice"
+        seen.add(key)
+        float(value)  # raises unless the value is a number
+        if types[family] != "histogram":
+            continue
+        series = (family, tuple(sorted((k, v) for k, v in labels.items() if k != "le")))
+        if name.endswith("_bucket"):
+            buckets.setdefault(series, []).append((float(labels["le"]), int(value)))
+        elif name.endswith("_count"):
+            counts[series] = int(value)
+    for series, pairs in buckets.items():
+        bounds = [bound for bound, _ in pairs]
+        cumulative = [count for _, count in pairs]
+        assert bounds == sorted(set(bounds)), f"{series}: le bounds do not ascend"
+        assert bounds[-1] == math.inf, f"{series}: no +Inf bucket"
+        assert cumulative == sorted(cumulative), f"{series}: buckets not cumulative"
+        assert cumulative[-1] == counts.get(series), f"{series}: +Inf is not _count"

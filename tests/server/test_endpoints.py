@@ -7,7 +7,7 @@ from repro.replication import StandbyStore, replicate
 from repro.server import ReproServer, RemoteServingError, ServeClient
 from repro.store import DocumentStore
 
-from .conftest import run_with_server, sequential_updates
+from .conftest import assert_exposition, run_with_server, sequential_updates
 
 
 class TestViewRouting:
@@ -103,6 +103,7 @@ class TestViewReadCounter:
             return first, again, moved, counts, metrics
 
         first, again, moved, counts, metrics = run_with_server(server, client_work)
+        assert_exposition(metrics)
         assert again == first and moved != first
         assert counts == [
             {"cached": 1, "rendered": 1},
@@ -129,7 +130,7 @@ class TestViewReadCounter:
         reads = run_with_server(server, client_work)
         assert {read["served_by"] for read in reads} == {"replica"}
         assert len({read["view"] for read in reads}) == 1
-        assert server.view_reads == {"cached": 2, "rendered": 1}
+        assert server.stats_payload()["server"]["view_reads"] == {"cached": 2, "rendered": 1}
 
 
 class TestPropagateParseCounter:
@@ -151,6 +152,7 @@ class TestPropagateParseCounter:
             return scripts, counts, metrics
 
         scripts, counts, metrics = run_with_server(server, client_work)
+        assert_exposition(metrics)
         assert counts == {"sparse": 1, "full": 1}
         assert 'repro_propagate_requests_total{parse="sparse"} 1' in metrics
         assert 'repro_propagate_requests_total{parse="full"} 1' in metrics
@@ -175,7 +177,8 @@ class TestPropagateParseCounter:
             workers = [
                 threading.Thread(
                     target=lambda: [
-                        server.note_propagate_parse(sparse=i % 2 == 0) for i in range(2000)
+                        server.propagate_requests_total.inc("sparse" if i % 2 == 0 else "full")
+                        for i in range(2000)
                     ]
                 )
                 for _ in range(8)
@@ -187,7 +190,10 @@ class TestPropagateParseCounter:
                 assert not worker.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert server.propagate_parse == {"sparse": 8000, "full": 8000}
+        assert server.stats_payload()["server"]["propagate_parse"] == {
+            "sparse": 8000,
+            "full": 8000,
+        }
 
     def test_bad_term_for_unknown_document_reports_the_term(self, store_root):
         server = ReproServer(store_root=store_root, fsync="off")
@@ -204,7 +210,7 @@ class TestPropagateParseCounter:
         syntax, unknown = run_with_server(server, client_work)
         assert "[TermSyntaxError]" in syntax and "expected" in syntax
         assert unknown.startswith("server answered unknown_document")
-        assert server.propagate_parse == {"sparse": 0, "full": 0}
+        assert server.stats_payload()["server"]["propagate_parse"] == {"sparse": 0, "full": 0}
 
     def test_record_text_is_not_a_request(self, store_root, workload):
         """The log's skip tokens stay out of the wire: against a stale
@@ -569,6 +575,7 @@ class TestShardRequestChecks:
                 return client.request("metrics")["text"]
 
         text = run_with_server(server, client_work)
+        assert_exposition(text)
         assert 'repro_shard_requests_total{parse="local"} 1' in text
         assert 'repro_shard_requests_total{parse="full"} 1' in text
 

@@ -18,7 +18,7 @@ from repro.server import ReproServer, RemoteServingError, ServeClient
 from repro.server import handlers
 from repro.xmltree import tree_to_xml
 
-from .conftest import in_thread, run_with_server, sequential_updates
+from .conftest import assert_exposition, in_thread, run_with_server, sequential_updates
 
 
 def _scrape(host, port, path="/metrics"):
@@ -235,6 +235,7 @@ class TestMetricsScrape:
             return text
 
         text = run_with_server(server, client_work)
+        assert_exposition(text)
         # per-endpoint counters and latencies
         assert 'repro_server_requests_total{endpoint="propagate"} 2' in text
         assert 'repro_server_requests_total{endpoint="view"} 1' in text
@@ -257,6 +258,7 @@ class TestMetricsScrape:
         # per-document WAL counters
         assert 'repro_wal_appends_total{doc="doc2"} 2' in text
         assert 'repro_wal_last_seq{doc="doc2"} 2' in text
+        assert 'repro_session_propagations_total{doc="doc2"} 2' in text
         # serving gauges
         assert "repro_server_draining 0" in text
 
@@ -291,6 +293,7 @@ class TestMetricsScrape:
             return _scrape(host, port)[1]
 
         text = run_with_server(server, client_work)
+        assert_exposition(text)
         assert (
             'repro_server_errors_total{code="unknown_document",endpoint="view"} 3'
             in text

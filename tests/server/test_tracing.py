@@ -16,7 +16,7 @@ from repro.replication import QueueTransport, StandbyStore, WalShipper
 from repro.server import RemoteServingError, ReproServer, ServeClient
 from repro.store import DocumentStore
 
-from .conftest import run_with_server, sequential_updates
+from .conftest import assert_exposition, run_with_server, sequential_updates
 
 
 def _scrape(host, port, path):
@@ -283,14 +283,16 @@ class TestShippedLagGauge:
         server = ReproServer(store_root=tmp_path / "primary", fsync="off")
         server.attach_shipper(shipper)
         label = str(standby.root)
-        text = server.metrics_text()
+        text = server.metrics.render()
+        assert_exposition(text)
         assert (
             f'repro_shipper_lag{{doc="doc",standby="{label}"}} 3' in text
         )
         assert f'repro_shipper_records_total{{standby="{label}"}} 0' in text
 
         shipper.ship_all()
-        text = server.metrics_text()
+        text = server.metrics.render()
+        assert_exposition(text)
         assert (
             f'repro_shipper_lag{{doc="doc",standby="{label}"}} 0' in text
         )

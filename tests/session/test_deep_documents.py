@@ -102,7 +102,7 @@ def test_durable_chain_journals_replays_and_serves(tmp_path):
     before, result = run_with_server(server, client_work)
     assert before == expected
     assert result["seq"] == 2
-    assert server.propagate_parse == {"sparse": 1, "full": 0}
+    assert server.stats_payload()["server"]["propagate_parse"] == {"sparse": 1, "full": 0}
 
 
 def test_phantom_text_stays_linear_on_the_chain():
