@@ -24,11 +24,10 @@ against the session's view as the server parses it:
   empty, so every check compares a replay with a fresh build.
 
 At every ``--check-every``-th update the session's script, cost and
-fresh identifiers must equal a fresh engine's
-``propagate(..., memo=False)`` on the same source, the session's source
-the cold script's output, its view the projection of that source, and
-every index one built afresh from the session's document (and still
-balanced).
+fresh identifiers must equal a fresh engine's ``propagate`` on the
+same source, the session's source the cold script's output, its view
+the projection of that source, and every index one built afresh from
+the session's document (and still balanced).
 
 Run from the repo root with ``PYTHONPATH=src``:
 
@@ -175,7 +174,7 @@ def run(name, dtd, annotation, source, edit, updates, check_every, seed,
         if (step + 1) % check_every and step + 1 != updates:
             continue
         cold = ViewEngine(dtd, annotation).propagate(
-            before, EditScript.parse(term), chooser=chooser, memo=False
+            before, EditScript.parse(term), chooser=chooser
         )
         if (script.to_term(), script.cost) != (cold.to_term(), cold.cost):
             raise AssertionError(f"{name}: update {step} differs from the cold propagation")

@@ -3,21 +3,20 @@ in time polynomial in |D| + |t| + |S| + |W|. End-to-end timings across
 document sizes and workload families, the cold-vs-warm ViewEngine
 comparison (amortised per-update serving cost), the streaming
 workload pitting a :class:`DocumentSession` against transient-engine
-serving, the cross-request memoization column of the propagation
-fast path, and the durability columns quantifying
-write-ahead-log overhead (``always``/``batch``/group-commit fsync vs
-in-memory serving). Run with ``REPRO_BENCH_SMOKE=1`` for a 2-update
+serving, and the durability columns quantifying write-ahead-log
+overhead (``always``/``batch``/group-commit fsync vs in-memory
+serving). Run with ``REPRO_BENCH_SMOKE=1`` for a 2-update
 import-clean smoke pass.
 
 Run **as a script** to emit the machine-readable perf trajectory::
 
     python benchmarks/bench_end_to_end.py --json BENCH_PR10.json [--smoke]
 
-writing per-workload medians for the four serving modes (cold, warm,
-session, memoized) plus the WAL, replication, served and sharded
-columns — the checked-in ``BENCH_PR10.json`` is that output (its
-``cold_start`` section is no longer written or read), and CI's
-``bench-smoke`` job fails on regressions against it
+writing per-workload medians for the streaming modes (transient and
+session) plus the WAL, replication, served and sharded columns — the
+checked-in ``BENCH_PR10.json`` is that output (its ``cold_start``
+section and the deleted request memo's section are no longer written
+or read), and CI's ``bench-smoke`` job fails on regressions against it
 (``benchmarks/check_regression.py``).
 
 Note the free :func:`repro.propagate` is served by the default engine
@@ -390,61 +389,6 @@ class TestReplicationFollowing:
 
 
 # ---------------------------------------------------------------------------
-# Memoization: the same (source, update) request arriving again and again —
-# retries, idempotent replays, many clients making the same change. A warm
-# engine with the memo off rebuilds every graph per request; with the memo
-# on, repeats cost one content hash. Byte-identical scripts, asserted.
-# ---------------------------------------------------------------------------
-
-MEMO_REPEATS = 4 if SMOKE else 16
-
-
-class TestMemoizedServing:
-    def test_memo_beats_warm_engine_on_repeats(self):
-        workload = hospital(8 if SMOKE else 120)
-        dtd, annotation = workload.dtd, workload.annotation
-
-        warm = ViewEngine(dtd, annotation, memo_capacity=0).warm_up()
-        start = time.perf_counter()
-        warm_scripts = [
-            warm.propagate(workload.source, workload.update)
-            for _ in range(MEMO_REPEATS)
-        ]
-        warm_elapsed = time.perf_counter() - start
-
-        memo = ViewEngine(dtd, annotation).warm_up()
-        memo.propagate(workload.source, workload.update)  # prime (one miss)
-        start = time.perf_counter()
-        memo_scripts = [
-            memo.propagate(workload.source, workload.update)
-            for _ in range(MEMO_REPEATS)
-        ]
-        memo_elapsed = time.perf_counter() - start
-
-        # memoization must be invisible in the bytes
-        assert [s.to_term() for s in memo_scripts] == [
-            s.to_term() for s in warm_scripts
-        ]
-        assert memo.stats.memo_hits == MEMO_REPEATS
-
-        per_warm = warm_elapsed / MEMO_REPEATS * 1000
-        per_memo = memo_elapsed / MEMO_REPEATS * 1000
-        speedup = warm_elapsed / memo_elapsed if memo_elapsed else float("inf")
-        print(
-            f"\nrepeated identical update x{MEMO_REPEATS}: warm "
-            f"{per_warm:.2f} ms/update, memoized {per_memo:.3f} ms/update, "
-            f"speedup {speedup:.1f}x"
-        )
-        if not SMOKE:
-            # the acceptance floor is 5x; assert a conservative margin so
-            # noisy CI boxes do not flake
-            assert speedup > 2, (
-                f"memoized serving ({per_memo:.3f} ms) not faster than a "
-                f"warm engine ({per_warm:.3f} ms)"
-            )
-
-
-# ---------------------------------------------------------------------------
 # Sharded streaming: one huge document split at the spine into shards.
 # The claim under test is **size independence** — with `splice=False` and
 # dirty hints, serving an interior edit costs the touched shard, not the
@@ -572,47 +516,6 @@ def _median_seconds(fn, rounds: int) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
-
-
-def _repeated_update_modes(workload, repeats: int, rounds: int) -> dict:
-    """Median ms/request for the three single-request serving modes."""
-    dtd, annotation = workload.dtd, workload.annotation
-    source, update = workload.source, workload.update
-    reference = ViewEngine(dtd, annotation, memo_capacity=0).propagate(
-        source, update
-    ).to_term()
-
-    def serve_cold():
-        for _ in range(repeats):
-            ViewEngine(dtd, annotation, memo_capacity=0).propagate(source, update)
-
-    warm_engine = ViewEngine(dtd, annotation, memo_capacity=0).warm_up()
-
-    def serve_warm():
-        for _ in range(repeats):
-            warm_engine.propagate(source, update)
-
-    memo_engine = ViewEngine(dtd, annotation).warm_up()
-    assert memo_engine.propagate(source, update).to_term() == reference
-
-    def serve_memoized():
-        for _ in range(repeats):
-            memo_engine.propagate(source, update)
-
-    modes = {
-        "cold_ms": _median_seconds(serve_cold, rounds),
-        "warm_ms": _median_seconds(serve_warm, rounds),
-        "memoized_ms": _median_seconds(serve_memoized, rounds),
-    }
-    per_request = {key: value / repeats * 1000 for key, value in modes.items()}
-    per_request["memoized_speedup_vs_warm"] = (
-        per_request["warm_ms"] / per_request["memoized_ms"]
-    )
-    per_request["memoized_speedup_vs_cold"] = (
-        per_request["cold_ms"] / per_request["memoized_ms"]
-    )
-    per_request["repeats"] = repeats
-    return per_request
 
 
 def _streaming_modes(workload, length: int, rounds: int) -> dict:
@@ -933,7 +836,6 @@ class TestServedStreaming:
 
 def run_trajectory(smoke: bool) -> dict:
     """The full perf trajectory as one JSON-serializable report."""
-    repeats = 4 if smoke else 16
     rounds = 2 if smoke else 5
     stream_length = 2 if smoke else 50
     families = {
@@ -945,7 +847,6 @@ def run_trajectory(smoke: bool) -> dict:
         print(f"[{name}] source={workload.source.size} nodes", flush=True)
         workloads[name] = {
             "source_size": workload.source.size,
-            "repeated_update": _repeated_update_modes(workload, repeats, rounds),
             "streaming": _streaming_modes(workload, stream_length, rounds),
         }
     import tempfile
@@ -974,7 +875,6 @@ def run_trajectory(smoke: bool) -> dict:
             "git_sha": _git_sha(),
             "python": platform.python_version(),
             "cpus": os.cpu_count(),
-            "repeats": repeats,
             "rounds": rounds,
             "stream_length": stream_length,
         },
@@ -1013,15 +913,10 @@ def main(argv=None) -> int:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     for name, data in report["workloads"].items():
-        if "repeated_update" in data:
-            repeated = data["repeated_update"]
+        if "streaming" in data:
             streaming = data["streaming"]
             print(
-                f"{name}: cold {repeated['cold_ms']:.2f} / warm "
-                f"{repeated['warm_ms']:.2f} / memoized {repeated['memoized_ms']:.3f} "
-                "ms/request; "
-                f"memo speedup {repeated['memoized_speedup_vs_warm']:.1f}x vs warm; "
-                f"streaming session {streaming['session_ms_per_update']:.2f} "
+                f"{name}: streaming session {streaming['session_ms_per_update']:.2f} "
                 f"ms/update ({streaming['session_speedup_vs_transient']:.1f}x vs "
                 "transient)"
             )

@@ -7,13 +7,14 @@ CI's ``bench-smoke`` job runs::
         --baseline BENCH_PR10.json --candidate /tmp/bench.json
 
 Absolute times are machine-bound and useless across runners, so only
-**ratio** metrics are compared — the memoized-vs-warm speedup of
-repeated identical updates and the session-vs-transient speedup of the
-streaming workload. A candidate ratio more than ``--tolerance`` (default
-25%) below the baseline's fails the job. The baseline file carries a
-dedicated ``smoke_reference`` section (per-metric minimum of several
-smoke runs on the baseline machine); a smoke candidate is compared
-against that, a full run against the root workloads.
+**ratio** metrics are compared (``RATIO_METRICS``): the
+session-vs-transient speedup of the streaming workload, sharded size
+independence, the served and traced efficiencies, and a followed
+standby's convergence. A candidate ratio more than ``--tolerance``
+(default 25%) below the baseline's fails the job. The baseline file
+carries a dedicated ``smoke_reference`` section (per-metric minimum of
+several smoke runs on the baseline machine); a smoke candidate is
+compared against that, a full run against the root workloads.
 
 The report names the baseline file and the section it compared
 against, prints both runs' ``meta``, and shows beside each ratio the two
@@ -32,7 +33,6 @@ import sys
 # because its denominator got faster reads differently from one that
 # fell because its numerator got slower
 RATIO_METRICS = (
-    ("repeated_update", "memoized_speedup_vs_warm", "warm_ms", "memoized_ms"),
     (
         "streaming", "session_speedup_vs_transient",
         "transient_ms_per_update", "session_ms_per_update",
@@ -62,12 +62,11 @@ RATIO_METRICS = (
 
 # Smoke workloads are microsecond-scale, so even their *ratios* wobble
 # with scheduler noise on shared runners. Caps bound what the smoke gate
-# may demand: a 100x memo speedup on the baseline box still only
-# requires 10x (minus tolerance) in CI — enough to prove the cache is
-# alive without tripping on a 20 µs hiccup. Full-mode comparisons are
-# uncapped.
+# may demand: the baseline box's 2.7x smoke session speedup on
+# wide_schema still only requires 1x (minus tolerance) in CI — enough to
+# prove the session's caches are alive without tripping on a 20 µs
+# hiccup. Full-mode comparisons are uncapped.
 SMOKE_EXPECTATION_CAPS = {
-    "memoized_speedup_vs_warm": 10.0,
     "session_speedup_vs_transient": 1.0,
     "size_independence": 0.5,
     # 2-update smoke streams are dominated by per-request wire fixed

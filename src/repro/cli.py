@@ -195,9 +195,7 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
         )
         return 0
     update = EditScript.parse(_read(args.update).strip())
-    script = engine.propagate(
-        source, update, chooser=chooser, memo=not args.no_memo
-    )
+    script = engine.propagate(source, update, chooser=chooser)
     assert engine.verify(source, update, script)
     if args.script:
         _emit(args, script.to_term())
@@ -807,12 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat the update file as blank-line-separated sequential "
         "scripts and serve them through one document session",
-    )
-    prop.add_argument(
-        "--no-memo",
-        action="store_true",
-        help="bypass the engine's cross-request propagation memo "
-        "(debugging aid; results are byte-identical either way)",
     )
     prop.set_defaults(handler=_cmd_propagate)
 

@@ -117,9 +117,9 @@ class PreferenceChooser:
         """A hashable key determining this chooser's behaviour.
 
         Equal keys mean byte-identical path choices for choosers of one
-        class — the propagation memo of :class:`~repro.engine.ViewEngine`
-        and its inversion memo rely on it (see :func:`cache_key_of`); a
-        chooser without one bypasses both.
+        class — the inversion memo of :class:`~repro.engine.ViewEngine`
+        relies on it (see :func:`cache_key_of`); a chooser without one
+        bypasses it.
         """
         order = sorted(self._rank, key=self._rank.get)
         return ("greedy", tuple(op.value for op in order))

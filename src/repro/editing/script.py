@@ -544,11 +544,6 @@ class EditScript:
             )
         return self._cost
 
-    def content_key(self) -> str:
-        """A canonical content digest of the script (see
-        :meth:`repro.xmltree.Tree.content_key`); equal scripts share it."""
-        return self.tree.content_key()
-
     def apply_to(self, tree: Tree) -> Tree:
         """``S(tree)``: require ``In(S) = tree`` and return ``Out(S)``."""
         if self.input_tree != tree:

@@ -24,6 +24,18 @@ path, a first request pays only for the labels it reads, and a
 long-lived engine amortises compilation across the whole workload.
 :meth:`warm_up` forces every artifact eagerly.
 
+Every propagation the library serves runs one pipeline, the engine's
+private ``_propagate``: :meth:`propagate`, each :meth:`propagate_many`
+entry, a :class:`~repro.session.DocumentSession` update and a sharded
+document's boundary edit. It validates the update (:meth:`validate`),
+computes the propagation graphs' costs (:meth:`propagation_graphs`) and
+walks one preferred optimal path into a script
+(:meth:`PropagationGraphs.build_script`), each under its own span
+inside one ``engine.propagate`` span, and counts the propagation once
+(:class:`EngineStats`). Callers differ only in what they hand in: a
+session its view, size table, word indexes and fresh identifiers, a
+batch its cached view.
+
 The free functions remain available and behave identically (they build a
 transient engine under the hood); results are byte-identical either way::
 
@@ -41,12 +53,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .core.choosers import (
-    CheapestPathChooser,
-    PathChooser,
-    PreferenceChooser,
-    cache_key_of,
-)
+from .core.choosers import CheapestPathChooser, PathChooser, PreferenceChooser
 from .core.propagate import (
     PropagationGraphs,
     propagation_graphs,
@@ -102,15 +109,14 @@ def _cheapest(graph: InversionGraph) -> InversionPath:
 
 
 class _LruCache:
-    """A small thread-safe LRU mapping (the engine's memo substrate)."""
+    """A small thread-safe LRU mapping (the inversion memo's substrate)."""
 
-    __slots__ = ("_capacity", "_lock", "_entries", "evictions")
+    __slots__ = ("_capacity", "_lock", "_entries")
 
     def __init__(self, capacity: int) -> None:
         self._capacity = capacity
         self._lock = threading.Lock()
         self._entries: "OrderedDict" = OrderedDict()
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -128,30 +134,10 @@ class _LruCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
-                self.evictions += 1
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-
-
-class _MemoEntry:
-    """Everything memoized for one exact ``(source, update)`` request.
-
-    ``validated`` records that the pair passed view-update validation
-    (validation is deterministic, so re-running it on a repeat request
-    proves nothing); ``graphs`` holds the propagation-graph collection;
-    ``scripts`` the finished propagation per ``(chooser key, optimal)``
-    — a second chooser against a cached collection rebuilds only the
-    script, not the graphs.
-    """
-
-    __slots__ = ("validated", "graphs", "scripts")
-
-    def __init__(self) -> None:
-        self.validated = False
-        self.graphs: "PropagationGraphs | None" = None
-        self.scripts: "dict[tuple, EditScript]" = {}
 
 
 @dataclass(frozen=True)
@@ -166,28 +152,18 @@ class EngineStats:
     """View extractions served (:meth:`ViewEngine.view`)."""
 
     validations: int
-    """View-update validations actually run (:meth:`ViewEngine.validate`
-    plus first-time validations on the memo path — a memo repeat skips
-    the deterministic re-validation and is not counted here)."""
+    """View-update validations run (:meth:`ViewEngine.validate`, which
+    every validating propagation calls once)."""
 
     inversions: int
     """Inverses built (:meth:`ViewEngine.invert`)."""
 
     propagations: int
-    """Propagation scripts built (single and batched)."""
-
-    memo_hits: int = 0
-    """Propagations served straight from the cross-request memo."""
-
-    memo_misses: int = 0
-    """Memo-eligible propagations that had to build their script."""
-
-    memo_evictions: int = 0
-    """Memo entries dropped by the LRU policy."""
-
-    memo_bypass: int = 0
-    """Propagations not memoizable (caller-supplied ``fresh``, a chooser
-    without a canonical key, or memoization disabled)."""
+    """Propagation scripts built: every :meth:`ViewEngine.propagate`
+    call, every :meth:`ViewEngine.propagate_many` entry, every
+    :meth:`DocumentSession.propagate <repro.session.DocumentSession.propagate>`
+    (previews included) and every boundary edit of a sharded document,
+    counted once by the one pipeline they share."""
 
     def as_dict(self) -> "dict[str, int]":
         """A JSON-serializable snapshot (``repro-xml stats`` emits these)."""
@@ -234,7 +210,6 @@ class ViewEngine:
         "_schema_hash",
         "_counters",
         "_insert_moves",
-        "_memo",
         "_inversion_memo",
     )
 
@@ -244,7 +219,6 @@ class ViewEngine:
         annotation: Annotation,
         *,
         factory: TreeFactory | None = None,
-        memo_capacity: int = 64,
     ) -> None:
         self._dtd = dtd
         self._annotation = annotation
@@ -264,12 +238,8 @@ class ViewEngine:
             "validations": 0,
             "inversions": 0,
             "propagations": 0,
-            "memo_hits": 0,
-            "memo_misses": 0,
-            "memo_bypass": 0,
         }
         self._insert_moves: "dict[str, InsertMoves]" = {}
-        self._memo = _LruCache(memo_capacity) if memo_capacity > 0 else None
         self._inversion_memo: "InversionMemo | None" = None
 
     # ------------------------------------------------------------------
@@ -304,10 +274,7 @@ class ViewEngine:
     @property
     def stats(self) -> "EngineStats":
         """Per-engine request counters (see :class:`EngineStats`)."""
-        return EngineStats(
-            **self._counters,
-            memo_evictions=self._memo.evictions if self._memo else 0,
-        )
+        return EngineStats(**self._counters)
 
     @property
     def minimal_factory(self) -> MinimalTreeFactory:
@@ -417,20 +384,6 @@ class ViewEngine:
                 entries=_LruCache(INVERSION_MEMO_CAPACITY),
             )
         return memo
-
-    def invalidate_memo(self) -> None:
-        """Drop every memoized propagation result and empty the
-        :attr:`inversion_memo`.
-
-        Both memos are keyed by content (a request's, a node shape's)
-        under this engine's compiled artifacts, which are immutable — a
-        schema change means a different fingerprint and therefore a
-        different engine, so nothing ever invalidates implicitly. This
-        is the explicit knob (memory pressure, tests)."""
-        if self._memo is not None:
-            self._memo.clear()
-        if self._inversion_memo is not None:
-            self._inversion_memo.clear()
 
     def warm_up(self) -> "ViewEngine":
         """Force every lazy artifact now, every label's included; returns
@@ -557,99 +510,71 @@ class ViewEngine:
         fresh: "Callable[[], NodeId] | None" = None,
         optimal: bool = True,
         validate: bool = True,
-        memo: bool = True,
     ) -> EditScript:
         """One schema-compliant, side-effect-free propagation of *update*.
 
         Parameters and result are exactly those of
         :func:`repro.core.propagate.propagate`; the engine only changes
-        where the schema artifacts come from.
+        where the schema artifacts come from. Served by the engine's one
+        pipeline (module doc): validated under a ``validate`` span and
+        counted in :attr:`EngineStats.validations`, then the graphs and
+        the script, each under its span.
+        """
+        return self._propagate(
+            source, update, chooser, optimal, validate, fresh=fresh
+        )
 
-        Requests are additionally served through the engine's
-        cross-request memo (*memo=False* opts out): the key is the exact
-        content of ``(source, update)`` — identifiers included — under
-        this engine's compiled ``(D, A, W)``, so a repeated identical
-        update returns the previously built script without touching a
-        single graph. Results are byte-identical either way (propagation
-        is deterministic); requests with a caller-supplied *fresh*
-        generator or a chooser without a :meth:`cache_key` bypass the
-        memo rather than risk a wrong share.
+    def _propagate(
+        self,
+        source: Tree,
+        update: EditScript,
+        chooser: PathChooser | None,
+        optimal: bool,
+        validate: bool,
+        *,
+        fresh: "Callable[[], NodeId] | None" = None,
+        source_view: Tree | None = None,
+        view_known_valid: bool = False,
+        subtree_sizes: "Mapping[NodeId, int] | None" = None,
+        indices: "dict | None" = None,
+        view_indices: "dict | None" = None,
+    ) -> EditScript:
+        """The propagation pipeline every entry point runs (module doc).
+
+        *source_view*, *view_known_valid* and *view_indices* go to
+        :meth:`validate`; *subtree_sizes* and *indices* (a session's
+        per-word source indexes, which need ``In(S) = A(t)``) to
+        :meth:`propagation_graphs`; *fresh* to the script. Each stage
+        is called through the class, so a wrapper installed on it sees
+        every propagation.
         """
         self._counters["propagations"] += 1
         if chooser is None:
             chooser = PreferenceChooser() if optimal else CheapestPathChooser()
-        chooser_key = cache_key_of(chooser) if memo and fresh is None else None
-        if chooser_key is None or self._memo is None:
-            self._counters["memo_bypass"] += 1
-            with _span("engine.propagate", memo="bypass"):
-                with _span("graphs", validate=validate):
-                    collection = self.propagation_graphs(
-                        source, update, validate=validate
-                    )
-                with _span("script"):
-                    return collection.build_script(
-                        chooser, fresh, optimal_only=optimal
-                    )
-        return self._memo_propagate(
-            source, update, chooser, chooser_key, optimal, validate, None
-        )
-
-    def _memo_propagate(
-        self,
-        source: Tree,
-        update: EditScript,
-        chooser: PathChooser,
-        chooser_key: tuple,
-        optimal: bool,
-        validate: bool,
-        view_supplier: "Callable[[], Tree] | None",
-    ) -> EditScript:
-        """Serve one propagation through the cross-request memo.
-
-        *view_supplier* optionally hands in an already-extracted source
-        view for validation (the batch path's per-document view cache);
-        it is only consulted when this exact pair has not been validated
-        before.
-        """
-        assert self._memo is not None
-        key = (source.content_key(), update.content_key())
-        entry = self._memo.get(key)
-        if entry is None:
-            entry = _MemoEntry()
-            self._memo[key] = entry
-        with _span("engine.propagate") as sp:
-            script_key = (chooser_key, optimal)
-            script = entry.scripts.get(script_key)
-            if validate and not entry.validated:
-                self._counters["validations"] += 1
-                with _span("validate"):
-                    validate_view_update(
-                        self._dtd,
-                        self._annotation,
+        with _span("engine.propagate"):
+            if validate:
+                with _span("validate") as sp:
+                    steps = self.validate(
                         source,
                         update,
-                        derived_view_dtd=self.view_dtd,
-                        source_view=(
-                            view_supplier() if view_supplier is not None else None
-                        ),
+                        source_view=source_view,
+                        view_known_valid=view_known_valid,
+                        _indices=view_indices,
                     )
-                entry.validated = True
-            if script is not None:
-                self._counters["memo_hits"] += 1
-                sp.set(memo="hit")
-                return script
-            self._counters["memo_misses"] += 1
-            sp.set(memo="miss")
-            graphs = entry.graphs
-            if graphs is None:
-                with _span("graphs"):
-                    graphs = entry.graphs = self.propagation_graphs(
-                        source, update, validate=False
-                    )
+                    sp.set(steps=steps)
+            with _span("graphs") as sp:
+                collection = self.propagation_graphs(
+                    source, update, validate=False,
+                    subtree_sizes=subtree_sizes, _indices=indices,
+                )
+                sp.set(
+                    cells=collection.cells,
+                    runs=collection.runs,
+                    inverted=collection.inverted,
+                    inversion_misses=collection.inversion_misses,
+                )
             with _span("script"):
-                script = graphs.build_script(chooser, None, optimal_only=optimal)
-            entry.scripts[script_key] = script
-            return script
+                return collection.build_script(chooser, fresh, optimal_only=optimal)
 
     def propagate_many(
         self,
@@ -659,7 +584,6 @@ class ViewEngine:
         chooser: PathChooser | None = None,
         optimal: bool = True,
         validate: bool = True,
-        memo: bool = True,
     ) -> list[EditScript]:
         """Propagate a batch of updates, reusing everything compiled.
 
@@ -669,65 +593,28 @@ class ViewEngine:
             engine.propagate_many([(t1, s1), (t2, s2), ...])  # many documents
 
         Results equal N independent :meth:`propagate` calls (same scripts,
-        same determinism, same order); consecutive updates against the
-        same document additionally share one view extraction during
-        validation, and repeated identical requests are served from the
-        cross-request memo (*memo=False* opts out). The batch is served
-        in order on the calling thread: propagation is pure Python, so a
-        thread or process fan-out only adds handoff and pickling cost.
-        A single hot document is usually better served through a
-        :class:`~repro.session.DocumentSession`.
+        same determinism, same order, each entry counted and traced as
+        one propagation); consecutive updates against the same document
+        additionally share one view extraction during validation. The
+        batch is served in order on the calling thread: propagation is
+        pure Python, so a thread or process fan-out only adds handoff
+        and pickling cost. A single hot document is usually better
+        served through a :class:`~repro.session.DocumentSession`.
         """
         if updates is None:
             pairs = list(source)  # type: ignore[arg-type]
         else:
             pairs = [(source, update) for update in updates]
-        if chooser is None:
-            chooser = PreferenceChooser() if optimal else CheapestPathChooser()
-        self._counters["propagations"] += len(pairs)
-        chooser_key = cache_key_of(chooser) if memo else None
-        use_memo = chooser_key is not None and self._memo is not None
         results: list[EditScript] = []
         cached_source: Tree | None = None
         cached_view: Tree | None = None
-
-        def view_of(doc: Tree) -> Tree:
-            nonlocal cached_source, cached_view
-            if doc is not cached_source:
+        for doc, update in pairs:
+            if validate and doc is not cached_source:
                 cached_source = doc
                 cached_view = self._annotation.view(doc)
-            assert cached_view is not None
-            return cached_view
-
-        for doc, update in pairs:
-            if use_memo:
-                results.append(
-                    self._memo_propagate(
-                        doc,
-                        update,
-                        chooser,
-                        chooser_key,  # type: ignore[arg-type]
-                        optimal,
-                        validate,
-                        (lambda d=doc: view_of(d)) if validate else None,
-                    )
-                )
-                continue
-            self._counters["memo_bypass"] += 1
-            with _span("engine.propagate", memo="bypass"):
-                if validate:
-                    with _span("validate"):
-                        self.validate(doc, update, source_view=view_of(doc))
-                with _span("graphs"):
-                    collection = self.propagation_graphs(
-                        doc, update, validate=False
-                    )
-                with _span("script"):
-                    results.append(
-                        collection.build_script(
-                            chooser, None, optimal_only=optimal
-                        )
-                    )
+            results.append(self._propagate(
+                doc, update, chooser, optimal, validate, source_view=cached_view
+            ))
         return results
 
     def session(self, source: Tree, **kwargs) -> "DocumentSession":

@@ -110,6 +110,9 @@ class InversionMemo:
         return len(self._entries)
 
     def clear(self) -> None:
+        """Drop every entry. Entries are keyed by node shape under an
+        engine's immutable compiled artifacts, so correctness never
+        needs this: it is for memory pressure and tests."""
         self._entries.clear()
 
     def reference(self, view: Tree) -> InversionGraphs:

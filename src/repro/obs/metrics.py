@@ -24,8 +24,8 @@ __all__ = ["Family", "Histogram", "LATENCY_BUCKETS", "MetricsRegistry", "STAGE_B
 #: Fixed histogram bucket upper bounds (seconds) for
 #: ``repro_server_latency_seconds``. Stable across releases by contract:
 #: dashboards and alerts key on ``le`` values, so changing them is a
-#: breaking change. Spans 1 ms (memo-hit serving) to 5 s (huge-document
-#: boundary splits); everything slower lands in ``+Inf``.
+#: breaking change. Spans 1 ms (a ping, a cached view read) to 5 s
+#: (huge-document boundary splits); everything slower lands in ``+Inf``.
 LATENCY_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
 
 #: Bucket bounds for ``repro_trace_stage_seconds``: the request buckets

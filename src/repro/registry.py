@@ -213,18 +213,10 @@ class EngineRegistry:
     schema observe the same engine instance.
     """
 
-    def __init__(
-        self,
-        capacity: int = 128,
-        *,
-        memo_capacity: "int | None" = None,
-    ) -> None:
+    def __init__(self, capacity: int = 128) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._capacity = capacity
-        self._engine_kwargs: dict = {}
-        if memo_capacity is not None:
-            self._engine_kwargs["memo_capacity"] = memo_capacity
         self._lock = threading.Lock()
         self._engines: "OrderedDict[tuple[str, str], ViewEngine]" = OrderedDict()
         self._inflight: "dict[tuple[str, str], _InFlight]" = {}
@@ -268,10 +260,7 @@ class EngineRegistry:
         Compiles and caches one on first request; factories without a
         stable key yield a fresh uncached engine (see
         :func:`_factory_key`). The engine compiles each artifact on first
-        use (:meth:`ViewEngine.warm_up` forces them all). Engines are
-        built with the registry's ``memo_capacity`` override, so a
-        multi-tenant server sizes every tenant's propagation memo in one
-        place.
+        use (:meth:`ViewEngine.warm_up` forces them all).
 
         Concurrent misses on one key are **single-flight**: the first
         caller builds, every racer blocks on the same in-flight build and
@@ -329,12 +318,12 @@ class EngineRegistry:
         annotation: Annotation,
         factory: "TreeFactory | None",
     ) -> ViewEngine:
-        """Build one engine with the registry's engine settings.
+        """Build one engine.
 
         Runs outside the registry lock (the single-flight entry protects
         the key); separated out so tests can interpose slow builds.
         """
-        return ViewEngine(dtd, annotation, factory=factory, **self._engine_kwargs)
+        return ViewEngine(dtd, annotation, factory=factory)
 
     def cached_keys(self) -> "list[tuple[str, str]]":
         """Cache keys from least- to most-recently used (for diagnostics)."""

@@ -104,7 +104,6 @@ class ReproServer:
         self._draining = False
         self._drained = None  # asyncio.Event set once drain completed
         self._conn_tasks: "set[asyncio.Task]" = set()
-        self.replica_fallbacks: "dict[str, int]" = {}
         self.drain_log: "list[str]" = []
         self.metrics = self._declare_metrics()
 
@@ -147,11 +146,6 @@ class ReproServer:
                     StandbyStore(root) for root in self._standby_roots
                 ]
             return self._standbys
-
-    def standby(self):
-        """The first configured standby (single-standby callers)."""
-        stores = self.standbys()
-        return stores[0] if stores else None
 
     def shard(self):
         if self._shard_root is None:
@@ -210,18 +204,6 @@ class ReproServer:
             raise missing
         return sessions
 
-    def replica(self, doc_id: str):
-        """The document's first replica session, or ``None`` when reads
-        must go to the primary (no standby, or no standby carries the
-        doc and a primary exists to serve it instead)."""
-        sessions = self.replicas(doc_id)
-        return sessions[0][1] if sessions else None
-
-    def note_replica_fallback(self, doc_id: str, error: Exception) -> None:
-        """Count a bounded read the replica refused (lag budget blown or
-        unmeasurable) that the primary served instead."""
-        self.replica_fallbacks[doc_id] = self.replica_fallbacks.get(doc_id, 0) + 1
-
     def doc_lock(self, doc_id: str) -> "asyncio.Lock":
         lock = self._locks.get(doc_id)
         if lock is None:
@@ -243,11 +225,11 @@ class ReproServer:
     def _declare_metrics(self) -> MetricsRegistry:
         """Every ``/metrics`` family, once, in exposition order.
 
-        The server holds its own request, error, latency, view-read and
-        parse-path series; every other family is collected at scrape
-        time from the object that owns the number, read by field name
-        with no default, so a renamed field fails the metrics tests
-        instead of exporting 0.
+        The server holds its own request, error, latency, view-read,
+        parse-path and replica-fallback series; every other family is
+        collected at scrape time from the object that owns the number,
+        read by field name with no default, so a renamed field fails the
+        metrics tests instead of exporting 0.
         """
         self.latency_seconds = Family(
             "repro_server_latency_seconds",
@@ -269,6 +251,12 @@ class ReproServer:
             "Propagate requests by parse path (sparse: only the edited region "
             "parsed against the view; full: the whole term parsed).",
             "counter", "parse",
+        )
+        self.replica_fallbacks_total = Family(
+            "repro_replica_fallbacks_total",
+            "Bounded reads no replica could honour (lag over budget or "
+            "unmeasurable), served by the primary instead.",
+            "counter", "doc",
         )
         for render in ("cached", "rendered"):
             self.view_reads_total.inc(render, by=0)
@@ -402,6 +390,7 @@ class ReproServer:
                 "repro_replica_refreshes_total", "Refresh passes run by the replica session.",
                 "counter", lambda replica: replica.stats["refreshes"],
             ),
+            self.replica_fallbacks_total,
             shard(
                 "repro_shard_edits_total", "Routed edits by path (fast/boundary/identity).",
                 "counter", "path",
@@ -505,7 +494,10 @@ class ReproServer:
                     "latency_seconds_sum": {endpoint: h.sum for (endpoint,), h in latency},
                     "latency_seconds_max": {endpoint: h.max for (endpoint,), h in latency},
                 },
-                "replica_fallbacks": dict(self.replica_fallbacks),
+                "replica_fallbacks": {
+                    doc_id: count
+                    for (doc_id,), count in self.replica_fallbacks_total.samples()
+                },
                 "view_reads": {
                     render: count for (render,), count in self.view_reads_total.samples()
                 },

@@ -135,10 +135,10 @@ async def _view(server: "ReproServer", request: dict) -> dict:
                 "lag": replica.lag(),
                 "view": _view_text(server, view),
             }
-        except ReplicationLagError as error:
+        except ReplicationLagError:
             if not server.has_primary:
                 raise
-            server.note_replica_fallback(doc_id, error)
+            server.replica_fallbacks_total.inc(doc_id)
     async with server.doc_lock(doc_id):
         # a replayed session extracts its view on first read: off the loop
         view = await server.run_blocking(lambda: server.session(doc_id).view)

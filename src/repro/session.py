@@ -50,11 +50,10 @@ import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .core.choosers import CheapestPathChooser, PathChooser, PreferenceChooser
+from .core.choosers import PathChooser
 from .editing import EditScript, Op
 from .editing.script import phantom_text
 from .errors import ReproError, StaleSessionError
-from .obs import span as _span
 from .xmltree import NodeId, NodeIds, Tree
 from .xmltree.nodeid import numeric_suffix
 
@@ -221,9 +220,10 @@ class DocumentSession:
     state. Serve one document stream per session; engines and registries
     are the layers meant for sharing.
 
-    Its word indexes (module doc) reach the engine the way its size
-    table does: :meth:`propagate` hands the source's to
-    :meth:`ViewEngine.propagation_graphs` and the view's to
+    :meth:`propagate` runs the engine's one propagation pipeline (see
+    :mod:`repro.engine`), handing it the session's view, size table,
+    fresh identifiers and word indexes (module doc): the source's reach
+    :meth:`ViewEngine.propagation_graphs` and the view's
     :meth:`ViewEngine.validate`, which build a missing one over a wide
     word they are the first to touch. They advance only with
     :meth:`_advance`, after the journal accepted the record, so a
@@ -413,43 +413,25 @@ class DocumentSession:
         # drawn before validation reads Out(update), so the view's suffix
         # memo is computed before the next view inherits it
         fresh = self._fresh_ids(update, floor=fresh_floor)
-        with _span("engine.propagate", kind="session"):
-            if validate:
-                with _span("validate") as sp:
-                    steps = self._engine.validate(
-                        self._source,
-                        update,
-                        source_view=self.view,
-                        view_known_valid=self._view_valid,
-                        _indices=self._view_indices,
-                    )
-                    sp.set(steps=steps)
-            with _span("graphs") as sp:
-                # the source indices need In(S) = A(t): validated above,
-                # or a sparse parse against this view
-                collection = self._engine.propagation_graphs(
-                    self._source, update, validate=False,
-                    subtree_sizes=self._sizes,
-                    _indices=(
-                        self._indices
-                        if validate or (update.base is not None and update.base is self._view)
-                        else None
-                    ),
-                )
-                sp.set(
-                    cells=collection.cells,
-                    runs=collection.runs,
-                    inverted=collection.inverted,
-                    inversion_misses=collection.inversion_misses,
-                )
-            if chooser is None:
-                chooser = PreferenceChooser() if optimal else CheapestPathChooser()
-            with _span("script"):
-                script = collection.build_script(chooser, fresh, optimal_only=optimal)
-            if verify and not self._engine.verify(self._source, update, script):
-                raise ReproError(
-                    "propagation failed verification; session not advanced"
-                )
+        script = self._engine._propagate(
+            self._source, update, chooser, optimal, validate,
+            fresh=fresh,
+            source_view=self.view if validate else None,
+            view_known_valid=self._view_valid,
+            subtree_sizes=self._sizes,
+            # the source indices need In(S) = A(t): validated, or a
+            # sparse parse against this view
+            indices=(
+                self._indices
+                if validate or (update.base is not None and update.base is self._view)
+                else None
+            ),
+            view_indices=self._view_indices,
+        )
+        if verify and not self._engine.verify(self._source, update, script):
+            raise ReproError(
+                "propagation failed verification; session not advanced"
+            )
         if advance and self._journal is not None:
             self._journal(update, script)
         self._served += 1

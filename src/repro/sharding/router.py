@@ -77,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable
 
-from ..core.choosers import CheapestPathChooser, PathChooser, PreferenceChooser
+from ..core.choosers import PathChooser
 from ..core.propagate import hidden_reuse_error
 from ..editing import EditScript, Op
 from ..editing.ops import EditLabel
@@ -135,8 +135,6 @@ class ShardRouter:
         optimal: bool = True,
         on_reshard=None,
     ) -> None:
-        if chooser is None:
-            chooser = PreferenceChooser() if optimal else CheapestPathChooser()
         self._engine = engine
         self._pool = pool
         self._chooser = chooser
@@ -584,14 +582,10 @@ class ShardRouter:
         self, update: EditScript, *, splice: bool, validate: bool
     ) -> ShardedPropagation:
         source = self.assembled_source()
-        if validate:
-            self._engine.validate(source, update)
-        collection = self._engine.propagation_graphs(
-            source, update, validate=False, subtree_sizes=source.subtree_sizes()
-        )
         start = 1 + max(source.max_suffix(_FRESH), update.tree.max_suffix(_FRESH))
-        script = collection.build_script(
-            self._chooser, NodeIds(_FRESH, start).fresh, optimal_only=self._optimal
+        script = self._engine._propagate(
+            source, update, self._chooser, self._optimal, validate,
+            fresh=NodeIds(_FRESH, start).fresh,
         )
         new_source = script.output_tree
         if new_source.is_empty:

@@ -72,7 +72,7 @@ class Tree:
     # an unset slot reads as "not yet"
     __slots__ = (
         "_root", "_labels", "_children", "_parents", "_sizes", "_suffixes",
-        "_ckey", "_xml", "_nop",
+        "_xml", "_nop",
     )
 
     def __init__(
@@ -93,7 +93,6 @@ class Tree:
         }
         self._sizes: dict[NodeId, int] | None = None
         self._suffixes: dict[str, tuple[int, int]] | None = None
-        self._ckey: str | None = None
         if _validate:
             self._validate()
 
@@ -123,7 +122,6 @@ class Tree:
         self._parents = parents
         self._sizes = sizes
         self._suffixes = suffixes
-        self._ckey = None
         return self
 
     # ------------------------------------------------------------------
@@ -268,32 +266,6 @@ class Tree:
                     count += 1
             entry = memo[prefix] = (best, count)
         return entry[0]
-
-    def content_key(self) -> str:
-        """A canonical content digest of the tree, identifiers included.
-
-        Two trees share a key iff they are equal (up to SHA-256
-        collisions): the digest covers the preorder stream of
-        ``(identifier, label, child count)`` triples, which determines
-        an ordered tree uniquely. Memoized (trees are immutable) — the
-        serving tier's cross-request propagation memo keys on it.
-        """
-        if self._ckey is None:
-            import hashlib
-
-            hasher = hashlib.sha256()
-            if self._root is None:
-                hasher.update(b"<empty>")
-            else:
-                labels = self._labels
-                children = self._children
-                for node in self.nodes():
-                    kids = children.get(node)
-                    hasher.update(
-                        repr((node, labels[node], len(kids) if kids else 0)).encode()
-                    )
-            self._ckey = hasher.hexdigest()
-        return self._ckey
 
     def _carry_memos(
         self,

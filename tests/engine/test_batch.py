@@ -52,7 +52,7 @@ def batch():
 def _cold(schema, pairs, **kwargs):
     """One fresh engine per request: the baseline a batch must equal."""
     return [
-        ViewEngine(*schema).propagate(doc, update, memo=False, **kwargs).to_term()
+        ViewEngine(*schema).propagate(doc, update, **kwargs).to_term()
         for doc, update in pairs
     ]
 
@@ -78,42 +78,39 @@ class TestManyDocumentBatch:
         scripts = ViewEngine(*schema).propagate_many(list(batch))
         assert [s.to_term() for s in scripts] == _cold(schema, batch)
 
-    def test_large_batch_keeps_order_and_serves_repeats_from_the_memo(
-        self, schema, batch
-    ):
-        engine = ViewEngine(*schema)
+    def test_large_batch_with_repeats_keeps_order(self, schema, batch):
         large = list(batch) * 7
-        scripts = engine.propagate_many(large)
+        scripts = ViewEngine(*schema).propagate_many(large)
         assert [s.to_term() for s in scripts] == _cold(schema, batch) * 7
-        assert engine.stats.memo_misses == len(batch)
-        assert engine.stats.memo_hits == len(large) - len(batch)
-        # a repeated request is answered with the first answer's object
-        assert all(
-            scripts[i] is scripts[i % len(batch)] for i in range(len(large))
-        )
-
-    def test_memo_off_gives_the_same_scripts(self, schema, batch):
-        engine = ViewEngine(*schema)
-        memoized = engine.propagate_many(list(batch))
-        bypassed = engine.propagate_many(list(batch), memo=False)
-        assert [s.to_term() for s in bypassed] == [s.to_term() for s in memoized]
-        assert engine.stats.memo_bypass == len(batch)
 
     def test_single_request_batch(self, schema, batch):
         scripts = ViewEngine(*schema).propagate_many(batch[:1])
         assert [s.to_term() for s in scripts] == _cold(schema, batch[:1])
 
-    @pytest.mark.parametrize("memo", [True, False])
-    def test_interleaved_documents_validate_against_their_own_view(self, memo):
+    def test_a_batch_served_twice_gives_the_same_scripts(self, schema, batch):
+        # the second pass replays the inversion memo the first one filled
+        engine = ViewEngine(*schema)
+        first = engine.propagate_many(list(batch))
+        again = engine.propagate_many(list(batch))
+        assert [s.to_term() for s in again] == [s.to_term() for s in first]
+        assert all(a is not f for a, f in zip(again, first))
+        assert engine.stats.propagations == 2 * len(batch)
+
+    @pytest.mark.parametrize("first", ["small", "large"])
+    def test_interleaved_documents_validate_against_their_own_view(self, first):
         small, large, small_updates, large_updates = _two_documents()
+        documents = [(small.source, small_updates), (large.source, large_updates)]
+        if first == "large":
+            documents.reverse()
+        (one, one_updates), (other, other_updates) = documents
         pairs = [
-            (small.source, small_updates[0]),
-            (large.source, large_updates[0]),
-            (small.source, small_updates[1]),
-            (large.source, large_updates[1]),
+            (one, one_updates[0]),
+            (other, other_updates[0]),
+            (one, one_updates[1]),
+            (other, other_updates[1]),
         ]
         schema = (small.dtd, small.annotation)
-        scripts = ViewEngine(*schema).propagate_many(pairs, memo=memo)
+        scripts = ViewEngine(*schema).propagate_many(pairs)
         assert [s.to_term() for s in scripts] == _cold(schema, pairs)
 
     def test_an_entry_is_checked_against_its_own_document(self):
@@ -121,8 +118,7 @@ class TestManyDocumentBatch:
         engine = ViewEngine(small.dtd, small.annotation)
         with pytest.raises(InvalidViewUpdateError):
             engine.propagate_many(
-                [(small.source, small_updates[0]), (large.source, small_updates[0])],
-                memo=False,
+                [(small.source, small_updates[0]), (large.source, small_updates[0])]
             )
 
 
@@ -134,15 +130,13 @@ class TestWhatABatchCarries:
         scripts = engine.propagate_many(list(batch))
         expected = [
             ViewEngine(dtd, annotation, factory=package)
-            .propagate(doc, update, memo=False)
+            .propagate(doc, update)
             .to_term()
             for doc, update in batch
         ]
         assert [s.to_term() for s in scripts] == expected
 
-    def test_chooser_without_a_cache_key_is_served_past_the_memo(
-        self, schema, batch
-    ):
+    def test_chooser_without_a_cache_key_is_served(self, schema, batch):
         class OddChooser(CheapestPathChooser):
             cache_key = None
 
@@ -151,8 +145,6 @@ class TestWhatABatchCarries:
         assert [s.to_term() for s in scripts] == _cold(
             schema, batch, chooser=CheapestPathChooser()
         )
-        assert engine.stats.memo_bypass == len(batch)
-        assert engine.stats.memo_misses == 0
 
     def test_factory_without_a_spec_is_served(self, schema, batch):
         dtd, annotation = schema

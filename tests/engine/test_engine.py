@@ -2,6 +2,8 @@
 equivalence, and wrapper/engine result identity on the paper's running
 example."""
 
+import random
+
 import pytest
 
 import repro.engine as engine_module
@@ -21,6 +23,7 @@ from repro import (
 from repro.editing import Op
 from repro.errors import InvalidViewUpdateError
 from repro.generators import workloads
+from repro.generators.updates import random_view_update
 from repro.generators.workloads import wide_schema
 
 
@@ -277,6 +280,44 @@ class TestBatchEquivalence:
         bad_edit.delete("n1")  # a alone cannot be removed: (a,(b|c),d)*
         with pytest.raises(InvalidViewUpdateError):
             engine.propagate_many(source, [update, bad_edit.script()])
+
+
+class TestOnePipeline:
+    """Every propagation runs the engine's one pipeline, whichever entry
+    point serves it, and is counted there once."""
+
+    def test_every_session_propagation_counts_previews_included(self):
+        workload = workloads.running_example(3)
+        engine = ViewEngine(workload.dtd, workload.annotation)
+        session = engine.session(workload.source)
+        rng = random.Random(3)
+        for _ in range(4):
+            update = random_view_update(
+                rng, workload.dtd, workload.annotation, session.source, n_ops=2
+            )
+            session.propagate(update, advance=False)  # a preview
+            session.propagate(update)
+        stats = engine.stats
+        assert stats.propagations == session.stats.updates_served == 8
+        assert stats.validations == 8
+
+    def test_no_memo_knob_is_left(self, running_example):
+        dtd, annotation, source, _, update = running_example
+        with pytest.raises(TypeError):
+            ViewEngine(dtd, annotation, memo_capacity=0)
+        engine = ViewEngine(dtd, annotation)
+        with pytest.raises(TypeError):
+            engine.propagate(source, update, memo=False)
+        with pytest.raises(TypeError):
+            engine.propagate_many(source, [update], memo=False)
+
+    def test_each_batch_entry_counts_once(self, running_example):
+        dtd, annotation, source, _, update = running_example
+        updates = [update, *more_updates(annotation, source)]
+        engine = ViewEngine(dtd, annotation)
+        engine.propagate_many(source, updates + updates[:1])
+        stats = engine.stats
+        assert stats.propagations == stats.validations == len(updates) + 1
 
 
 class TestWrapperEquivalence:

@@ -1,10 +1,13 @@
-"""Cross-request propagation memoization: hits, bypasses, invalidation.
+"""The engine's memos: the inversion memo shared across requests by
+fragment shape, and the chooser keys it replays paths under.
 
-The memo must be invisible in results (byte-identical scripts — the
-property suite pins that against random workloads) and visible only in
-time and counters. These tests pin the cache mechanics: keying by exact
-request content, chooser keys, LRU eviction, the bypass conditions, and
-the inversion memo shared across requests by fragment shape.
+A memo must be invisible in results (byte-identical scripts — the
+property suites pin that against random workloads) and visible only in
+time and counters. These tests pin its mechanics: one inversion graph
+per node shape under any identifiers, explicit clearing, and chooser
+keys that tell apart every behaviour, a subclass's included. They also
+pin what a repeated request gets: no whole-request cache answers it, so
+every repeat is validated, counted and built afresh, equal to the first.
 """
 
 import pytest
@@ -21,7 +24,7 @@ from repro.errors import InvalidViewUpdateError
 from repro.generators.workloads import positional, running_example
 from repro.inversion import InversionGraph
 from repro.paperdata.figures import a0, d0
-from repro.xmltree import parse_term
+from repro.xmltree import NodeIds, parse_term
 
 
 @pytest.fixture
@@ -49,118 +52,18 @@ def update():
     )
 
 
-class TestMemoHits:
-    def test_repeat_request_is_a_hit(self, engine, source, update):
-        first = engine.propagate(source, update)
-        second = engine.propagate(source, update)
-        assert second is first  # the memo returns the cached script object
-        stats = engine.stats
-        assert (stats.memo_misses, stats.memo_hits) == (1, 1)
+@pytest.fixture
+def built(monkeypatch):
+    """The nodes each inversion graph was built for, in order."""
+    nodes = []
+    init = InversionGraph.__init__
 
-    def test_equal_content_different_objects_hit(self, engine, source, update):
-        engine.propagate(source, update)
-        clone_source = parse_term(source.to_term())
-        clone_update = EditScript.parse(update.to_term())
-        script = engine.propagate(clone_source, clone_update)
-        assert engine.stats.memo_hits == 1
-        assert script.to_term() == engine.propagate(source, update).to_term()
+    def counted(graph, node, *args, **kwargs):
+        nodes.append(node)
+        init(graph, node, *args, **kwargs)
 
-    def test_different_chooser_rebuilds_script_not_graphs(
-        self, engine, source, update
-    ):
-        nop_first = engine.propagate(source, update)
-        del_first = engine.propagate(
-            source, update, chooser=PreferenceChooser(DEL_OVER_NOP_OVER_INS)
-        )
-        # both count as misses (no cached script for that chooser), but
-        # the second shares the entry's graphs
-        assert engine.stats.memo_misses == 2
-        assert engine.stats.memo_hits == 0
-        # each chooser's result equals its own memo-free baseline ...
-        assert del_first.to_term() == engine.propagate(
-            source,
-            update,
-            chooser=PreferenceChooser(DEL_OVER_NOP_OVER_INS),
-            memo=False,
-        ).to_term()
-        # ... and each chooser now hits its own cached script
-        assert engine.propagate(source, update) is nop_first
-        assert (
-            engine.propagate(
-                source, update, chooser=PreferenceChooser(DEL_OVER_NOP_OVER_INS)
-            )
-            is del_first
-        )
-
-    def test_validation_runs_once_per_pair(self, engine, source, update):
-        engine.propagate(source, update)
-        engine.propagate(source, update)
-        # an *invalid* update still fails on a repeat (never cached)
-        bad = EditScript.parse("Nop.r#n0(Del.a#n1)")
-        for _ in range(2):
-            with pytest.raises(InvalidViewUpdateError):
-                engine.propagate(source, bad)
-
-
-class TestMemoBypass:
-    def test_memo_false_bypasses(self, engine, source, update):
-        engine.propagate(source, update, memo=False)
-        engine.propagate(source, update, memo=False)
-        stats = engine.stats
-        assert stats.memo_hits == 0 and stats.memo_misses == 0
-        assert stats.memo_bypass == 2
-
-    def test_caller_fresh_bypasses(self, engine, source, update):
-        from repro.xmltree import NodeIds
-
-        engine.propagate(source, update, fresh=NodeIds("f", 100).fresh)
-        assert engine.stats.memo_bypass == 1
-
-    def test_unknown_chooser_bypasses(self, engine, source, update):
-        class OddChooser(CheapestPathChooser):
-            cache_key = None  # no canonical key
-
-        engine.propagate(source, update, chooser=OddChooser())
-        assert engine.stats.memo_bypass == 1
-
-    def test_zero_capacity_disables(self, schema, source, update):
-        engine = ViewEngine(*schema, memo_capacity=0)
-        engine.propagate(source, update)
-        engine.propagate(source, update)
-        stats = engine.stats
-        assert stats.memo_hits == 0 and stats.memo_bypass == 2
-
-
-class TestMemoLifecycle:
-    def test_lru_eviction_and_refill(self, schema, source, update):
-        engine = ViewEngine(*schema, memo_capacity=1)
-        other = EditScript.parse(
-            "Nop.r#n0(Nop.a#n1, Nop.d#n3(Nop.c#n8), Del.a#n4, Del.d#n6(Del.c#n10))"
-        )
-        baseline = engine.propagate(source, update, memo=False).to_term()
-        engine.propagate(source, update)   # miss, cached
-        engine.propagate(source, other)    # miss, evicts the first entry
-        assert engine.stats.memo_evictions == 1
-        # the evicted request must re-serve correctly (and re-cache)
-        again = engine.propagate(source, update)
-        assert again.to_term() == baseline
-        assert engine.stats.memo_misses == 3
-
-    def test_invalidate_memo(self, engine, source, update):
-        engine.propagate(source, update)
-        engine.invalidate_memo()
-        engine.propagate(source, update)
-        stats = engine.stats
-        assert stats.memo_hits == 0
-        assert stats.memo_misses == 2
-
-    def test_stats_payload_carries_memo_counters(self, engine, source, update):
-        engine.propagate(source, update)
-        engine.propagate(source, update)
-        payload = engine.stats.as_dict()
-        assert payload["memo_hits"] == 1
-        assert payload["memo_misses"] == 1
-        assert "memo_evictions" in payload and "memo_bypass" in payload
+    monkeypatch.setattr(InversionGraph, "__init__", counted)
+    return nodes
 
 
 class TestInversionMemo:
@@ -174,19 +77,6 @@ class TestInversionMemo:
         "Ins.d#v0(Ins.c#v1), Ins.a#v2, Nop.d#n6(Nop.c#n10))"
     )
 
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """The nodes each inversion graph was built for, in order."""
-        nodes = []
-        init = InversionGraph.__init__
-
-        def counted(graph, node, *args, **kwargs):
-            nodes.append(node)
-            init(graph, node, *args, **kwargs)
-
-        monkeypatch.setattr(InversionGraph, "__init__", counted)
-        return nodes
-
     def test_same_shape_under_new_identifiers_builds_graphs_once(
         self, engine, schema, source, built
     ):
@@ -197,12 +87,12 @@ class TestInversionMemo:
         assert len(built) == 3
         assert len(engine.inversion_memo) == 3
         for script, term in ((first, self.FIRST), (second, self.SECOND)):
-            cold = ViewEngine(*schema).propagate(source, EditScript.parse(term), memo=False)
+            cold = ViewEngine(*schema).propagate(source, EditScript.parse(term))
             assert script.to_term() == cold.to_term()
 
     def test_invalidate_memo_empties_it(self, engine, source, built):
         engine.propagate(source, EditScript.parse(self.FIRST))
-        engine.invalidate_memo()
+        engine.inversion_memo.clear()
         assert len(engine.inversion_memo) == 0
         engine.propagate(source, EditScript.parse(self.SECOND))
         assert len(built) == 6 and len(engine.inversion_memo) == 3
@@ -225,7 +115,7 @@ class TestChooserKeys:
             CheapestPathChooser(DEL_OVER_NOP_OVER_INS),
         )
         keys = [chooser.cache_key() for chooser in choosers]
-        # the memo keys entries by them: hashable, one per behaviour
+        # the inversion memo keys paths by them: hashable, one per behaviour
         assert len(set(keys)) == len(choosers)
         # and equal for a chooser rebuilt with the same preference
         assert PreferenceChooser().cache_key() == keys[0]
@@ -260,7 +150,7 @@ class TestChooserKeys:
         default = engine.propagate(source, update)
         served = engine.propagate(source, update, chooser=InsertsFirst())
         cold = ViewEngine(workload.dtd, workload.annotation).propagate(
-            source, update, chooser=InsertsFirst(), memo=False
+            source, update, chooser=InsertsFirst()
         )
         assert cold.to_term() != default.to_term()  # the case tells them apart
         assert served.to_term() == cold.to_term()
@@ -283,3 +173,99 @@ class TestChooserKeys:
         )
         assert cold.to_term() != default.to_term()
         assert replayed.to_term() == cold.to_term()
+
+
+class TestRepeatedRequests:
+    """A repeat runs the whole pipeline again; only the inversion memo's
+    shapes carry over from one request to the next."""
+
+    def test_a_repeat_request_builds_an_equal_script(
+        self, engine, source, update, built
+    ):
+        first = engine.propagate(source, update)
+        second = engine.propagate(source, update)
+        assert second is not first
+        assert second.to_term() == first.to_term()
+        assert (engine.stats.validations, engine.stats.propagations) == (2, 2)
+        # the repeat replays the three shapes the first request inverted
+        assert sorted(built) == ["u0", "u1", "u2"]
+
+    def test_equal_content_in_new_objects_gets_an_equal_script(
+        self, engine, source, update
+    ):
+        first = engine.propagate(source, update)
+        clone = engine.propagate(
+            parse_term(source.to_term()), EditScript.parse(update.to_term())
+        )
+        assert (clone.to_term(), clone.cost) == (first.to_term(), first.cost)
+
+    def test_interleaved_choosers_each_keep_their_own_script(self):
+        workload = running_example(2)
+        source, update = workload.source, workload.update
+        choosers = {"default": None, "inserts first": InsertsFirst()}
+        cold = {
+            name: ViewEngine(workload.dtd, workload.annotation)
+            .propagate(source, update, chooser=chooser)
+            .to_term()
+            for name, chooser in choosers.items()
+        }
+        assert cold["default"] != cold["inserts first"]
+        engine = ViewEngine(workload.dtd, workload.annotation)
+        for name in ("default", "inserts first", "inserts first", "default"):
+            served = engine.propagate(source, update, chooser=choosers[name])
+            assert served.to_term() == cold[name]
+
+    def test_an_invalid_update_fails_on_every_repeat(self, engine, source, update):
+        engine.propagate(source, update)
+        engine.propagate(source, update)
+        bad = EditScript.parse("Nop.r#n0(Del.a#n1)")
+        for _ in range(2):
+            with pytest.raises(InvalidViewUpdateError):
+                engine.propagate(source, bad)
+        assert engine.stats.validations == 4
+
+    def test_a_caller_fresh_generator_names_the_inserted_nodes(
+        self, engine, source, update
+    ):
+        default = engine.propagate(source, update)
+        named = engine.propagate(source, update, fresh=NodeIds("f", 100).fresh)
+        assert engine.verify(source, update, named)
+        # the same script but for the hidden nodes' identifiers
+        assert named.tree.shape() == default.tree.shape()
+        invented = (
+            set(named.output_tree.nodes())
+            - set(source.nodes())
+            - set(update.output_tree.nodes())
+        )
+        assert invented == {"f100", "f101"}
+
+    def test_a_keyless_chooser_is_served_like_its_keyed_twin(
+        self, engine, source, update
+    ):
+        class Keyless(CheapestPathChooser):
+            cache_key = None
+
+        twin = engine.propagate(source, update, chooser=CheapestPathChooser())
+        keyless = engine.propagate(source, update, chooser=Keyless())
+        assert keyless.to_term() == twin.to_term()
+        assert engine.stats.propagations == 2
+
+    def test_a_cleared_inversion_memo_serves_the_same_script(
+        self, engine, source, update
+    ):
+        first = engine.propagate(source, update)
+        engine.inversion_memo.clear()
+        assert engine.propagate(source, update).to_term() == first.to_term()
+        assert len(engine.inversion_memo) == 3
+
+    def test_stats_payload_carries_the_pipeline_counters(
+        self, engine, source, update
+    ):
+        engine.propagate(source, update)
+        engine.propagate(source, update)
+        assert engine.stats.as_dict() == {
+            "views": 0,
+            "validations": 2,
+            "inversions": 0,
+            "propagations": 2,
+        }

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from repro import obs
+from repro import NodeIds, obs
+from repro.core import CheapestPathChooser
 from repro.engine import ViewEngine
 from repro.generators.updates import random_view_update
 from repro.generators.workloads import running_example
@@ -226,28 +227,32 @@ class TestEngineInstrumentation:
         assert "engine.propagate" in names
         assert "validate" in names and "graphs" in names and "script" in names
 
-    def test_memo_hit_is_visible_in_the_span(
-        self, tracer, workload, request_pair
+    @pytest.mark.parametrize("how", ["plain", "fresh", "keyless chooser"])
+    def test_every_propagation_validates_under_its_own_span(
+        self, tracer, workload, request_pair, how
     ):
+        """A caller's fresh generator or a chooser without a key once
+        took a path that validated inside ``graphs``, uncounted; every
+        propagation now runs the same three stages."""
+
+        class Keyless(CheapestPathChooser):
+            cache_key = None
+
+        kwargs = {
+            "plain": {},
+            "fresh": {"fresh": NodeIds("f", 100).fresh},
+            "keyless chooser": {"chooser": Keyless()},
+        }[how]
         engine = ViewEngine(workload.dtd, workload.annotation)
         source, update = request_pair
-        engine.propagate(source, update)  # warm the memo
-
-        def attrs_of(trace_id, name):
-            def walk(node):
-                if node["name"] == name:
-                    yield node.get("attrs", {})
-                for child in node.get("children", []):
-                    yield from walk(child)
-            return list(walk(tracer.find(trace_id)["root"]))
-
-        with obs.trace("hit") as root:
-            engine.propagate(source, update)
-        (attrs,) = attrs_of(root.trace_id, "engine.propagate")
-        assert attrs.get("memo") == "hit"
-        # a memo hit builds neither graphs nor script
-        names = flat_names(tracer.find(root.trace_id)["root"])
-        assert "graphs" not in names and "script" not in names
+        with obs.trace("call") as root:
+            engine.propagate(source, update, **kwargs)
+        (call,) = tracer.find(root.trace_id)["root"]["children"]
+        assert call["name"] == "engine.propagate"
+        assert [child["name"] for child in call["children"]] == [
+            "validate", "graphs", "script",
+        ]
+        assert (engine.stats.validations, engine.stats.propagations) == (1, 1)
 
     def test_batch_spans_nest_under_the_request_root(self, tracer, workload):
         rng = random.Random(23)
@@ -269,13 +274,11 @@ class TestEngineInstrumentation:
         # one engine span per entry, in batch order, right under the
         # request root: the batch runs on the calling thread
         assert [child["name"] for child in children] == ["engine.propagate"] * 4
-        assert [child["attrs"]["memo"] for child in children] == [
-            "miss", "miss", "miss", "hit",
-        ]
+        # a repeated entry runs every stage again
         assert all(
-            {"validate", "graphs", "script"}
-            <= {grandchild["name"] for grandchild in child["children"]}
-            for child in children[:3]
+            [grandchild["name"] for grandchild in child["children"]]
+            == ["validate", "graphs", "script"]
+            for child in children
         )
 
 

@@ -245,7 +245,7 @@ def test_recurring_shapes_replay_in_a_session(seed):
             chooser=PreferenceChooser(order),
         )
         cold = ViewEngine(ITEMS, ITEMS_HIDDEN).propagate(
-            before, update, chooser=_Uncached(order), memo=False
+            before, update, chooser=_Uncached(order)
         )
         assert (served.to_term(), served.cost) == (cold.to_term(), cold.cost)
     # item shapes with 0, 1 and 2 paragraphs, the paragraph, title and text

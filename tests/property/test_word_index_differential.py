@@ -9,8 +9,8 @@ index, and the index advances with the document. Every script a session
 serves here is compared, update by update, with two references that
 hold no index:
 
-* **cold** — a fresh engine's ``propagate(..., memo=False)`` on the
-  same source, which classifies and sweeps every position;
+* **cold** — a fresh engine's ``propagate`` on the same source, which
+  classifies and sweeps every position;
 * **graphs** — ``build_propagation_graph`` and Dijkstra per affected
   node, and ``greedy_path`` over each
   :class:`~repro.core.optimal.OptimalPropagationGraph`
@@ -100,7 +100,7 @@ def _outcome(serve):
 
 def _cold(dtd, annotation, source, update, order, validate):
     return ViewEngine(dtd, annotation).propagate(
-        source, update, chooser=PreferenceChooser(order), validate=validate, memo=False
+        source, update, chooser=PreferenceChooser(order), validate=validate
     )
 
 

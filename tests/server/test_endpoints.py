@@ -51,13 +51,17 @@ class TestViewRouting:
             with ServeClient(host, port) as client:
                 bounded = client.view("doc0", max_lag=0)
                 unbounded = client.view("doc0")
-            return bounded, unbounded
+                stats = client.stats()
+                metrics = client.request("metrics")["text"]
+            return bounded, unbounded, stats, metrics
 
-        bounded, unbounded = run_with_server(server, client_work)
+        bounded, unbounded, stats, metrics = run_with_server(server, client_work)
         assert bounded["served_by"] == "primary"
         # no bound: the replica serves (staleness unconstrained)
         assert unbounded["served_by"] == "replica"
-        assert server.replica_fallbacks == {"doc0": 1}
+        assert stats["server"]["replica_fallbacks"] == {"doc0": 1}
+        assert_exposition(metrics)
+        assert 'repro_replica_fallbacks_total{doc="doc0"} 1' in metrics
 
     def test_replica_only_server_surfaces_lag_error(
         self, tmp_path, store_root, workload

@@ -9,7 +9,7 @@ from repro.replication import StandbyStore, replicate
 from repro.server import ReproServer, RemoteServingError, ServeClient
 from repro.store import DocumentStore
 
-from .conftest import run_with_server, sequential_updates
+from .conftest import assert_exposition, run_with_server, sequential_updates
 
 
 def _advance(store_root, workload, steps, seed):
@@ -123,11 +123,14 @@ class TestFreshestRouting:
 
         def client_work(host, port):
             with ServeClient(host, port) as client:
-                return client.view("doc0", max_lag=1)
+                result = client.view("doc0", max_lag=1)
+                return result, client.stats(), client.request("metrics")["text"]
 
-        result = run_with_server(server, client_work)
+        result, stats, metrics = run_with_server(server, client_work)
         assert result["served_by"] == "primary"
-        assert server.replica_fallbacks == {"doc0": 1}
+        assert stats["server"]["replica_fallbacks"] == {"doc0": 1}
+        assert_exposition(metrics)
+        assert 'repro_replica_fallbacks_total{doc="doc0"} 1' in metrics
 
     def test_standby_only_server_surfaces_the_lag_error(
         self, tmp_path, store_root, workload

@@ -14,6 +14,7 @@ import pytest
 
 from repro.engine import ViewEngine
 from repro.errors import exit_code, UnknownDocumentError
+from repro.registry import EngineRegistry, schema_fingerprint
 from repro.server import ReproServer, RemoteServingError, ServeClient
 from repro.server import handlers
 from repro.xmltree import tree_to_xml
@@ -223,7 +224,10 @@ class TestTypedErrorPayloads:
 class TestMetricsScrape:
     def test_metrics_shape_covers_the_stack(self, store_root, workload):
         terms = sequential_updates(workload, 2, seed=5)
-        server = ReproServer(store_root=store_root, fsync="off")
+        # a registry of its own, so the engine counts only this server's work
+        server = ReproServer(
+            store_root=store_root, fsync="off", registry=EngineRegistry()
+        )
 
         def client_work(host, port):
             with ServeClient(host, port) as client:
@@ -253,8 +257,12 @@ class TestMetricsScrape:
         assert 'repro_traces_total{outcome="kept"}' in text
         # registry and engine counters
         assert "repro_registry_hit_rate" in text
-        assert 'counter="propagations"' in text
-        assert 'counter="memo_hits"' in text
+        # every propagate served on the schema, though sessions serve them
+        schema = schema_fingerprint(workload.dtd, workload.annotation)[:12]
+        assert (
+            f'repro_engine_counter{{counter="propagations",schema="{schema}"}} 2'
+            in text
+        )
         # per-document WAL counters
         assert 'repro_wal_appends_total{doc="doc2"} 2' in text
         assert 'repro_wal_last_seq{doc="doc2"} 2' in text

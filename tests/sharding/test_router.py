@@ -8,6 +8,7 @@ isomorphic outputs.
 import pytest
 
 from repro.editing import EditScript, UpdateBuilder
+from repro.engine import ViewEngine
 from repro.errors import ShardingError
 from repro.sharding import LocalShardPool, ShardRouter, partition
 from repro.xmltree import Tree, parse_term
@@ -182,6 +183,16 @@ class TestBoundaryPath:
         result2 = router.propagate(update2)
         assert not result2.boundary
         assert result2.script.to_term() == baseline2.to_term()
+
+    def test_a_boundary_edit_is_one_engine_propagation(self, deep_workload):
+        # an engine of its own, so its counters see only this router
+        engine = ViewEngine(deep_workload.dtd, deep_workload.annotation)
+        router = _router(engine, deep_workload, 2)
+        edit = _builder(deep_workload)
+        edit.delete("p3")
+        assert router.propagate(edit.script()).boundary
+        stats = engine.stats
+        assert (stats.validations, stats.propagations) == (1, 1)
 
     def test_deleting_the_whole_document_is_refused(self, engine_for):
         # the empty tree is not in any view language, so emptying the

@@ -108,9 +108,7 @@ class TestGroupCommittedStore:
         for doc_id in doc_ids:
             store.put(doc_id, source, dtd, annotation)
 
-        expected = engine.propagate(
-            source, EditScript.parse(UPDATES[0]), memo=False
-        ).output_tree
+        expected = engine.propagate(source, EditScript.parse(UPDATES[0])).output_tree
         errors: list = []
 
         def serve(doc_id: str) -> None:

@@ -173,17 +173,23 @@ class TestSuffixIndexCarry:
         assert edited.max_suffix("n") == max_numeric_suffix(edited.nodes(), "n")
 
 
-class TestContentKey:
-    def test_equal_trees_share_keys(self, doc):
-        assert doc.content_key() == cold_copy(doc).content_key()
+class TestEqualityIgnoresCarriedMemos:
+    """Equality and hashing read the tree, never the tables it carries."""
 
-    def test_any_difference_changes_the_key(self, doc):
-        assert doc.content_key() != doc.delete_subtree("n2").content_key()
-        assert doc.content_key() != doc.map_labels(str.upper).content_key()
-        assert (
-            doc.content_key()
-            != doc.relabel_nodes({"n2": "q2"}).content_key()
-        )
+    def test_a_memo_carrying_tree_equals_its_cold_copy(self, doc):
+        edited = doc.delete_subtree("f2")
+        edited.subtree_sizes()
+        edited.max_suffix("n")
+        cold = cold_copy(doc).delete_subtree("f2")
+        assert edited == cold and hash(edited) == hash(cold)
 
-    def test_empty_tree_key(self):
-        assert Tree.empty().content_key() == Tree.empty().content_key()
+    def test_any_difference_breaks_equality(self, doc):
+        doc.subtree_sizes()
+        assert doc != doc.delete_subtree("n2")
+        assert doc != doc.map_labels(str.upper)
+        assert doc != doc.relabel_nodes({"n2": "q2"})
+
+    def test_empty_trees_are_equal(self):
+        assert Tree.empty() == Tree.empty()
+        assert hash(Tree.empty()) == hash(Tree.empty())
+        assert Tree.empty() != parse_term("r#n0")
